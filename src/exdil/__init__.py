@@ -25,9 +25,7 @@ from .collocation import (MONTE_CARLO, SMOLYAK, TENSOR_GL, CollocationError,
                           ExpectationResult, QuadratureRule, build_rule,
                           expect, expect_field)
 from .asymptotic import (AsymptoticBasis, PLApproximant, assemble_approximant,
-                         base_operator, build_basis, expansion_grid,
-                         expected_pl, sampled_pl, solve_w0, solve_w1k,
-                         solve_w2jk)
+                         build_basis, expansion_grid, expected_pl, sampled_pl)
 from .inverse import (CENTRAL_FD, SENSITIVITY_PDE, AsymptoticForward,
                       DeviceFamily, EstimationError, EstimationTrace,
                       MappedCollocationForward, NewtonOptions,

@@ -14,27 +14,39 @@ the lower orders (htilde is the unit-amplitude interface series):
 The w2 datum uses dxx w0(0, z) = -G(d) / sigma**2, obtained by evaluating
 w0's own equation on the boundary, so only first normal derivatives are
 ever discretized (with the second-order one-sided scheme).  Orders n >= 3
-follow the same recursion -- the order-n datum couples h**k / k! to the
-k-th normal derivatives of order n-k -- but the per-order solve count grows
-like K**n, so they are not implemented.
+follow the same recursion but are not implemented.
 
-Because htilde is a K-term sine series with random weights, w1 and w2 split
-by linearity into per-mode solutions w1_k and w2_jk, giving the
-photoluminescence approximants
+The discrete problems separate.  On the periodic grid with nz cells,
+phi_k(z) = sin(2 pi k z / L) is an exact eigenvector of the z-difference,
+D+D-z phi_k = -mu_k phi_k with mu_k = 2 (1 - cos(2 pi k / nz)) / hz**2.
+The source of w0 depends on depth only, so w0 = w0(x); the datum of w1 is a
+sum of modes, so w1 = sum_k lam_k th_k phi_k(z) f_k(x), where f_k solves the
+1D problem  sigma**2 D+D-x f - (1 + sigma**2 mu_k) f = 0  with
+f_k(0) = -d dx w0(0).  Every basis problem is therefore a tridiagonal
+solve in depth with the conventions of :mod:`exdil.forward_mapped`.
 
-    I0 = i0
-    I1 = i0 + eps sum_k lam_k th_k i1_k
-    I2 = I1 + eps**2 sum_jk lam_j lam_k th_j th_k (i2_jk + b_jk)
+Only strip integrals of w1 and w2 enter the photoluminescence, and the
+z-mean of a solution solves the 1D problem with the z-mean of the datum.
+Hence, as long as 2K < nz (so that no mode product aliases to a constant):
 
-with i_* the (1/L)-normalized strip integrals of the basis fields and b_jk
-the boundary line integrals (d**2 / 2L) int phi_j phi_k dx w0(0, z) dz that
-account for the strip/true-domain mismatch.  Taking coefficient moments in
-place of the th products yields the expected photoluminescence.
+  * i1_k is the discrete mean of phi_k, zero: order 1 equals order 0;
+  * the w2 datum of the pair (j, k) is c_k phi_j phi_k with
+    c_k = -d f_k'(0) + d**2 G(d) / (2 sigma**2), whose z-mean is c_k / 2
+    for j = k and zero otherwise, so i2 is diagonal:
+    i2_kk = c_k / 2 * int q, with q the homogeneous solution of unit datum;
+  * the boundary line integrals (d**2 / 2L) int phi_j phi_k dx w0(0) dz that
+    account for the strip/true-domain mismatch are diagonal too,
+    b_kk = d**2 / 4 dx w0(0).
 
-All basis problems share one operator matrix, so a full basis costs one
-factorization plus 1 + K + K(K+1)/2 triangular solves.  Only the upper
-triangle of w2 is solved, on the symmetrized datum; the th_j th_k (and
-moment) weighting is symmetric, so nothing is lost.
+The photoluminescence approximants are then
+
+    I0 = I1 = i0
+    I2 = i0 + eps**2 sum_k (lam_k th_k)**2 (i2_kk + b_kk)
+
+and coefficient moments in place of the th products give the expected
+photoluminescence.  A basis costs 2 + K tridiagonal solves: w0, q, and one
+f_k per mode.  This is the Fourier/tridiagonal split of fast Poisson
+solvers (Hockney, J. ACM 12, 1965).
 """
 
 from __future__ import annotations
@@ -44,18 +56,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import interface as iface
-from .fd_core import (EllipticOperator, Field2D, Grid2D, PdeCoefficients,
-                      one_sided_dx_at_boundary, trapezoid_1d, trapezoid_2d)
-from .forward_mapped import DeviceConfig
+from .fd_core import Field2D, Grid2D
+from .forward_mapped import DeviceConfig, solve_1d_rhs
 
 __all__ = [
     "AsymptoticBasis",
     "PLApproximant",
     "expansion_grid",
-    "base_operator",
-    "solve_w0",
-    "solve_w1k",
-    "solve_w2jk",
     "build_basis",
     "assemble_approximant",
     "expected_pl",
@@ -69,116 +76,100 @@ def expansion_grid(device: DeviceConfig, nx: int = 64, nz: int = 64) -> Grid2D:
     return Grid2D.rect(nx, nz, device.d, device.L)
 
 
-def base_operator(device: DeviceConfig, grid: Grid2D) -> EllipticOperator:
-    """The shared screened operator sigma**2 Lap - 1 on the strip."""
-    sig2 = device.sigma ** 2
-    return EllipticOperator(grid, PdeCoefficients(cyy=sig2, czz=sig2, c0=-1.0))
-
-
 def mode_shape(k: int, L: float, z: np.ndarray) -> np.ndarray:
     """Interface mode phi_k(z) = sin(2 pi k z / L)."""
     return np.sin(2.0 * np.pi * k * z / L)
 
 
-def solve_w0(device: DeviceConfig, grid: Grid2D,
-             operator: EllipticOperator | None = None) -> Field2D:
-    """Leading-order solve; z-constant in exact arithmetic since the
-    generation profile depends on depth only (solved in 2D regardless)."""
-    op = operator or base_operator(device, grid)
-    source = device.generation(device.d - grid.y)[:, None]
-    return op.solve_field(source, 0.0)
-
-
-def solve_w1k(device: DeviceConfig, grid: Grid2D, k: int, w0: Field2D,
-              operator: EllipticOperator | None = None) -> Field2D:
-    """First-order mode solve with datum -d phi_k dx w0(0, .)."""
-    op = operator or base_operator(device, grid)
-    dx_w0 = one_sided_dx_at_boundary(w0)
-    datum = -device.d * mode_shape(k, device.L, grid.z) * dx_w0
-    return op.solve_field(0.0, datum)
-
-
-def solve_w2jk(device: DeviceConfig, grid: Grid2D, j: int, k: int,
-               w1j: Field2D, w1k: Field2D,
-               operator: EllipticOperator | None = None) -> Field2D:
-    """Second-order mode solve on the symmetrized (j, k) datum.
-
-    The raw data for (j, k) and (k, j) differ termwise, but only their
-    symmetric part survives the th_j th_k weighting, so the mean of the two
-    is solved once per unordered pair.
-    """
-    op = operator or base_operator(device, grid)
-    z = grid.z
-    phi_j = mode_shape(j, device.L, z)
-    phi_k = mode_shape(k, device.L, z)
-    dx_j = one_sided_dx_at_boundary(w1j)
-    dx_k = one_sided_dx_at_boundary(w1k)
-    g_top = device.generation(device.d)
-    datum = (-0.5 * device.d * (phi_j * dx_k + phi_k * dx_j)
-             + device.d ** 2 * g_top / (2.0 * device.sigma ** 2) * phi_j * phi_k)
-    return op.solve_field(0.0, datum)
+def _boundary_slope(profiles: np.ndarray, hx: float):
+    """Second-order one-sided derivative at x = 0 along the first axis (as
+    :func:`exdil.fd_core.one_sided_dx_at_boundary`)."""
+    return (-3.0 * profiles[0] + 4.0 * profiles[1] - profiles[2]) / (2.0 * hx)
 
 
 @dataclass
 class AsymptoticBasis:
-    """All basis fields of one (device, interface-model) pair.
+    """Depth profiles of the order-2 basis of one (device, interface-model)
+    pair.
 
-    ``w2`` maps unordered index pairs (j, k), j <= k (1-based), to the
-    symmetrized second-order fields.  ``solve_count`` records the number of
-    boundary value problems solved: 1 + K + K(K+1)/2.
+    ``w0_profile`` is w0(x); ``modes[k-1]`` is f_k(x), so that
+    w1_k = phi_k(z) f_k(x); ``z_mean`` is q(x), the solution of the
+    homogeneous problem with unit datum.  ``solve_count`` records the
+    number of tridiagonal solves: 2 + K.  The 2D fields are built on
+    request as outer products.
     """
 
     device: DeviceConfig
     model: iface.InterfaceModel
     grid: Grid2D
-    w0: Field2D
-    w1: list[Field2D]
-    w2: dict[tuple[int, int], Field2D]
-    dx_w0: np.ndarray
-    dx_w1: list[np.ndarray]
+    w0_profile: np.ndarray
+    modes: np.ndarray
+    z_mean: np.ndarray
     solve_count: int
+
+    def _phi(self, k: int) -> np.ndarray:
+        phi = mode_shape(k, self.device.L, self.grid.z)
+        phi[-1] = phi[0]               # column nz aliases column 0
+        return phi
+
+    @property
+    def w0(self) -> Field2D:
+        return Field2D(self.grid, np.outer(self.w0_profile,
+                                           np.ones(self.grid.nz + 1)))
+
+    @property
+    def w1(self) -> list[Field2D]:
+        return [Field2D(self.grid, np.outer(f, self._phi(k)))
+                for k, f in enumerate(self.modes, start=1)]
+
+    @property
+    def dx_w0(self) -> np.ndarray:
+        """dx w0(0, z) per z node."""
+        return np.full(self.grid.nz + 1,
+                       _boundary_slope(self.w0_profile, self.grid.hy))
 
 
 def build_basis(device: DeviceConfig, model: iface.InterfaceModel,
                 grid: Grid2D | None = None, nx: int = 64, nz: int = 64
                 ) -> AsymptoticBasis:
-    """Solve the full order-2 basis with one shared factorization."""
+    """Solve the order-2 basis: 2 + K tridiagonal solves in depth."""
     if not np.isclose(model.L, device.L, rtol=1e-12):
         raise ValueError(
             f"interface period {model.L} does not match device period {device.L}")
     grid = grid or expansion_grid(device, nx, nz)
-    op = base_operator(device, grid)
+    if not (np.isclose(grid.ny * grid.hy, device.d, rtol=1e-12)
+            and np.isclose(grid.nz * grid.hz, device.L, rtol=1e-12)):
+        raise ValueError("the expansion grid must span the strip (0, d) x (0, L)")
+    if 2 * model.K >= grid.nz:
+        raise ValueError(
+            f"{model.K} modes alias on {grid.nz} z cells: the mode products "
+            "of the second order need 2K < nz")
 
-    w0 = solve_w0(device, grid, op)
-    count = 1
-    w1 = []
-    for k in range(1, model.K + 1):
-        w1.append(solve_w1k(device, grid, k, w0, op))
-        count += 1
-    w2 = {}
-    for j in range(1, model.K + 1):
-        for k in range(j, model.K + 1):
-            w2[(j, k)] = solve_w2jk(device, grid, j, k, w1[j - 1], w1[k - 1], op)
-            count += 1
-    return AsymptoticBasis(
-        device=device, model=model, grid=grid, w0=w0, w1=w1, w2=w2,
-        dx_w0=one_sided_dx_at_boundary(w0),
-        dx_w1=[one_sided_dx_at_boundary(f) for f in w1],
-        solve_count=count)
+    cells = grid.ny
+    w0 = solve_1d_rhs(device, 0.0, cells, device.generation(device.d - grid.y))
+    z_mean = solve_1d_rhs(device, 0.0, cells, 0.0, dirichlet=1.0)
+    datum = -device.d * _boundary_slope(w0, grid.hy)
+    k = np.arange(1, model.K + 1)
+    shifts = -1.0 + 2.0 * device.sigma ** 2 \
+        * (np.cos(2.0 * np.pi * k / grid.nz) - 1.0) / grid.hz ** 2
+    modes = np.array([solve_1d_rhs(device, 0.0, cells, 0.0, shift=s,
+                                   dirichlet=datum) for s in shifts])
+    return AsymptoticBasis(device=device, model=model, grid=grid,
+                           w0_profile=w0, modes=modes, z_mean=z_mean,
+                           solve_count=2 + model.K)
 
 
 @dataclass(frozen=True)
 class PLApproximant:
     """Photoluminescence expansion coefficients of one basis.
 
-    ``i1[k-1]`` and ``i2[j-1, k-1]`` are the strip integrals of w1_k and
-    w2_jk; ``boundary`` holds the line-integral corrections b_jk.  The mode
+    ``i2[k-1]`` and ``boundary[k-1]`` are the diagonal entries i2_kk and
+    b_kk; the off-diagonal ones vanish (see the module docstring).  The mode
     weights lam_k are kept so callers only supply coefficient draws or
     moments.
     """
 
     i0: float
-    i1: np.ndarray
     i2: np.ndarray
     boundary: np.ndarray
     lambdas: np.ndarray
@@ -187,43 +178,28 @@ class PLApproximant:
     def __post_init__(self):
         if not self.i0 > 0:
             raise ValueError(f"leading PL term must be positive, got {self.i0}")
-        if not np.allclose(self.i2, self.i2.T, rtol=0, atol=1e-12 * (1 + np.abs(self.i2).max())):
-            raise ValueError("second-order coefficients must be symmetric")
 
 
 def assemble_approximant(basis: AsymptoticBasis,
                          epsilon: float | None = None) -> PLApproximant:
-    """Integrate the basis fields into expansion coefficients.
+    """Integrate the basis profiles into expansion coefficients.
 
     ``epsilon`` defaults to hbar / d of the basis model; passing it
     explicitly lets one basis serve a whole sweep of roughness sizes (the
-    fields do not depend on eps).
+    profiles do not depend on eps).
     """
-    device, model, grid = basis.device, basis.model, basis.grid
-    K = model.K
-    L = device.L
+    device, hx = basis.device, basis.grid.hy
     if epsilon is None:
-        epsilon = device.epsilon(model.hbar)
-
-    def strip_integral(f: Field2D) -> float:
-        return trapezoid_2d(f) / L
-
-    i0 = strip_integral(basis.w0)
-    i1 = np.array([strip_integral(f) for f in basis.w1])
-    i2 = np.zeros((K, K))
-    for (j, k), f in basis.w2.items():
-        i2[j - 1, k - 1] = i2[k - 1, j - 1] = strip_integral(f)
-
-    phis = np.stack([mode_shape(k, L, grid.z) for k in range(1, K + 1)])
-    boundary = np.empty((K, K))
-    pref = device.d ** 2 / (2.0 * L)
-    for j in range(K):
-        for k in range(j, K):
-            val = pref * trapezoid_1d(phis[j] * phis[k] * basis.dx_w0, grid.hz)
-            boundary[j, k] = boundary[k, j] = val
-
-    return PLApproximant(i0=i0, i1=i1, i2=i2, boundary=boundary,
-                         lambdas=np.asarray(model.lambdas), epsilon=epsilon)
+        epsilon = device.epsilon(basis.model.hbar)
+    d2 = device.d ** 2
+    c = (-device.d * _boundary_slope(basis.modes.T, hx)
+         + d2 * device.generation(device.d) / (2.0 * device.sigma ** 2))
+    slope0 = _boundary_slope(basis.w0_profile, hx)
+    return PLApproximant(
+        i0=float(np.trapezoid(basis.w0_profile, dx=hx)),
+        i2=0.5 * c * float(np.trapezoid(basis.z_mean, dx=hx)),
+        boundary=np.full(basis.model.K, d2 / 4.0 * slope0),
+        lambdas=np.asarray(basis.model.lambdas), epsilon=epsilon)
 
 
 def _check_order(order: int) -> None:
@@ -235,36 +211,29 @@ def _check_order(order: int) -> None:
 
 def expected_pl(approximant: PLApproximant, moments: iface.ThetaMoments,
                 order: int) -> float:
-    """Expected photoluminescence at the given expansion order."""
+    """Expected photoluminescence at the given expansion order (order 1
+    equals order 0)."""
     _check_order(order)
     total = approximant.i0
-    if order >= 1:
-        total = total + approximant.epsilon * moments.mean * float(
-            approximant.lambdas @ approximant.i1)
     if order == 2:
-        K = approximant.lambdas.size
-        mom = np.full((K, K), moments.cross)
-        np.fill_diagonal(mom, moments.second)
-        lam2 = np.outer(approximant.lambdas, approximant.lambdas)
-        total = total + approximant.epsilon ** 2 * float(
-            np.sum(lam2 * mom * (approximant.i2 + approximant.boundary)))
+        total = total + approximant.epsilon ** 2 * moments.second * float(
+            approximant.lambdas ** 2 @ (approximant.i2 + approximant.boundary))
     return float(total)
 
 
 def sampled_pl(approximant: PLApproximant,
                sample: iface.InterfaceSample | np.ndarray,
                order: int) -> float:
-    """Pathwise approximant for one coefficient draw."""
+    """Pathwise approximant for one coefficient draw (order 1 equals
+    order 0)."""
     _check_order(order)
     thetas = sample.as_array() if isinstance(sample, iface.InterfaceSample) \
         else np.asarray(sample, dtype=float)
     if thetas.shape != approximant.lambdas.shape:
         raise ValueError("coefficient draw does not match the mode count")
-    c = approximant.lambdas * thetas
     total = approximant.i0
-    if order >= 1:
-        total = total + approximant.epsilon * float(c @ approximant.i1)
     if order == 2:
+        c = approximant.lambdas * thetas
         total = total + approximant.epsilon ** 2 * float(
-            c @ (approximant.i2 + approximant.boundary) @ c)
+            c ** 2 @ (approximant.i2 + approximant.boundary))
     return float(total)

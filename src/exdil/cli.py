@@ -9,11 +9,12 @@ manifest into the configured output directory.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import configparser
 import sys
 from pathlib import Path
 
 from . import experiments as exp
-from .collocation import TENSOR_GL, build_rule, expect
+from .collocation import TENSOR_GL, CollocationError, build_rule, expect
 from .fd_core import Grid2D, SolverError
 from .forward_mapped import DomainValidityError, solve_mapped_2d
 from .interface import InterfaceSample, sample as draw_sample
@@ -44,16 +45,17 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         cfg = exp.load_config(args.config)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, configparser.Error) as exc:
         print(f"exdil: bad config: {exc}", file=sys.stderr)
         return 2
     outdir = Path(args.output) if args.output else cfg.output
     try:
         outputs = _dispatch(args.command, cfg, outdir)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, configparser.Error) as exc:
         print(f"exdil: bad config: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, DomainValidityError, EstimationError) as exc:
+    except (SolverError, DomainValidityError, EstimationError,
+            CollocationError) as exc:
         print(f"exdil: numerical failure: {exc}", file=sys.stderr)
         return 3
     exp.write_manifest(outdir, cfg, outputs)

@@ -23,8 +23,7 @@ The assembled matrix has at most nine entries per row and is factorized by
 a sparse direct LU (SuperLU with minimum-degree ordering on A^T + A, which
 is markedly faster than the default ordering on this nearly symmetric
 pattern).  One :class:`EllipticOperator` can solve many right-hand sides
-against a single factorization, which the expansion and sensitivity solvers
-rely on heavily.
+against a single factorization, which the sensitivity solvers rely on.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ __all__ = [
     "SparseSystem",
     "EllipticOperator",
     "SolverError",
+    "check_residual",
     "assemble",
     "solve",
     "solution_field",
@@ -324,10 +324,16 @@ def _refine(matrix, lu, x, b, sweeps: int = 2) -> np.ndarray:
 def _check_residual(matrix, x, b) -> None:
     if not np.all(np.isfinite(x)):
         raise SolverError("solver produced non-finite values", residual=np.inf)
-    residual = float(np.linalg.norm(matrix @ x - b))
-    if residual > RESIDUAL_RTOL * (1.0 + float(np.linalg.norm(b))):
-        raise SolverError(
-            f"residual {residual:.3e} exceeds tolerance", residual=residual)
+    check_residual(matrix @ x - b, b)
+
+
+def check_residual(residual: np.ndarray, b: np.ndarray) -> None:
+    """Raise :class:`SolverError` unless the residual of a row-normalized
+    system with right-hand side ``b`` is within ``RESIDUAL_RTOL``."""
+    norm = float(np.linalg.norm(residual))
+    if norm > RESIDUAL_RTOL * (1.0 + float(np.linalg.norm(b))):
+        raise SolverError(f"residual {norm:.3e} exceeds tolerance",
+                          residual=norm)
 
 
 def _field_from_vector(grid: Grid2D, x: np.ndarray, dirichlet: np.ndarray) -> Field2D:

@@ -25,7 +25,8 @@ absorbed by the z rescaling.
 
 For a flat interface h = xi the problem drops to one dimension; the solver
 for that case shares the conventions (and its matrix is reused by the
-sensitivity solves in :mod:`exdil.inverse`).
+sensitivity solves in :mod:`exdil.inverse` and, with a diagonal shift and
+a Dirichlet value, by the expansion basis in :mod:`exdil.asymptotic`).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from scipy.linalg import solve_banded
 
 from . import interface as iface
 from .fd_core import (EllipticOperator, Field2D, Grid2D, PdeCoefficients,
-                      SolverError, trapezoid_2d)
+                      SolverError, check_residual, trapezoid_2d)
 
 __all__ = [
     "GenerationProfile",
@@ -213,7 +214,8 @@ def pl_of_sample(device: DeviceConfig, model: iface.InterfaceModel,
     return solve_mapped_2d(device, model, sample, grid).pl
 
 
-def _banded_1d(device: DeviceConfig, xi: float, cells: int):
+def _banded_1d(device: DeviceConfig, xi: float, cells: int,
+               shift: float = -1.0):
     """Tridiagonal operator of the flat-interface problem in banded form.
 
     Rows follow the 2D conventions: Dirichlet node eliminated at y = 0,
@@ -225,22 +227,35 @@ def _banded_1d(device: DeviceConfig, xi: float, cells: int):
     n = cells
     ab = np.zeros((3, n))
     ab[0, 1:] = c                      # superdiagonal
-    ab[1, :] = -2.0 * c - 1.0          # diagonal
+    ab[1, :] = -2.0 * c + shift        # diagonal
     ab[2, :-1] = c                     # subdiagonal
     ab[2, n - 2] = 2.0 * c             # Neumann fold on the last row
     return ab, hy, width
 
 
 def solve_1d_rhs(device: DeviceConfig, xi: float, cells: int,
-                 source: np.ndarray) -> np.ndarray:
-    """Solve  sigma**2 u_yy / (d-xi)**2 - u + source = 0  on the unit
-    interval with u(0) = 0 and u'(1) = 0; ``source`` holds node values
-    (cells+1 entries).  Returns all node values including the boundary."""
-    ab, _, _ = _banded_1d(device, xi, cells)
-    x = solve_banded((1, 1), ab, -np.asarray(source, dtype=float)[1:])
+                 source, shift: float = -1.0,
+                 dirichlet: float = 0.0) -> np.ndarray:
+    """Solve  sigma**2 u_yy / (d-xi)**2 + shift u + source = 0  on the unit
+    interval with u(0) = dirichlet and u'(1) = 0; ``source`` holds node
+    values (cells+1 entries, or a scalar).  Returns all node values
+    including the boundary.
+
+    The residual is checked as in :mod:`exdil.fd_core`: rows normalized by
+    the diagonal, relative tolerance ``RESIDUAL_RTOL``.
+    """
+    ab, _, _ = _banded_1d(device, xi, cells, shift)
+    b = -np.broadcast_to(np.asarray(source, dtype=float), (cells + 1,))[1:]
+    b[0] -= ab[0, 1] * dirichlet       # eliminated Dirichlet node
+    x = solve_banded((1, 1), ab, b)
     if not np.all(np.isfinite(x)):
         raise SolverError("1d solve produced non-finite values")
-    return np.concatenate(([0.0], x))
+    r = ab[1] * x - b
+    r[:-1] += ab[0, 1:] * x[1:]
+    r[1:] += ab[2, :-1] * x[:-1]
+    scale = abs(ab[1, 0])              # the diagonal is constant
+    check_residual(r / scale, b / scale)
+    return np.concatenate(([dirichlet], x))
 
 
 def solve_mapped_1d(device: DeviceConfig,

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from exdil.fd_core import Grid2D
+from exdil import forward_mapped
+from exdil.fd_core import Grid2D, SolverError
 from exdil.forward_mapped import (DeviceConfig, DomainValidityError,
                                   GenerationProfile, pl_of_sample,
                                   solve_mapped_1d, solve_mapped_2d,
@@ -76,6 +77,20 @@ class TestSolve1D:
     def test_offset_above_film(self):
         with pytest.raises(DomainValidityError):
             solve_mapped_1d(flat_device(), 11.0)
+
+    def test_residual_check_rejects_bad_solution(self, monkeypatch):
+        # one entry off by 1e-6 fails the relative-residual check the 2D
+        # path applies as well
+        exact = forward_mapped.solve_banded
+
+        def perturbed(l_and_u, ab, b):
+            x = exact(l_and_u, ab, b)
+            x[x.size // 2] += 1e-6
+            return x
+
+        monkeypatch.setattr(forward_mapped, "solve_banded", perturbed)
+        with pytest.raises(SolverError, match="residual"):
+            solve_mapped_1d(flat_device(), 0.0, 512)
 
 
 class TestSolve2D:
