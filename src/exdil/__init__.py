@@ -10,20 +10,19 @@ misfit.
 
 __version__ = "0.1.0"
 
-from .interface import (InterfaceModel, InterfaceSample, Interface1D,
-                        ThetaMoments, UniformDist, covariance, evaluate,
-                        evaluate_dz, evaluate_dzz, moments, sample)
+from .interface import (InterfaceModel, InterfaceSample, ThetaMoments,
+                        UniformDist, covariance, evaluate, evaluate_dz,
+                        evaluate_dzz, moments, sample)
 from .fd_core import (EllipticOperator, Field2D, Grid2D, PdeCoefficients,
-                      SolverError, SparseSystem, assemble, solve,
-                      solution_field, one_sided_dx_at_boundary, stencil_values,
-                      trapezoid_1d, trapezoid_2d)
+                      SolverError, one_sided_dx_at_boundary, trapezoid_2d)
 from .forward_mapped import (DeviceConfig, DomainValidityError,
                              GenerationProfile, MappedSolution, Solution1D,
-                             pl_of_sample, solve_mapped_1d, solve_mapped_2d,
+                             expected_mapped_pl, sensitivities_mapped,
+                             solve_mapped_1d, solve_mapped_2d,
                              solve_mapped_profile)
 from .collocation import (MONTE_CARLO, SMOLYAK, TENSOR_GL, CollocationError,
                           ExpectationResult, QuadratureRule, build_rule,
-                          expect, expect_field)
+                          expect)
 from .asymptotic import (AsymptoticBasis, PLApproximant, assemble_approximant,
                          build_basis, expansion_grid, expected_pl, sampled_pl)
 from .inverse import (CENTRAL_FD, SENSITIVITY_PDE, AsymptoticForward,
@@ -31,9 +30,9 @@ from .inverse import (CENTRAL_FD, SENSITIVITY_PDE, AsymptoticForward,
                       MappedCollocationForward, NewtonOptions,
                       OneDimensionalForward, PLCurve, derivative_plan,
                       newton_estimate, objective, objective_with_derivatives,
-                      sensitivities_1d, sensitivities_mapped)
+                      sensitivities_1d)
 from .experiments import (ConvergenceResult, SlopeFit, TimingResult,
                           ValidationResult, convergence_study,
                           estimation_study, fit_slope,
                           generate_synthetic_curve, timing_study,
-                          validation_study)
+                          validation_study, write_csv)

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import interface as iface
-from .fd_core import Field2D, Grid2D
+from .fd_core import Field2D, Grid2D, one_sided_dx_at_boundary
 from .forward_mapped import DeviceConfig, solve_1d_rhs
 
 __all__ = [
@@ -79,12 +79,6 @@ def expansion_grid(device: DeviceConfig, nx: int = 64, nz: int = 64) -> Grid2D:
 def mode_shape(k: int, L: float, z: np.ndarray) -> np.ndarray:
     """Interface mode phi_k(z) = sin(2 pi k z / L)."""
     return np.sin(2.0 * np.pi * k * z / L)
-
-
-def _boundary_slope(profiles: np.ndarray, hx: float):
-    """Second-order one-sided derivative at x = 0 along the first axis (as
-    :func:`exdil.fd_core.one_sided_dx_at_boundary`)."""
-    return (-3.0 * profiles[0] + 4.0 * profiles[1] - profiles[2]) / (2.0 * hx)
 
 
 @dataclass
@@ -126,7 +120,7 @@ class AsymptoticBasis:
     def dx_w0(self) -> np.ndarray:
         """dx w0(0, z) per z node."""
         return np.full(self.grid.nz + 1,
-                       _boundary_slope(self.w0_profile, self.grid.hy))
+                       one_sided_dx_at_boundary(self.w0_profile, self.grid.hy))
 
 
 def build_basis(device: DeviceConfig, model: iface.InterfaceModel,
@@ -148,7 +142,7 @@ def build_basis(device: DeviceConfig, model: iface.InterfaceModel,
     cells = grid.ny
     w0 = solve_1d_rhs(device, 0.0, cells, device.generation(device.d - grid.y))
     z_mean = solve_1d_rhs(device, 0.0, cells, 0.0, dirichlet=1.0)
-    datum = -device.d * _boundary_slope(w0, grid.hy)
+    datum = -device.d * one_sided_dx_at_boundary(w0, grid.hy)
     k = np.arange(1, model.K + 1)
     shifts = -1.0 + 2.0 * device.sigma ** 2 \
         * (np.cos(2.0 * np.pi * k / grid.nz) - 1.0) / grid.hz ** 2
@@ -192,9 +186,9 @@ def assemble_approximant(basis: AsymptoticBasis,
     if epsilon is None:
         epsilon = device.epsilon(basis.model.hbar)
     d2 = device.d ** 2
-    c = (-device.d * _boundary_slope(basis.modes.T, hx)
+    c = (-device.d * one_sided_dx_at_boundary(basis.modes.T, hx)
          + d2 * device.generation(device.d) / (2.0 * device.sigma ** 2))
-    slope0 = _boundary_slope(basis.w0_profile, hx)
+    slope0 = one_sided_dx_at_boundary(basis.w0_profile, hx)
     return PLApproximant(
         i0=float(np.trapezoid(basis.w0_profile, dx=hx)),
         i2=0.5 * c * float(np.trapezoid(basis.z_mean, dx=hx)),

@@ -14,10 +14,11 @@ import sys
 from pathlib import Path
 
 from . import experiments as exp
-from .collocation import TENSOR_GL, CollocationError, build_rule, expect
+from .collocation import TENSOR_GL, CollocationError, build_rule
 from .fd_core import Grid2D, SolverError
-from .forward_mapped import DomainValidityError, solve_mapped_2d
-from .interface import InterfaceSample, sample as draw_sample
+from .forward_mapped import (DomainValidityError, expected_mapped_pl,
+                             solve_mapped_2d)
+from .interface import sample as draw_sample
 from .inverse import EstimationError, NewtonOptions
 
 
@@ -68,6 +69,18 @@ def _newton_options(cfg) -> NewtonOptions:
         max_iter=cfg.value("newton", "max_iter", int, 50))
 
 
+def _write_trace(path: Path, trace, conf_hash: str) -> None:
+    """Newton iterates, one row each: n, sigma, J, alpha, rel_error."""
+    rows = []
+    for n in range(trace.iterations):
+        rel = "" if trace.rel_errors is None else f"{trace.rel_errors[n]:.17g}"
+        rows.append([n + 1, f"{trace.sigmas[n]:.17g}",
+                     f"{trace.objectives[n]:.17g}", f"{trace.alphas[n]:.17g}",
+                     rel])
+    exp.write_csv(path, ["n", "sigma", "J", "alpha", "rel_error"], rows,
+                  conf_hash)
+
+
 def _dispatch(command: str, cfg, outdir: Path) -> list[str]:
     outdir.mkdir(parents=True, exist_ok=True)
     family = exp.family_from_config(cfg)
@@ -80,12 +93,15 @@ def _dispatch(command: str, cfg, outdir: Path) -> list[str]:
         grid = Grid2D.unit(cfg.value("grid", "reference", int, 128))
         theta = draw_sample(model, cfg.seed)
         sol = solve_mapped_2d(device, model, theta, grid)
-        exp._write_csv(outdir / "forward.csv",
-                       ["sigma", "d", "pl", "seed"],
-                       [[f"{sigma:.17g}", f"{d:.17g}", f"{sol.pl:.17g}",
-                         cfg.seed]], cfg.sha)
+        exp.write_csv(outdir / "forward.csv",
+                      ["sigma", "d", "pl", "seed"],
+                      [[f"{sigma:.17g}", f"{d:.17g}", f"{sol.pl:.17g}",
+                        cfg.seed]], cfg.sha)
         if cfg.value("run", "dump_field", int, 0):
-            sol.field.to_csv(outdir / "field.csv")
+            exp.write_csv(outdir / "field.csv", ["y", "z", "value"],
+                          [[f"{y:.17g}", f"{z:.17g}", f"{v:.17g}"]
+                           for y, row in zip(grid.y, sol.field.values)
+                           for z, v in zip(grid.z, row)], cfg.sha)
             return ["forward.csv", "field.csv"]
         return ["forward.csv"]
 
@@ -95,16 +111,11 @@ def _dispatch(command: str, cfg, outdir: Path) -> list[str]:
         rule = build_rule(cfg.value("rule", "kind", str, TENSOR_GL), model.K,
                           cfg.value("rule", "size", int, 4),
                           model.dist.support, seed=cfg.seed)
-
-        def node_pl(thetas):
-            return solve_mapped_2d(device, model, InterfaceSample(tuple(thetas)),
-                                   grid).pl
-
-        res = expect(rule, node_pl)
-        exp._write_csv(outdir / "expect.csv",
-                       ["sigma", "d", "expected_pl", "nodes", "rule"],
-                       [[f"{sigma:.17g}", f"{d:.17g}", f"{res.value:.17g}",
-                         res.node_count, res.descriptor]], cfg.sha)
+        value = expected_mapped_pl(device, model, rule, grid)
+        exp.write_csv(outdir / "expect.csv",
+                      ["sigma", "d", "expected_pl", "nodes", "rule"],
+                      [[f"{sigma:.17g}", f"{d:.17g}", f"{value:.17g}",
+                        rule.node_count, rule.descriptor]], cfg.sha)
         return ["expect.csv"]
 
     if command == "converge":
@@ -133,7 +144,7 @@ def _dispatch(command: str, cfg, outdir: Path) -> list[str]:
         outputs = []
         for eps, trace in traces.items():
             name = f"estimate_eps{eps:g}.csv"
-            trace.to_csv(outdir / name, cfg.sha)
+            _write_trace(outdir / name, trace, cfg.sha)
             outputs.append(name)
         return outputs
 
@@ -154,14 +165,14 @@ def _dispatch(command: str, cfg, outdir: Path) -> list[str]:
         rows = []
         for beta, trace in result.traces.items():
             name = f"validate_beta{beta:g}.csv"
-            trace.to_csv(outdir / name, cfg.sha)
+            _write_trace(outdir / name, trace, cfg.sha)
             outputs.append(name)
             rows.append([f"{beta:g}", f"{result.final_errors[beta]:.17g}",
                          int(result.within_one_percent[beta]),
                          trace.iterations])
-        exp._write_csv(outdir / "validate_summary.csv",
-                       ["beta", "final_rel_error", "within_1pct", "iterations"],
-                       rows, cfg.sha)
+        exp.write_csv(outdir / "validate_summary.csv",
+                      ["beta", "final_rel_error", "within_1pct", "iterations"],
+                      rows, cfg.sha)
         return outputs + ["validate_summary.csv"]
 
     if command == "timing":
@@ -171,16 +182,16 @@ def _dispatch(command: str, cfg, outdir: Path) -> list[str]:
             epsilon=cfg.value("timing", "eps", float, 0.1),
             asym_cells=(cfg.value("grid", "asymptotic", int, 64),) * 2,
             sc_cells=(cfg.value("grid", "asymptotic", int, 64),) * 2)
-        exp._write_csv(outdir / "timing.csv",
-                       ["method", "seconds", "nodes_or_solves", "error"],
-                       [["asymptotic_order2", f"{result.asym_seconds:.6g}",
-                         result.asym_solve_count, f"{result.asym_error:.6g}"],
-                        ["collocation", f"{result.sc_seconds:.6g}",
-                         result.sc_nodes, f"{result.sc_error:.6g}"],
-                        ["reference", f"{result.ref_seconds:.6g}",
-                         "", ""],
-                        ["speedup", f"{result.speedup:.6g}", "", ""]],
-                       cfg.sha)
+        exp.write_csv(outdir / "timing.csv",
+                      ["method", "seconds", "nodes_or_solves", "error"],
+                      [["asymptotic_order2", f"{result.asym_seconds:.6g}",
+                        result.asym_solve_count, f"{result.asym_error:.6g}"],
+                       ["collocation", f"{result.sc_seconds:.6g}",
+                        result.sc_nodes, f"{result.sc_error:.6g}"],
+                       ["reference", f"{result.ref_seconds:.6g}",
+                        "", ""],
+                       ["speedup", f"{result.speedup:.6g}", "", ""]],
+                      cfg.sha)
         return ["timing.csv"]
 
     raise ValueError(f"unknown command {command!r}")

@@ -17,7 +17,9 @@ w_q (summing to one), so an expectation is the weighted sum
 
 Node evaluation may fan out over worker threads, but the reduction is
 always the fixed node-order weighted sum, so results are bit-identical
-regardless of the worker count.
+regardless of the worker count.  A functional may return an array (say a
+value and its derivatives); each component is then reduced on its own by
+that same sum.
 """
 
 from __future__ import annotations
@@ -26,11 +28,9 @@ import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
-
-from .fd_core import Field2D
 
 __all__ = [
     "TENSOR_GL",
@@ -41,8 +41,6 @@ __all__ = [
     "CollocationError",
     "build_rule",
     "expect",
-    "expect_field",
-    "export_rule_csv",
 ]
 
 TENSOR_GL = "tensor_gl"
@@ -79,10 +77,9 @@ class QuadratureRule:
 
 @dataclass
 class ExpectationResult:
-    value: float
+    value: float | np.ndarray    # an array when the functional returns one
     node_count: int
     descriptor: str
-    node_values: Optional[np.ndarray] = None
 
 
 def _gauss_legendre_1d(n: int, a: float, b: float):
@@ -192,63 +189,36 @@ def build_rule(kind: str, dim: int, size: int, support=(-1.0, 1.0),
 
 
 def expect(rule: QuadratureRule, functional: Callable[[np.ndarray], float],
-           jobs: int = 1, keep_node_values: bool = False) -> ExpectationResult:
+           jobs: int = 1) -> ExpectationResult:
     """Weighted sum of ``functional`` over the rule's nodes.
 
-    The reduction runs in node-index order whatever ``jobs`` is, so the
-    result does not depend on the worker count.
+    The functional returns a float, or an array of one shape at every node.
+    Each component is reduced as ``np.sum(rule.weights * values)`` in
+    node-index order whatever ``jobs`` is, so the result does not depend on
+    the worker count, and a component equals, bit for bit, the expectation
+    of a functional that returns that component alone.
     """
-    values = np.empty(rule.node_count)
     if jobs <= 1:
-        for qi in range(rule.node_count):
-            values[qi] = _eval_node(functional, rule, qi)
+        results = [_eval_node(functional, rule, qi)
+                   for qi in range(rule.node_count)]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             futs = [pool.submit(_eval_node, functional, rule, qi)
                     for qi in range(rule.node_count)]
-            for qi, fut in enumerate(futs):
-                values[qi] = fut.result()
-    total = float(np.sum(rule.weights * values))
-    return ExpectationResult(value=total, node_count=rule.node_count,
-                             descriptor=rule.descriptor,
-                             node_values=values if keep_node_values else None)
+            results = [fut.result() for fut in futs]
+    values = np.array(results)
+    columns = values.reshape(rule.node_count, -1).T
+    total = np.array([np.sum(rule.weights * column) for column in columns])
+    value = float(total[0]) if values.ndim == 1 \
+        else total.reshape(values.shape[1:])
+    return ExpectationResult(value=value, node_count=rule.node_count,
+                             descriptor=rule.descriptor)
 
 
 def _eval_node(functional, rule, qi):
     try:
-        return float(functional(rule.nodes[qi]))
+        return np.asarray(functional(rule.nodes[qi]), dtype=float)
     except Exception as exc:
         raise CollocationError(
             f"functional failed at node {qi} of {rule.node_count} "
             f"({rule.descriptor}): {exc}") from exc
-
-
-def expect_field(rule: QuadratureRule,
-                 field_functional: Callable[[np.ndarray], Field2D]) -> Field2D:
-    """Node-wise weighted sum of fields sharing one grid."""
-    acc = None
-    grid = None
-    for qi in range(rule.node_count):
-        try:
-            f = field_functional(rule.nodes[qi])
-        except Exception as exc:
-            raise CollocationError(
-                f"field functional failed at node {qi} of {rule.node_count}: "
-                f"{exc}") from exc
-        if acc is None:
-            grid, acc = f.grid, rule.weights[qi] * f.values
-        else:
-            if f.grid != grid:
-                raise ValueError(f"grid mismatch at node {qi}")
-            acc = acc + rule.weights[qi] * f.values
-    return Field2D(grid, acc)
-
-
-def export_rule_csv(rule: QuadratureRule, path) -> None:
-    """Dump nodes and weights for external verification."""
-    with open(path, "w") as fh:
-        cols = ",".join(f"s{d + 1}" for d in range(rule.dim))
-        fh.write(f"# {rule.descriptor}\n{cols},weight\n")
-        for qi in range(rule.node_count):
-            xs = ",".join(f"{v:.17g}" for v in rule.nodes[qi])
-            fh.write(f"{xs},{rule.weights[qi]:.17g}\n")

@@ -2,8 +2,9 @@
 
 Studies are plain functions with explicit keyword arguments so they are
 usable as a library; the CLI layer in :mod:`exdil.cli` maps a flat
-key=value config file onto them.  Every CSV written here carries the
-config hash in a leading comment line, and a run directory gets a
+key=value config file onto them.  Every CSV, here and in the CLI, is
+written by :func:`write_csv`: the config hash in a leading comment line,
+then rows ending in a bare LF.  A run directory also gets a
 ``manifest.json`` recording the hash, seed, library versions and output
 names, so a run can be replayed and compared byte for byte (timing files
 excepted — wall times are not reproducible).
@@ -16,7 +17,7 @@ import dataclasses
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -24,10 +25,10 @@ import numpy as np
 
 from . import __version__
 from .asymptotic import assemble_approximant, build_basis, expected_pl
-from .collocation import MONTE_CARLO, SMOLYAK, TENSOR_GL, build_rule, expect
+from .collocation import SMOLYAK, TENSOR_GL, build_rule, expect
 from .fd_core import Grid2D
-from .forward_mapped import (CELLS_1D, GenerationProfile, solve_mapped_1d,
-                             solve_mapped_2d)
+from .forward_mapped import (CELLS_1D, GenerationProfile, expected_mapped_pl,
+                             solve_mapped_1d)
 from .interface import InterfaceModel, InterfaceSample, UniformDist, moments
 from .inverse import (AsymptoticForward, DeviceFamily, EstimationError,
                       EstimationTrace, NewtonOptions, PLCurve, newton_estimate)
@@ -46,6 +47,7 @@ __all__ = [
     "RunConfig",
     "load_config",
     "config_hash",
+    "write_csv",
     "write_manifest",
     "MODEL_2D",
     "MODEL_1D",
@@ -141,15 +143,10 @@ def generate_synthetic_curve(kind: str, sigma_star: float,
     rule = build_rule(rule_kind, model.K, rule_size, model.dist.support,
                       seed=seed)
     for d in thicknesses:
-        device = family.device(sigma_star, d)
         model_d = model if fixed_epsilon is None else \
             dataclasses.replace(model, hbar=fixed_epsilon * d)
-
-        def node_pl(thetas):
-            return solve_mapped_2d(device, model_d,
-                                   InterfaceSample(tuple(thetas)), grid).pl
-
-        values.append(expect(rule, node_pl).value)
+        values.append(expected_mapped_pl(family.device(sigma_star, d),
+                                         model_d, rule, grid))
     return PLCurve(tuple(thicknesses), tuple(values), provenance="synthetic-2d")
 
 
@@ -193,10 +190,10 @@ class ConvergenceResult:
         header = ["eps", "reference"]
         for n in sorted(self.approximations):
             header += [f"ei{n}", f"err{n}"]
-        _write_csv(outdir / "convergence.csv", header, rows, conf_hash)
-        _write_csv(outdir / "slopes.csv", ["order", "slope", "residual"],
-                   [[str(n), f"{f.slope:.17g}", f"{f.residual:.17g}"]
-                    for n, f in sorted(self.fits.items())], conf_hash)
+        write_csv(outdir / "convergence.csv", header, rows, conf_hash)
+        write_csv(outdir / "slopes.csv", ["order", "slope", "residual"],
+                  [[str(n), f"{f.slope:.17g}", f"{f.residual:.17g}"]
+                   for n, f in sorted(self.fits.items())], conf_hash)
         return ["convergence.csv", "slopes.csv"]
 
 
@@ -220,12 +217,8 @@ def convergence_study(*, device, model: InterfaceModel,
     references, approx = [], {n: [] for n in orders}
     for eps in eps_values:
         model_eps = dataclasses.replace(model, hbar=eps * device.d)
-
-        def node_pl(thetas):
-            return solve_mapped_2d(device, model_eps,
-                                   InterfaceSample(tuple(thetas)), ref_grid).pl
-
-        references.append(expect(rule, node_pl).value)
+        references.append(expected_mapped_pl(device, model_eps, rule,
+                                             ref_grid))
         approximant = assemble_approximant(basis, epsilon=eps)
         for n in orders:
             approx[n].append(expected_pl(approximant, mom, n))
@@ -358,13 +351,9 @@ def timing_study(*, device, model: InterfaceModel, epsilon: float = 0.0625,
     mom = moments(model.dist)
     grid = Grid2D.unit(*sc_cells)
 
-    def node_pl(thetas):
-        return solve_mapped_2d(device, model_eps,
-                               InterfaceSample(tuple(thetas)), grid).pl
-
     t0 = time.perf_counter()
     ref_rule = build_rule(TENSOR_GL, model.K, ref_points, model.dist.support)
-    reference = expect(ref_rule, node_pl).value
+    reference = expected_mapped_pl(device, model_eps, ref_rule, grid)
     ref_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -378,7 +367,7 @@ def timing_study(*, device, model: InterfaceModel, epsilon: float = 0.0625,
     for level in range(1, max_level + 1):
         rule = build_rule(SMOLYAK, model.K, level, model.dist.support)
         t0 = time.perf_counter()
-        value = expect(rule, node_pl).value
+        value = expected_mapped_pl(device, model_eps, rule, grid)
         elapsed = time.perf_counter() - t0
         sc_seconds, sc_level, sc_nodes = elapsed, level, rule.node_count
         sc_error = abs(value - reference)
@@ -472,9 +461,12 @@ def family_from_config(cfg: RunConfig) -> DeviceFamily:
                                                float, 0.5))
 
 
-def _write_csv(path: Path, header: list[str], rows, conf_hash: str) -> None:
+def write_csv(path: Path, header: list[str], rows, conf_hash: str) -> None:
+    """Write ``# config_hash=<hash>``, the header and the rows, each line
+    ending in a bare LF on every platform; fields are joined by commas
+    unquoted."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    with open(path, "w", newline="\n") as fh:
         fh.write(f"# config_hash={conf_hash}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:

@@ -28,8 +28,7 @@ against a single factorization, which the sensitivity solvers rely on.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,18 +38,11 @@ __all__ = [
     "Grid2D",
     "Field2D",
     "PdeCoefficients",
-    "SparseSystem",
     "EllipticOperator",
     "SolverError",
     "check_residual",
-    "assemble",
-    "solve",
-    "solution_field",
     "trapezoid_2d",
-    "trapezoid_1d",
     "one_sided_dx_at_boundary",
-    "stencil_values",
-    "DifferenceQuotients",
 ]
 
 #: Relative residual accepted from the direct solver.  Fixed once so that
@@ -121,17 +113,6 @@ class Field2D:
                 f"values shape {self.values.shape} does not match grid "
                 f"shape {self.grid.shape}")
 
-    def to_csv(self, path) -> None:
-        """Write rows (y, z, value) with a header, for external plotting."""
-        y, z = self.grid.y, self.grid.z
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["y", "z", "value"])
-            for i in range(self.grid.ny + 1):
-                for j in range(self.grid.nz + 1):
-                    writer.writerow([f"{y[i]:.17g}", f"{z[j]:.17g}",
-                                     f"{self.values[i, j]:.17g}"])
-
 
 @dataclass(frozen=True)
 class PdeCoefficients:
@@ -149,37 +130,6 @@ class PdeCoefficients:
     c0: object = 0.0
 
 
-@dataclass
-class SparseSystem:
-    """Assembled linear system over the ny*nz unknowns.
-
-    ``matrix`` rows follow the unknown layout idx = (i-1)*nz + j.  Each
-    equation is normalized by the magnitude of its diagonal stencil weight
-    (``row_scale`` holds those magnitudes), which keeps the residual
-    tolerance meaningful when the mapped geometry stretches coefficient
-    magnitudes across many orders; multiplying a row by its scale recovers
-    the raw stencil action.  The Dirichlet values that were eliminated into
-    ``rhs`` are kept so the full node field can be reconstructed from a
-    solution vector.
-    """
-
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
-    grid: Grid2D
-    dirichlet: np.ndarray
-    row_scale: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.rhs.size
-
-    def unknown_index(self, i: int, j: int) -> int:
-        """Flat index of node (i, j); i in 1..ny, any j (periodic wrap)."""
-        if not 1 <= i <= self.grid.ny:
-            raise ValueError(f"row {i} is not an unknown row")
-        return (i - 1) * self.grid.nz + (j % self.grid.nz)
-
-
 def _broadcast(value, shape) -> np.ndarray:
     return np.broadcast_to(np.asarray(value, dtype=float), shape)
 
@@ -190,6 +140,10 @@ class EllipticOperator:
 
     The matrix depends only on the coefficients, so it is assembled and
     factorized once; :meth:`solve_field` then costs two triangular solves.
+    Its rows follow the unknown layout idx = (i-1)*nz + j, and each equation
+    is divided by the magnitude of its diagonal stencil weight, which keeps
+    the residual tolerance meaningful when the mapped geometry stretches
+    coefficient magnitudes across many orders.
     """
 
     def __init__(self, grid: Grid2D, coeffs: PdeCoefficients):
@@ -277,13 +231,6 @@ class EllipticOperator:
         b[0] -= self._bottom_c * np.roll(uD, 1)     # south-west entry
         return b.ravel() / self._row_scale
 
-    def system(self, source, dirichlet=0.0) -> SparseSystem:
-        return SparseSystem(matrix=self._matrix.tocsr(),
-                            rhs=self.rhs(source, dirichlet),
-                            grid=self.grid,
-                            dirichlet=self._dirichlet_column(dirichlet),
-                            row_scale=self._row_scale.copy())
-
     def factorize(self):
         if self._lu is None:
             try:
@@ -293,38 +240,38 @@ class EllipticOperator:
         return self._lu
 
     def solve_vector(self, b: np.ndarray) -> np.ndarray:
+        """Direct solve against the stored factorization; deterministic,
+        residual-checked.
+
+        Strongly stretched interface geometries produce badly scaled rows;
+        up to two sweeps of iterative refinement push the residual back to
+        the fixed tolerance without touching the factorization.
+        """
         lu = self.factorize()
         x = lu.solve(b)
-        x = _refine(self._matrix, lu, x, b)
-        _check_residual(self._matrix, x, b)
+        tol = RESIDUAL_RTOL * (1.0 + float(np.linalg.norm(b)))
+        for _ in range(2):
+            r = b - self._matrix @ x
+            if float(np.linalg.norm(r)) <= tol:
+                break
+            x = x + lu.solve(r)
+        if not np.all(np.isfinite(x)):
+            raise SolverError("solver produced non-finite values",
+                              residual=np.inf)
+        check_residual(self._matrix @ x - b, b)
         return x
 
     def solve_field(self, source, dirichlet=0.0) -> Field2D:
+        """Solve  L u + source = 0  and reattach the Dirichlet row and the
+        aliased periodic column."""
+        ny, nz = self.grid.ny, self.grid.nz
         uD = self._dirichlet_column(dirichlet)
         x = self.solve_vector(self.rhs(source, uD))
-        return _field_from_vector(self.grid, x, uD)
-
-
-def _refine(matrix, lu, x, b, sweeps: int = 2) -> np.ndarray:
-    """Iterative refinement against the stored factorization.
-
-    Strongly stretched interface geometries produce badly scaled rows; one
-    or two refinement sweeps push the residual back to the fixed tolerance
-    without touching the factorization.
-    """
-    tol = RESIDUAL_RTOL * (1.0 + float(np.linalg.norm(b)))
-    for _ in range(sweeps):
-        r = b - matrix @ x
-        if float(np.linalg.norm(r)) <= tol:
-            break
-        x = x + lu.solve(r)
-    return x
-
-
-def _check_residual(matrix, x, b) -> None:
-    if not np.all(np.isfinite(x)):
-        raise SolverError("solver produced non-finite values", residual=np.inf)
-    check_residual(matrix @ x - b, b)
+        values = np.empty(self.grid.shape)
+        values[0, :nz] = uD
+        values[1:, :nz] = x.reshape(ny, nz)
+        values[:, nz] = values[:, 0]
+        return Field2D(self.grid, values)
 
 
 def check_residual(residual: np.ndarray, b: np.ndarray) -> None:
@@ -334,39 +281,6 @@ def check_residual(residual: np.ndarray, b: np.ndarray) -> None:
     if norm > RESIDUAL_RTOL * (1.0 + float(np.linalg.norm(b))):
         raise SolverError(f"residual {norm:.3e} exceeds tolerance",
                           residual=norm)
-
-
-def _field_from_vector(grid: Grid2D, x: np.ndarray, dirichlet: np.ndarray) -> Field2D:
-    ny, nz = grid.ny, grid.nz
-    values = np.empty(grid.shape)
-    values[0, :nz] = dirichlet
-    values[1:, :nz] = x.reshape(ny, nz)
-    values[:, nz] = values[:, 0]
-    return Field2D(grid, values)
-
-
-def assemble(grid: Grid2D, coeffs: PdeCoefficients, source,
-             dirichlet=0.0) -> SparseSystem:
-    """Assemble  cyy u_yy + ... + c0 u + source = 0  with Dirichlet data on
-    the bottom row, the ghost-closed Neumann top row, and periodic z."""
-    return EllipticOperator(grid, coeffs).system(source, dirichlet)
-
-
-def solve(system: SparseSystem) -> np.ndarray:
-    """Direct solve of an assembled system; deterministic, residual-checked."""
-    try:
-        lu = spla.splu(system.matrix.tocsc(), permc_spec=_PERMC_SPEC)
-    except RuntimeError as exc:
-        raise SolverError(f"sparse factorization failed: {exc}") from exc
-    x = lu.solve(system.rhs)
-    x = _refine(system.matrix, lu, x, system.rhs)
-    _check_residual(system.matrix, x, system.rhs)
-    return x
-
-
-def solution_field(system: SparseSystem, x: np.ndarray) -> Field2D:
-    """Reattach the Dirichlet row and the aliased periodic column."""
-    return _field_from_vector(system.grid, x, system.dirichlet)
 
 
 def trapezoid_2d(field: Field2D, z_weight=None) -> float:
@@ -384,55 +298,10 @@ def trapezoid_2d(field: Field2D, z_weight=None) -> float:
     return float(np.trapezoid(inner, dx=field.grid.hy))
 
 
-def trapezoid_1d(values, spacing: float) -> float:
-    return float(np.trapezoid(np.asarray(values, dtype=float), dx=spacing))
+def one_sided_dx_at_boundary(values, h: float) -> np.ndarray:
+    """Second-order one-sided derivative along the first axis at its first
+    row (the Dirichlet row of a field, x = 0 of a depth profile).
 
-
-def one_sided_dx_at_boundary(field: Field2D, order: int = 2) -> np.ndarray:
-    """Second-order one-sided normal derivative on the Dirichlet row.
-
-    Returns (-3 u[0,:] + 4 u[1,:] - u[2,:]) / (2 hy) per column; exact for
-    quadratics.
+    Returns (-3 v[0] + 4 v[1] - v[2]) / (2 h); exact for quadratics.
     """
-    if order != 2:
-        raise ValueError("only the second-order scheme is implemented")
-    if field.grid.ny < 3:
-        raise ValueError("need at least 4 rows for the one-sided stencil")
-    v = field.values
-    return (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * field.grid.hy)
-
-
-@dataclass(frozen=True)
-class DifferenceQuotients:
-    """The nine difference quotients at one interior node."""
-
-    d0y: float
-    dmy: float
-    dpy: float
-    d0z: float
-    dmz: float
-    dpz: float
-    dpdmy: float
-    dpdmz: float
-    d0yd0z: float
-
-
-def stencil_values(field: Field2D, i: int, j: int) -> DifferenceQuotients:
-    """Evaluate the difference quotients at interior node (i, j)."""
-    ny, nz = field.grid.ny, field.grid.nz
-    if not (1 <= i <= ny - 1 and 1 <= j <= nz - 1):
-        raise ValueError(f"node ({i}, {j}) is not interior for centred forms")
-    v = field.values
-    hy, hz = field.grid.hy, field.grid.hz
-    return DifferenceQuotients(
-        d0y=(v[i + 1, j] - v[i - 1, j]) / (2 * hy),
-        dmy=(v[i, j] - v[i - 1, j]) / hy,
-        dpy=(v[i + 1, j] - v[i, j]) / hy,
-        d0z=(v[i, j + 1] - v[i, j - 1]) / (2 * hz),
-        dmz=(v[i, j] - v[i, j - 1]) / hz,
-        dpz=(v[i, j + 1] - v[i, j]) / hz,
-        dpdmy=(v[i + 1, j] - 2 * v[i, j] + v[i - 1, j]) / hy ** 2,
-        dpdmz=(v[i, j + 1] - 2 * v[i, j] + v[i, j - 1]) / hz ** 2,
-        d0yd0z=(v[i + 1, j + 1] - v[i + 1, j - 1] - v[i - 1, j + 1]
-                + v[i - 1, j - 1]) / (4 * hy * hz),
-    )
+    return (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)

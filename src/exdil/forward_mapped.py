@@ -23,6 +23,11 @@ the thickness-weighted average
 where the 1/L normalization of the physical-domain definition has been
 absorbed by the z rescaling.
 
+The expected photoluminescence E[I] over the random coefficients is the
+weighted sum over the nodes of a coefficient quadrature rule,
+:func:`expected_mapped_pl`; its sigma-derivatives reuse each node's
+factorization for the sensitivity problems derived in :mod:`exdil.inverse`.
+
 For a flat interface h = xi the problem drops to one dimension; the solver
 for that case shares the conventions (and its matrix is reused by the
 sensitivity solves in :mod:`exdil.inverse` and, with a diagonal shift and
@@ -38,6 +43,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from . import interface as iface
+from .collocation import QuadratureRule, expect
 from .fd_core import (EllipticOperator, Field2D, Grid2D, PdeCoefficients,
                       SolverError, check_residual, trapezoid_2d)
 
@@ -50,7 +56,8 @@ __all__ = [
     "solve_mapped_2d",
     "solve_mapped_profile",
     "solve_mapped_1d",
-    "pl_of_sample",
+    "sensitivities_mapped",
+    "expected_mapped_pl",
     "CELLS_1D",
 ]
 
@@ -208,10 +215,45 @@ def solve_mapped_2d(device: DeviceConfig, model: iface.InterfaceModel,
     return solve_mapped_profile(device, grid, h, hp, hpp, sample=sample)
 
 
-def pl_of_sample(device: DeviceConfig, model: iface.InterfaceModel,
-                 sample: iface.InterfaceSample, grid: Grid2D) -> float:
-    """Photoluminescence of one interface realization."""
-    return solve_mapped_2d(device, model, sample, grid).pl
+def sensitivities_mapped(solution: MappedSolution) -> tuple[Field2D, Field2D]:
+    """Solve the sigma-sensitivity problems of a mapped solution (see
+    :mod:`exdil.inverse`) on its own factorization; returns u1 and u2, whose
+    thickness-weighted integrals are dI/dsigma and d2I/dsigma2."""
+    device, grid = solution.device, solution.field.grid
+    op = solution.operator
+    sigma = device.sigma
+    dmh = device.d - solution.profile
+    g = device.generation((1.0 - grid.y)[:, None] * dmh[None, :])
+    resid = solution.field.values - g
+    u1 = op.solve_field((2.0 / sigma) * resid, 0.0)
+    u2 = op.solve_field(-(6.0 / sigma ** 2) * resid + (4.0 / sigma) * u1.values,
+                        0.0)
+    return u1, u2
+
+
+def expected_mapped_pl(device: DeviceConfig, model: iface.InterfaceModel,
+                       rule: QuadratureRule, grid: Grid2D, *,
+                       derivatives: bool = False):
+    """Expected photoluminescence over ``rule``: one mapped solve per node,
+    reduced by :func:`exdil.collocation.expect`.
+
+    With ``derivatives`` the result is (E[I], E[dI/dsigma],
+    E[d2I/dsigma2]), the derivatives from :func:`sensitivities_mapped` on
+    each node's factorization.  Every component is reduced by the same
+    weighted sum, so E[I] is bit for bit the value returned without them.
+    """
+    def node(thetas):
+        sol = solve_mapped_2d(device, model,
+                              iface.InterfaceSample(tuple(thetas)), grid)
+        if not derivatives:
+            return sol.pl
+        u1, u2 = sensitivities_mapped(sol)
+        weight = device.d - sol.profile
+        return (sol.pl, trapezoid_2d(u1, z_weight=weight),
+                trapezoid_2d(u2, z_weight=weight))
+
+    value = expect(rule, node).value
+    return tuple(float(v) for v in value) if derivatives else value
 
 
 def _banded_1d(device: DeviceConfig, xi: float, cells: int,
@@ -258,8 +300,7 @@ def solve_1d_rhs(device: DeviceConfig, xi: float, cells: int,
     return np.concatenate(([dirichlet], x))
 
 
-def solve_mapped_1d(device: DeviceConfig,
-                    offset: iface.Interface1D | float = 0.0,
+def solve_mapped_1d(device: DeviceConfig, offset: float = 0.0,
                     cells: int = CELLS_1D) -> Solution1D:
     """Flat-interface forward solve; PL = (d - xi) * integral of u dy.
 
@@ -269,7 +310,7 @@ def solve_mapped_1d(device: DeviceConfig,
     overrides it on one side of a fit must pass the same value on the other,
     or the flat-model data and the flat-model provider differ at O(h**2).
     """
-    xi = offset.xi if isinstance(offset, iface.Interface1D) else float(offset)
+    xi = float(offset)
     if xi >= device.d:
         raise DomainValidityError(f"offset {xi} is not below the top surface")
     _, hy, width = _banded_1d(device, xi, cells)

@@ -26,7 +26,6 @@ __all__ = [
     "ThetaMoments",
     "InterfaceModel",
     "InterfaceSample",
-    "Interface1D",
     "evaluate",
     "evaluate_dz",
     "evaluate_dzz",
@@ -127,13 +126,6 @@ class InterfaceSample:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.thetas, dtype=float)
-
-
-@dataclass(frozen=True)
-class Interface1D:
-    """Flat random offset xi used by the one-dimensional reduction."""
-
-    xi: float
 
 
 def _mode_weights(model: InterfaceModel, sample: InterfaceSample) -> np.ndarray:

@@ -28,7 +28,6 @@ values by centred finite differences instead.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import warnings
 from dataclasses import dataclass, field
@@ -38,11 +37,11 @@ import numpy as np
 
 from . import interface as iface
 from .asymptotic import assemble_approximant, build_basis, expected_pl
-from .collocation import QuadratureRule, expect
-from .fd_core import Field2D, Grid2D, trapezoid_2d
+from .collocation import QuadratureRule
+from .fd_core import Grid2D
 from .forward_mapped import (CELLS_1D, DeviceConfig, GenerationProfile,
-                             MappedSolution, Solution1D, solve_1d_rhs,
-                             solve_mapped_1d, solve_mapped_2d)
+                             Solution1D, expected_mapped_pl, solve_1d_rhs,
+                             solve_mapped_1d)
 
 __all__ = [
     "SENSITIVITY_PDE",
@@ -57,9 +56,7 @@ __all__ = [
     "AsymptoticForward",
     "objective",
     "objective_with_derivatives",
-    "sensitivities_mapped",
     "sensitivities_1d",
-    "pl_sigma_derivatives_mapped",
     "derivative_plan",
     "newton_estimate",
 ]
@@ -114,18 +111,6 @@ class EstimationTrace:
     def iterations(self) -> int:
         return len(self.sigmas)
 
-    def to_csv(self, path, config_hash: str | None = None) -> None:
-        with open(path, "w", newline="") as fh:
-            if config_hash:
-                fh.write(f"# config_hash={config_hash}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["n", "sigma", "J", "alpha", "rel_error"])
-            for n in range(len(self.sigmas)):
-                rel = "" if self.rel_errors is None else f"{self.rel_errors[n]:.17g}"
-                writer.writerow([n + 1, f"{self.sigmas[n]:.17g}",
-                                 f"{self.objectives[n]:.17g}",
-                                 f"{self.alphas[n]:.17g}", rel])
-
 
 class EstimationError(RuntimeError):
     """Newton failed to satisfy the stopping rule; carries the trace."""
@@ -163,35 +148,6 @@ class DeviceFamily:
 # ---------------------------------------------------------------------------
 # Sensitivity solves
 # ---------------------------------------------------------------------------
-
-def sensitivities_mapped(device: DeviceConfig, model: iface.InterfaceModel,
-                         sample: iface.InterfaceSample, grid: Grid2D,
-                         solution: MappedSolution | None = None
-                         ) -> tuple[Field2D, Field2D]:
-    """Solve the mapped sensitivity problems, reusing u's factorization."""
-    sol = solution or solve_mapped_2d(device, model, sample, grid)
-    op = sol.operator
-    sigma = device.sigma
-    dmh = device.d - sol.profile
-    g = device.generation((1.0 - grid.y)[:, None] * dmh[None, :])
-    resid = sol.field.values - g
-    u1 = op.solve_field((2.0 / sigma) * resid, 0.0)
-    u2 = op.solve_field(-(6.0 / sigma ** 2) * resid + (4.0 / sigma) * u1.values,
-                        0.0)
-    return u1, u2
-
-
-def pl_sigma_derivatives_mapped(device: DeviceConfig, model: iface.InterfaceModel,
-                                sample: iface.InterfaceSample, grid: Grid2D
-                                ) -> tuple[float, float, float]:
-    """(I, dI/dsigma, d2I/dsigma2) of one realization via sensitivities."""
-    sol = solve_mapped_2d(device, model, sample, grid)
-    u1, u2 = sensitivities_mapped(device, model, sample, grid, sol)
-    weight = device.d - sol.profile
-    return (sol.pl,
-            trapezoid_2d(u1, z_weight=weight),
-            trapezoid_2d(u2, z_weight=weight))
-
 
 def sensitivities_1d(device: DeviceConfig, xi: float, solution: Solution1D
                      ) -> tuple[np.ndarray, np.ndarray]:
@@ -281,31 +237,20 @@ class MappedCollocationForward:
     def pl(self, sigma: float, d: float) -> float:
         key = (sigma, d)
         if key not in self._cache:
-            device = self.family.device(sigma, d)
-            model = self._model_for(d)
-            grid = self._grid()
-
-            def node_pl(thetas):
-                sample = iface.InterfaceSample(tuple(thetas))
-                return solve_mapped_2d(device, model, sample, grid).pl
-
-            self._cache[key] = expect(self.rule, node_pl).value
+            self._cache[key] = expected_mapped_pl(
+                self.family.device(sigma, d), self._model_for(d), self.rule,
+                self._grid())
         return self._cache[key]
 
     def pl_with_derivatives(self, sigma: float, d: float):
         if self.deriv == CENTRAL_FD:
             return _central_derivatives(lambda s: self.pl(s, d), sigma,
                                         self.fd_step_rel)
-        device = self.family.device(sigma, d)
-        model = self._model_for(d)
-        grid = self._grid()
-        acc = np.zeros(3)
-        for qi in range(self.rule.node_count):
-            sample = iface.InterfaceSample(tuple(self.rule.nodes[qi]))
-            vals = pl_sigma_derivatives_mapped(device, model, sample, grid)
-            acc += self.rule.weights[qi] * np.asarray(vals)
-        self._cache[(sigma, d)] = float(acc[0])
-        return float(acc[0]), float(acc[1]), float(acc[2])
+        values = expected_mapped_pl(self.family.device(sigma, d),
+                                    self._model_for(d), self.rule,
+                                    self._grid(), derivatives=True)
+        self._cache[(sigma, d)] = values[0]
+        return values
 
 
 @dataclass(frozen=True)
@@ -381,18 +326,24 @@ def objective(provider, curve: PLCurve, sigma: float) -> float:
 
 def objective_with_derivatives(provider, curve: PLCurve, sigma: float
                                ) -> tuple[float, float, float]:
-    """J, J' and J'' assembled from per-device forward derivatives."""
+    """J, J' and J'' assembled from per-device forward derivatives.
+
+    J is reduced exactly as in :func:`objective`, so the two agree bit for
+    bit for a provider whose ``pl`` is the first component of its
+    ``pl_with_derivatives``.
+    """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    j = j1 = j2 = 0.0
+    res = []
+    j1 = j2 = 0.0
     n = len(curve)
     for d, val in curve.pairs():
         pl, dpl, d2pl = provider.pl_with_derivatives(sigma, d)
         r = pl - val
-        j += r * r / n
+        res.append(r)
         j1 += 2.0 * r * dpl / n
         j2 += 2.0 * (dpl * dpl + r * d2pl) / n
-    return j, j1, j2
+    return float(np.mean(np.square(res))), j1, j2
 
 
 def newton_estimate(provider, curve: PLCurve, sigma0: float | None = None,
@@ -403,6 +354,9 @@ def newton_estimate(provider, curve: PLCurve, sigma0: float | None = None,
     Starts from ``sigma0`` (default: a quarter of the largest thickness),
     accepts steps under the Armijo rule, clamps nonpositive trial iterates
     to half the current one, and stops when |sigma_n - sigma_{n-1}| < tol.
+    A full Newton step already below tol that fails the Armijo test is not
+    halved: the current iterate is recorded again (alpha 0) and the
+    iteration stops there on ``step_tolerance``.
     Raises :class:`EstimationError` carrying the trace when the iteration
     budget runs out first; an exhausted line search ends the iteration at
     the current point (the misfit cannot be decreased further).
@@ -438,6 +392,12 @@ def newton_estimate(provider, curve: PLCurve, sigma0: float | None = None,
             j_cand = objective(provider, curve, candidate)
             if j_cand <= j_curr - opts.armijo_c * alpha * predicted:
                 accepted = True
+                break
+            if alpha == 1.0 and abs(candidate - sigma) < opts.tol:
+                # A full step below tol that J rejects lies within J's
+                # rounding floor: halving it cannot make progress.  Stay at
+                # the current iterate, recorded again with alpha 0.
+                candidate, j_cand, alpha, accepted = sigma, j_curr, 0.0, True
                 break
             alpha *= 0.5
         if not accepted and not j_cand < j_curr:

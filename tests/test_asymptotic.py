@@ -17,8 +17,7 @@ from exdil.asymptotic import (assemble_approximant, build_basis,
                               expansion_grid, expected_pl, mode_shape,
                               sampled_pl)
 from exdil.fd_core import (EllipticOperator, Field2D, Grid2D, PdeCoefficients,
-                           one_sided_dx_at_boundary, trapezoid_1d,
-                           trapezoid_2d)
+                           one_sided_dx_at_boundary, trapezoid_2d)
 from exdil.forward_mapped import (DeviceConfig, GenerationProfile,
                                   solve_1d_rhs, solve_mapped_2d)
 from exdil.interface import InterfaceModel, InterfaceSample, UniformDist, \
@@ -58,18 +57,18 @@ def basis_2d(dev, K, nx, nz):
     op = strip_operator(dev, grid)
     L = dev.L
     w0 = solve_w0_2d(dev, grid, op)
-    dx_w0 = one_sided_dx_at_boundary(w0)
+    dx_w0 = one_sided_dx_at_boundary(w0.values, w0.grid.hy)
     phis = [mode_shape(k, L, grid.z) for k in range(1, K + 1)]
     w1 = [op.solve_field(0.0, -dev.d * phi * dx_w0) for phi in phis]
-    dx_w1 = [one_sided_dx_at_boundary(f) for f in w1]
+    dx_w1 = [one_sided_dx_at_boundary(f.values, f.grid.hy) for f in w1]
     i1 = np.array([trapezoid_2d(f) / L for f in w1])
     i2b = np.empty((K, K))
     for j in range(K):
         for k in range(j, K):
             w2 = op.solve_field(0.0, w2_datum(dev, phis[j], phis[k],
                                               dx_w1[j], dx_w1[k]))
-            b = dev.d ** 2 / (2.0 * L) * trapezoid_1d(
-                phis[j] * phis[k] * dx_w0, grid.hz)
+            b = dev.d ** 2 / (2.0 * L) * np.trapezoid(
+                phis[j] * phis[k] * dx_w0, dx=grid.hz)
             i2b[j, k] = i2b[k, j] = trapezoid_2d(w2) / L + b
     return trapezoid_2d(w0) / L, i1, i2b
 
@@ -132,11 +131,12 @@ class TestFirstOrder:
         grid = expansion_grid(dev, 16, 16)
         flat = Field2D(grid, np.ones(grid.shape))  # one-sided slope is zero
         datum = -dev.d * mode_shape(1, dev.L, grid.z) \
-            * one_sided_dx_at_boundary(flat)
+            * one_sided_dx_at_boundary(flat.values, grid.hy)
         w1 = strip_operator(dev, grid).solve_field(0.0, datum)
         assert np.abs(w1.values).max() < 1e-14
         f1 = solve_1d_rhs(dev, 0.0, 16, 0.0, shift=-5.0,
-                          dirichlet=-dev.d * one_sided_dx_at_boundary(flat)[0])
+                          dirichlet=-dev.d * one_sided_dx_at_boundary(
+                              flat.values, grid.hy)[0])
         assert np.abs(f1).max() < 1e-14
 
     def test_linearity_in_datum(self):
@@ -164,7 +164,8 @@ class TestFirstOrder:
         htilde = sum(lam_th[k] * mode_shape(k + 1, dev.L, grid.z)
                      for k in range(3))
         direct = op.solve_field(
-            0.0, -dev.d * htilde * one_sided_dx_at_boundary(w0))
+            0.0, -dev.d * htilde * one_sided_dx_at_boundary(w0.values,
+                                                            grid.hy))
         assert direct.values == pytest.approx(combo, abs=1e-11)
 
 
@@ -183,18 +184,18 @@ class TestSecondOrder:
         grid = expansion_grid(dev, 32, 32)
         op = strip_operator(dev, grid)
         w0 = solve_w0_2d(dev, grid, op)
-        dx_w0 = one_sided_dx_at_boundary(w0)
+        dx_w0 = one_sided_dx_at_boundary(w0.values, w0.grid.hy)
         lam_th = np.array(model.lambdas) * np.array(theta.thetas)
         htilde = sum(lam_th[k] * mode_shape(k + 1, dev.L, grid.z)
                      for k in range(3))
         w1 = op.solve_field(0.0, -dev.d * htilde * dx_w0)
-        dx_w1 = one_sided_dx_at_boundary(w1)
+        dx_w1 = one_sided_dx_at_boundary(w1.values, w1.grid.hy)
         datum = (-dev.d * htilde * dx_w1
                  + (dev.d * htilde) ** 2 / (2 * dev.sigma ** 2)
                  * dev.generation(dev.d))
         direct = op.solve_field(0.0, datum)
         want = trapezoid_2d(direct) / dev.L + dev.d ** 2 / (2 * dev.L) \
-            * trapezoid_1d(htilde ** 2 * dx_w0, grid.hz)
+            * np.trapezoid(htilde ** 2 * dx_w0, dx=grid.hz)
         assert second == pytest.approx(want, rel=1e-11)
 
     def test_boundary_datum_vanishes_at_mode_nodes(self):
@@ -203,8 +204,9 @@ class TestSecondOrder:
         op = strip_operator(dev, grid)
         w0 = solve_w0_2d(dev, grid, op)
         phi = mode_shape(1, dev.L, grid.z)
-        w1 = op.solve_field(0.0, -dev.d * phi * one_sided_dx_at_boundary(w0))
-        dx_w1 = one_sided_dx_at_boundary(w1)
+        w1 = op.solve_field(
+            0.0, -dev.d * phi * one_sided_dx_at_boundary(w0.values, grid.hy))
+        dx_w1 = one_sided_dx_at_boundary(w1.values, w1.grid.hy)
         w2 = op.solve_field(0.0, w2_datum(dev, phi, phi, dx_w1, dx_w1))
         # phi_1 vanishes at z = 0 and z = L/2, hence so does the datum
         assert w2.values[0, 0] == pytest.approx(0.0, abs=1e-13)
@@ -299,8 +301,8 @@ class TestApproximant:
         slope = basis.dx_w0[0]
         want_diag = dev.d ** 2 / (2 * dev.L) * (dev.L / 2) * slope
         phis = [mode_shape(k, dev.L, basis.grid.z) for k in (1, 2, 3)]
-        lines = np.array([[dev.d ** 2 / (2 * dev.L) * trapezoid_1d(
-            pj * pk * basis.dx_w0, basis.grid.hz) for pk in phis]
+        lines = np.array([[dev.d ** 2 / (2 * dev.L) * np.trapezoid(
+            pj * pk * basis.dx_w0, dx=basis.grid.hz) for pk in phis]
             for pj in phis])
         offdiag = lines - np.diag(np.diag(lines))
         assert np.abs(offdiag).max() < 1e-10 * abs(want_diag)

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exdil.collocation import (MONTE_CARLO, SMOLYAK, TENSOR_GL,
-                               CollocationError, build_rule, expect,
-                               expect_field, export_rule_csv)
-from exdil.fd_core import Field2D, Grid2D
+                               CollocationError, build_rule, expect)
+from exdil.fd_core import Grid2D
 
 
 def uniform_moment(p, a, b):
@@ -133,10 +132,17 @@ class TestExpect:
         threaded = expect(rule, f, jobs=4).value
         assert serial == threaded
 
-    def test_node_values_kept(self):
-        rule = build_rule(TENSOR_GL, 1, 2, (0.0, 1.0))
-        res = expect(rule, lambda t: t[0], keep_node_values=True)
-        assert res.node_values.shape == (2,)
+    def test_components_match_scalar_expectations(self):
+        # each component of an array-valued functional is reduced exactly
+        # as the scalar expectation of that component alone
+        rule = build_rule(SMOLYAK, 3, 4, (-1, 1))
+        parts = [lambda t: float(np.exp(t[0]) * (1 + t[1] ** 2)),
+                 lambda t: float(np.cos(t @ np.array([1.0, 2.0, 3.0]))),
+                 lambda t: float(t[2] / 3 + 0.1)]
+        vector = expect(rule, lambda t: [f(t) for f in parts]).value
+        assert vector.shape == (3,)
+        for f, got in zip(parts, vector):
+            assert got == expect(rule, f).value
 
     def test_deterministic_across_runs(self):
         rule = build_rule(SMOLYAK, 3, 4, (-1, 1))
@@ -145,42 +151,25 @@ class TestExpect:
 
 
 class TestExpectField:
+    """A field-valued functional: the node-wise weighted sum of fields."""
+
     def make_field(self, grid, c):
-        return Field2D(grid, np.full(grid.shape, c))
+        return np.full(grid.shape, c)
 
     def test_constant_field(self):
         grid = Grid2D.unit(4, 4)
         rule = build_rule(TENSOR_GL, 1, 2, (-1, 1))
-        out = expect_field(rule, lambda t: self.make_field(grid, 2.5))
-        assert out.values == pytest.approx(np.full(grid.shape, 2.5))
+        out = expect(rule, lambda t: self.make_field(grid, 2.5)).value
+        assert out == pytest.approx(np.full(grid.shape, 2.5))
 
     def test_linear_field_mean(self):
         grid = Grid2D.unit(4, 4)
         rule = build_rule(TENSOR_GL, 1, 2, (0.0, 1.0))
-        out = expect_field(rule, lambda t: self.make_field(grid, t[0]))
-        assert out.values == pytest.approx(np.full(grid.shape, 0.5))
+        out = expect(rule, lambda t: self.make_field(grid, t[0])).value
+        assert out == pytest.approx(np.full(grid.shape, 0.5))
 
     def test_odd_field_vanishes(self):
         grid = Grid2D.unit(4, 4)
         rule = build_rule(TENSOR_GL, 1, 3, (-1.0, 1.0))
-        out = expect_field(rule, lambda t: self.make_field(grid, t[0] ** 3))
-        assert np.abs(out.values).max() < 1e-14
-
-    def test_grid_mismatch(self):
-        rule = build_rule(TENSOR_GL, 1, 2, (-1, 1))
-        grids = [Grid2D.unit(4, 4), Grid2D.unit(8, 8)]
-
-        def fn(t):
-            return self.make_field(grids[0] if t[0] < 0 else grids[1], 1.0)
-
-        with pytest.raises(ValueError, match="grid"):
-            expect_field(rule, fn)
-
-
-def test_export_csv(tmp_path):
-    rule = build_rule(TENSOR_GL, 2, 2, (0.0, 1.0))
-    path = tmp_path / "rule.csv"
-    export_rule_csv(rule, path)
-    lines = path.read_text().splitlines()
-    assert lines[1] == "s1,s2,weight"
-    assert len(lines) == 2 + rule.node_count
+        out = expect(rule, lambda t: self.make_field(grid, t[0] ** 3)).value
+        assert np.abs(out).max() < 1e-14

@@ -249,6 +249,29 @@ class TestConfigAndCli:
         line = (out / "expect.csv").read_text().splitlines()[2]
         assert float(line.split(",")[2]) > 0
 
+    def test_every_csv_has_hash_line_and_lf_rows(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        out = tmp_path / "out"
+        text = (CONFIG.format(out=out)
+                .replace("seed = 7", "seed = 7\ndump_field = 1")
+                .replace("reference = 32", "reference = 16\nestimator_x = 32"
+                         "\nestimator_z = 32")
+                + "\n[validate]\nsigma_star = 5.0\nbetas = -2, -1\n"
+                "thicknesses = 10, 20, 30\n")
+        path.write_text(text)
+        for command in ("forward", "expect", "converge", "validate"):
+            assert cli.main([command, "--config", str(path)]) == 0
+        names = sorted(p.name for p in out.glob("*.csv"))
+        assert names == ["convergence.csv", "expect.csv", "field.csv",
+                         "forward.csv", "slopes.csv", "validate_beta-1.csv",
+                         "validate_beta-2.csv", "validate_summary.csv"]
+        head = f"# config_hash={config_hash(text)}\n".encode()
+        for name in names:
+            data = (out / name).read_bytes()
+            assert data.startswith(head), name
+            assert b"\r" not in data, name
+            assert data.endswith(b"\n"), name
+
 
 class TestTimingStudy:
     def test_counts_and_report(self):

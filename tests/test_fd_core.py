@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from exdil.experiments import write_csv
 from exdil.fd_core import (EllipticOperator, Field2D, Grid2D, PdeCoefficients,
-                           SolverError, SparseSystem, assemble,
-                           one_sided_dx_at_boundary, solution_field, solve,
-                           stencil_values, trapezoid_1d, trapezoid_2d)
+                           SolverError, one_sided_dx_at_boundary,
+                           trapezoid_2d)
 
 
 def sample_field(grid, fn):
@@ -14,21 +14,40 @@ def sample_field(grid, fn):
     return Field2D(grid, fn(Y, Z))
 
 
+def stencil_values(field, i, j):
+    """The centred difference quotients of the module docstring at interior
+    node (i, j): the oracle the assembled rows are checked against."""
+    ny, nz = field.grid.ny, field.grid.nz
+    if not (1 <= i <= ny - 1 and 1 <= j <= nz - 1):
+        raise ValueError(f"node ({i}, {j}) is not interior for centred forms")
+    v = field.values
+    hy, hz = field.grid.hy, field.grid.hz
+    return {
+        "d0y": (v[i + 1, j] - v[i - 1, j]) / (2 * hy),
+        "dpdmy": (v[i + 1, j] - 2 * v[i, j] + v[i - 1, j]) / hy ** 2,
+        "dpdmz": (v[i, j + 1] - 2 * v[i, j] + v[i, j - 1]) / hz ** 2,
+        "d0yd0z": (v[i + 1, j + 1] - v[i + 1, j - 1] - v[i - 1, j + 1]
+                   + v[i - 1, j - 1]) / (4 * hy * hz),
+    }
+
+
 class TestStencils:
     def test_linear_exact(self):
         g = Grid2D.unit(8, 8)
         f = sample_field(g, lambda y, z: y)
-        assert stencil_values(f, 3, 4).d0y == pytest.approx(1.0, rel=1e-13)
+        assert stencil_values(f, 3, 4)["d0y"] == pytest.approx(1.0, rel=1e-13)
 
     def test_quadratic_second_difference(self):
         g = Grid2D.unit(8, 8)
         f = sample_field(g, lambda y, z: y ** 2)
-        assert stencil_values(f, 2, 5).dpdmy == pytest.approx(2.0, rel=1e-12)
+        assert stencil_values(f, 2, 5)["dpdmy"] == pytest.approx(2.0,
+                                                                 rel=1e-12)
 
     def test_bilinear_cross(self):
         g = Grid2D.unit(8, 8)
         f = sample_field(g, lambda y, z: y * z)
-        assert stencil_values(f, 4, 4).d0yd0z == pytest.approx(1.0, rel=1e-12)
+        assert stencil_values(f, 4, 4)["d0yd0z"] == pytest.approx(1.0,
+                                                                  rel=1e-12)
 
     def test_out_of_range(self):
         g = Grid2D.unit(8, 8)
@@ -64,31 +83,32 @@ class TestTrapezoid:
             pytest.approx(3.0, rel=1e-14)
 
     def test_1d(self):
-        assert trapezoid_1d(np.full(11, 2.5), 0.1) == pytest.approx(2.5)
+        assert np.trapezoid(np.full(11, 2.5), dx=0.1) == pytest.approx(2.5)
         xs = np.linspace(0, 1, 11)
-        assert trapezoid_1d(3 * xs, 0.1) == pytest.approx(1.5, rel=1e-14)
+        assert np.trapezoid(3 * xs, dx=0.1) == pytest.approx(1.5, rel=1e-14)
         zs = np.sin(2 * np.pi * np.linspace(0, 1, 33))
-        assert trapezoid_1d(zs, 1 / 32) == pytest.approx(0.0, abs=1e-15)
+        assert np.trapezoid(zs, dx=1 / 32) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestOneSided:
     def test_linear(self):
         g = Grid2D.unit(8, 8)
         f = sample_field(g, lambda y, z: y)
-        assert one_sided_dx_at_boundary(f) == pytest.approx(np.ones(9))
+        dx = one_sided_dx_at_boundary(f.values, g.hy)
+        assert dx == pytest.approx(np.ones(9))
 
     def test_quadratic_exact(self):
         g = Grid2D.unit(8, 8)
         f = sample_field(g, lambda y, z: y ** 2)
-        assert one_sided_dx_at_boundary(f) == pytest.approx(np.zeros(9),
-                                                            abs=1e-13)
+        dx = one_sided_dx_at_boundary(f.values, g.hy)
+        assert dx == pytest.approx(np.zeros(9), abs=1e-13)
 
     def test_convergence_order(self):
         errs, hs = [], []
         for n in (16, 32, 64, 128):
             g = Grid2D.unit(n, 4)
             f = sample_field(g, lambda y, z: np.sin(y) + 0 * z)
-            errs.append(abs(one_sided_dx_at_boundary(f)[0] - 1.0))
+            errs.append(abs(one_sided_dx_at_boundary(f.values, g.hy)[0] - 1.0))
             hs.append(g.hy)
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert 1.9 < slope < 2.1
@@ -115,26 +135,9 @@ def manufactured(grid, sig2=0.8, cyz=0.25, cy=0.4):
 class TestAssembleSolve:
     def test_zero_source_zero_solution(self):
         g = Grid2D.unit(8, 8)
-        system = assemble(g, screened_coeffs(), 0.0, 0.0)
-        x = solve(system)
+        op = EllipticOperator(g, screened_coeffs())
+        x = op.solve_vector(op.rhs(0.0, 0.0))
         assert np.abs(x).max() < 1e-14
-
-    def test_identity_like_system(self):
-        g = Grid2D.unit(4, 4)
-        import scipy.sparse as sp
-        n = 16
-        system = SparseSystem(matrix=sp.identity(n, format="csr"),
-                              rhs=np.arange(1.0, n + 1), grid=g,
-                              dirichlet=np.zeros(4), row_scale=np.ones(n))
-        assert solve(system) == pytest.approx(np.arange(1.0, n + 1))
-
-    def test_two_by_two(self):
-        import scipy.sparse as sp
-        g = Grid2D.unit(4, 4)
-        m = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        system = SparseSystem(matrix=m, rhs=np.array([3.0, 3.0]), grid=g,
-                              dirichlet=np.zeros(4), row_scale=np.ones(2))
-        assert solve(system) == pytest.approx(np.array([1.0, 1.0]))
 
     def test_manufactured_convergence(self):
         errs, hs = [], []
@@ -151,28 +154,31 @@ class TestAssembleSolve:
     def test_matches_dense_lu_oracle(self):
         g = Grid2D.unit(8, 8)
         _, source, dirichlet = manufactured(g)
-        system = assemble(g, screened_coeffs(0.8, 0.25, 0.4), source, dirichlet)
-        dense = np.linalg.solve(system.matrix.toarray(), system.rhs)
-        assert solve(system) == pytest.approx(dense, abs=1e-10)
+        op = EllipticOperator(g, screened_coeffs(0.8, 0.25, 0.4))
+        b = op.rhs(source, dirichlet)
+        dense = np.linalg.solve(op.matrix.toarray(), b)
+        assert op.solve_vector(b) == pytest.approx(dense, abs=1e-10)
 
     def test_row_reproduces_stencil(self):
         # applying an assembled interior row to a smooth sample equals the
         # stencil formula built from the difference quotients
         g = Grid2D.unit(12, 10)
         coeffs = screened_coeffs(0.8, 0.25, 0.4)
-        system = assemble(g, coeffs, 0.0, 0.0)
+        matrix = EllipticOperator(g, coeffs).matrix.tocsr()
+        # Rows are normalized by the magnitude of their diagonal weight.
+        row_scale = 2 * 0.8 / g.hy ** 2 + 2 * 0.8 / g.hz ** 2 + 1.0
         rng = np.random.default_rng(0)
         vals = rng.standard_normal(g.shape)
         vals[:, -1] = vals[:, 0]
         f = Field2D(g, vals)
         u_flat = vals[1:, :g.nz].ravel()
         for (i, j) in [(2, 3), (5, 7), (g.ny - 1, 1)]:
-            idx = system.unknown_index(i, j)
-            row_action = system.matrix[idx] @ u_flat * system.row_scale[idx]
+            idx = (i - 1) * g.nz + j
+            row_action = matrix[idx] @ u_flat * row_scale
             # the i=1 row has no Dirichlet contribution here (boundary is 0)
             q = stencil_values(f, i, j)
-            expected = (0.8 * q.dpdmy + 0.8 * q.dpdmz + 0.25 * q.d0yd0z
-                        + 0.4 * q.d0y - vals[i, j])
+            expected = (0.8 * q["dpdmy"] + 0.8 * q["dpdmz"]
+                        + 0.25 * q["d0yd0z"] + 0.4 * q["d0y"] - vals[i, j])
             assert row_action == pytest.approx(float(expected), rel=1e-12)
 
     def test_periodic_translation_equivariance(self):
@@ -209,13 +215,10 @@ class TestAssembleSolve:
         assert got.values.min() >= -1e-10
 
     def test_singular_detected(self):
-        import scipy.sparse as sp
         g = Grid2D.unit(4, 4)
-        m = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        system = SparseSystem(matrix=m, rhs=np.array([1.0, 2.0]), grid=g,
-                              dirichlet=np.zeros(4), row_scale=np.ones(2))
+        op = EllipticOperator(g, PdeCoefficients(cyy=0.0, czz=0.0))
         with pytest.raises(SolverError):
-            solve(system)
+            op.solve_field(1.0, 0.0)
 
 
 class TestGridAndField:
@@ -241,15 +244,21 @@ class TestGridAndField:
         g = Grid2D.unit(4, 4)
         f = sample_field(g, lambda y, z: y + z)
         path = tmp_path / "field.csv"
-        f.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "y,z,value"
-        assert len(lines) == 1 + 25
+        write_csv(path, ["y", "z", "value"],
+                  [[f"{y:.17g}", f"{z:.17g}", f"{v:.17g}"]
+                   for y, row in zip(g.y, f.values) for z, v in zip(g.z, row)],
+                  "deadbeef")
+        text = path.read_bytes().decode()
+        lines = text.split("\n")
+        assert lines[0] == "# config_hash=deadbeef"
+        assert lines[1] == "y,z,value"
+        assert lines[-1] == "" and "\r" not in text
+        assert len(lines) == 2 + 25 + 1
 
     def test_solution_field_roundtrip(self):
         g = Grid2D.unit(8, 8)
         u, source, dirichlet = manufactured(g)
-        system = assemble(g, screened_coeffs(0.8, 0.25, 0.4), source, dirichlet)
-        f = solution_field(system, solve(system))
+        f = EllipticOperator(g, screened_coeffs(0.8, 0.25, 0.4)).solve_field(
+            source, dirichlet)
         assert f.values[0, :] == pytest.approx(np.append(dirichlet[:8], dirichlet[0]))
         assert f.values[:, -1] == pytest.approx(f.values[:, 0])

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from exdil import forward_mapped
+from exdil.collocation import TENSOR_GL, build_rule
 from exdil.fd_core import Grid2D, SolverError
 from exdil.forward_mapped import (DeviceConfig, DomainValidityError,
-                                  GenerationProfile, pl_of_sample,
+                                  GenerationProfile, expected_mapped_pl,
                                   solve_mapped_1d, solve_mapped_2d,
                                   solve_mapped_profile)
-from exdil.interface import Interface1D, InterfaceModel, InterfaceSample, \
-    UniformDist, sample
+from exdil.interface import InterfaceModel, InterfaceSample, UniformDist, \
+    sample
 
 
 def closed_form_pl(sigma, d):
@@ -64,7 +65,7 @@ class TestSolve1D:
 
     def test_offset_half(self):
         d, sigma = 10.0, 2.0
-        sol = solve_mapped_1d(flat_device(sigma, d), Interface1D(d / 2), 1024)
+        sol = solve_mapped_1d(flat_device(sigma, d), d / 2, 1024)
         assert sol.pl == pytest.approx(closed_form_pl(sigma, d / 2), rel=1e-6)
 
     def test_huge_sigma_limit(self):
@@ -155,14 +156,14 @@ class TestSolve2D:
         pls = []
         for d in (4.0, 8.0, 16.0, 32.0):
             dev = DeviceConfig(5.0, d, 4.0, GenerationProfile.exponential(d / 2))
-            pls.append(pl_of_sample(dev, model, theta, grid))
+            pls.append(solve_mapped_2d(dev, model, theta, grid).pl)
         assert all(b > a for a, b in zip(pls, pls[1:]))
 
     def test_grid_convergence_second_order(self):
         dev = DeviceConfig(5.0, 10.0, 4.0, GenerationProfile.exponential(5.0))
         model = InterfaceModel(0.5, 4.0, 2, (1.0, 0.5), UniformDist(-1, 1))
         theta = InterfaceSample((0.6, -0.4))
-        pls = {n: pl_of_sample(dev, model, theta, Grid2D.unit(n, n))
+        pls = {n: solve_mapped_2d(dev, model, theta, Grid2D.unit(n, n)).pl
                for n in (16, 32, 64, 128, 256)}
         errs = [abs(pls[n] - pls[256]) for n in (16, 32, 64)]
         hs = [1 / 16, 1 / 32, 1 / 64]
@@ -170,11 +171,13 @@ class TestSolve2D:
         assert 1.8 < slope < 2.2
 
     def test_pl_of_sample_matches_solution(self):
+        # a one-node rule is the PL of its one sample, bit for bit
         dev = flat_device()
         model = InterfaceModel(0.5, 4.0, 2, (1.0, 0.5), UniformDist(0, 1))
-        theta = sample(model, 8)
+        rule = build_rule(TENSOR_GL, 2, 1, (0.0, 1.0))
+        theta = InterfaceSample(tuple(rule.nodes[0]))
         grid = Grid2D.unit(16, 16)
-        assert pl_of_sample(dev, model, theta, grid) == \
+        assert expected_mapped_pl(dev, model, rule, grid) == \
             solve_mapped_2d(dev, model, theta, grid).pl
 
 

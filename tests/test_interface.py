@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exdil.interface import (Interface1D, InterfaceModel, InterfaceSample,
-                             UniformDist, covariance, evaluate, evaluate_dz,
+from exdil.interface import (InterfaceModel, InterfaceSample, UniformDist,
+                             covariance, evaluate, evaluate_dz,
                              evaluate_dzz, moments, sample)
 
 
@@ -218,6 +218,3 @@ class TestValidation:
         m = InterfaceModel.with_power_spectrum(1.0, 4.0, 3, -2.0,
                                                UniformDist(-1, 1))
         assert m.lambdas == pytest.approx((1.0, 0.25, 1.0 / 9.0))
-
-    def test_interface_1d_holds_offset(self):
-        assert Interface1D(0.5).xi == 0.5

@@ -1,23 +1,23 @@
 """Misfit, sensitivities, and the Newton estimation loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from exdil.collocation import TENSOR_GL, build_rule
-from exdil.experiments import generate_synthetic_curve
-from exdil.fd_core import Grid2D, trapezoid_2d
+from exdil.collocation import TENSOR_GL, QuadratureRule, build_rule
+from exdil.experiments import generate_synthetic_curve, write_csv
+from exdil.fd_core import Grid2D
 from exdil.forward_mapped import (DeviceConfig, GenerationProfile,
-                                  pl_of_sample, solve_mapped_1d,
-                                  solve_mapped_2d)
-from exdil.interface import InterfaceModel, InterfaceSample, UniformDist, \
-    sample
+                                  expected_mapped_pl, sensitivities_mapped,
+                                  solve_mapped_1d, solve_mapped_2d)
+from exdil.interface import InterfaceModel, UniformDist, sample
 from exdil.inverse import (CENTRAL_FD, SENSITIVITY_PDE, AsymptoticForward,
                            DeviceFamily, EstimationError, EstimationTrace,
                            MappedCollocationForward, NewtonOptions,
                            OneDimensionalForward, PLCurve, derivative_plan,
                            newton_estimate, objective,
-                           objective_with_derivatives, pl_sigma_derivatives_mapped,
-                           sensitivities_1d, sensitivities_mapped)
+                           objective_with_derivatives, sensitivities_1d)
 
 FAMILY = DeviceFamily(period=4.0)
 THICKNESSES = tuple(10.0 * i for i in range(1, 11))
@@ -63,6 +63,14 @@ class TestObjective:
         assert sigmas[k] == pytest.approx(5.0, abs=0.5)
         assert all(b < a for a, b in zip(js[:k], js[1:k + 1]))
         assert all(b > a for a, b in zip(js[k:], js[k + 1:]))
+
+    def test_derivative_call_reduces_j_alike(self, curve_1d):
+        # the Newton line search compares J from both calls, so they must
+        # agree bit for bit when the forward values do
+        prov = OneDimensionalForward(FAMILY)
+        for sigma in (3.0, 4.7, 5.3, 9.0):
+            assert objective_with_derivatives(prov, curve_1d, sigma)[0] == \
+                objective(prov, curve_1d, sigma)
 
     def test_nonpositive_sigma(self, curve_1d):
         prov = OneDimensionalForward(FAMILY)
@@ -113,41 +121,44 @@ class TestSensitivities2D:
         self.theta = sample(self.model, 9)
         self.grid = Grid2D.unit(32, 32)
 
+    def pl_derivatives(self):
+        """(I, dI/dsigma, d2I/dsigma2) of the one sample: the expectation
+        over a one-node rule at it."""
+        rule = QuadratureRule("point", 2, np.array([self.theta.thetas]),
+                              np.ones(1), "point mass")
+        return expected_mapped_pl(self.dev, self.model, rule, self.grid,
+                                  derivatives=True)
+
+    def pl_of_sample(self, sigma):
+        return solve_mapped_2d(dataclasses.replace(self.dev, sigma=sigma),
+                               self.model, self.theta, self.grid).pl
+
     def test_first_derivative_slope(self):
-        _, d_sens, _ = pl_sigma_derivatives_mapped(self.dev, self.model,
-                                                   self.theta, self.grid)
+        _, d_sens, _ = self.pl_derivatives()
         deltas = np.array([0.2, 0.1, 0.05])
         errs = []
         for delta in deltas:
-            import dataclasses
-            hi = pl_of_sample(dataclasses.replace(self.dev, sigma=5.0 + delta),
-                              self.model, self.theta, self.grid)
-            lo = pl_of_sample(dataclasses.replace(self.dev, sigma=5.0 - delta),
-                              self.model, self.theta, self.grid)
+            hi = self.pl_of_sample(5.0 + delta)
+            lo = self.pl_of_sample(5.0 - delta)
             errs.append(abs((hi - lo) / (2 * delta) - d_sens))
         slope = np.polyfit(np.log(deltas), np.log(errs), 1)[0]
         assert 1.8 < slope < 2.2
 
     def test_second_derivative_slope(self):
-        import dataclasses
-        _, _, d2_sens = pl_sigma_derivatives_mapped(self.dev, self.model,
-                                                    self.theta, self.grid)
+        base, _, d2_sens = self.pl_derivatives()
+        assert base == self.pl_of_sample(5.0)
         deltas = np.array([0.4, 0.2, 0.1])
         errs = []
-        base = pl_of_sample(self.dev, self.model, self.theta, self.grid)
         for delta in deltas:
-            hi = pl_of_sample(dataclasses.replace(self.dev, sigma=5.0 + delta),
-                              self.model, self.theta, self.grid)
-            lo = pl_of_sample(dataclasses.replace(self.dev, sigma=5.0 - delta),
-                              self.model, self.theta, self.grid)
+            hi = self.pl_of_sample(5.0 + delta)
+            lo = self.pl_of_sample(5.0 - delta)
             errs.append(abs((hi - 2 * base + lo) / delta ** 2 - d2_sens))
         slope = np.polyfit(np.log(deltas), np.log(errs), 1)[0]
         assert 1.7 < slope < 2.3
 
     def test_fields_share_boundary_conditions(self):
         sol = solve_mapped_2d(self.dev, self.model, self.theta, self.grid)
-        u1, u2 = sensitivities_mapped(self.dev, self.model, self.theta,
-                                      self.grid, sol)
+        u1, u2 = sensitivities_mapped(sol)
         for f in (u1, u2):
             assert np.abs(f.values[0]).max() == 0.0          # Dirichlet
             assert f.values[:, -1] == pytest.approx(f.values[:, 0])
@@ -164,6 +175,22 @@ class TestCollocationProvider:
         assert pl_s == pytest.approx(pl_f, rel=1e-12)
         assert d_s == pytest.approx(d_f, rel=1e-5)
         assert d2_s == pytest.approx(d2_f, rel=1e-3)
+
+    @pytest.mark.parametrize("points,cells", [(2, 24), (2, 32), (3, 24),
+                                              (3, 32)])
+    def test_pl_is_first_component_of_derivatives(self, points, cells):
+        # pl and pl_with_derivatives reduce E[I] by one weighted sum, so the
+        # line search and the derivative call of a Newton fit see one J
+        model = InterfaceModel.with_power_spectrum(1.0, 4.0, 3, -1.0,
+                                                   UniformDist(-1.0, 1.0))
+        rule = build_rule(TENSOR_GL, 3, points, (-1.0, 1.0))
+        for sigma in (4.9, 5.0, 5.13, 7.4):
+            for d in (8.3, 12.7, 16.1):
+                plain, deriv = (MappedCollocationForward(
+                    FAMILY, model, rule, cells=(cells, cells))
+                    for _ in range(2))
+                assert plain.pl(sigma, d) == \
+                    deriv.pl_with_derivatives(sigma, d)[0]
 
     def test_fixed_epsilon_scales_amplitude(self):
         model = InterfaceModel(1.0, 4.0, 1, (1.0,), UniformDist(0, 1))
@@ -202,7 +229,48 @@ class FakeQuadraticProvider:
         return sigma, 1.0, 0.0
 
 
+class RoundingFloorProvider:
+    """pl(sigma) = sigma + 0.01 (sigma - 7)**2 for each device.  The
+    derivative call returns it exactly; the objective's own pl call carries
+    a rounding floor that keeps J at or above 1e-13 for data 7.0, as when J
+    is recomputed on another code path.  Records the order of its calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def _exact(self, sigma):
+        return sigma + 0.01 * (sigma - 7.0) ** 2
+
+    def pl(self, sigma, d):
+        self.calls.append("pl")
+        r = self._exact(sigma) - 7.0
+        return 7.0 + np.copysign(np.sqrt(r * r + 1e-13), r)
+
+    def pl_with_derivatives(self, sigma, d):
+        self.calls.append("deriv")
+        return self._exact(sigma), 1.0 + 0.02 * (sigma - 7.0), 0.02
+
+
 class TestNewton:
+    def test_sub_tolerance_step_on_rounding_floor_stops(self):
+        # The last Newton step is far below tol but J's floor rejects it:
+        # the fit stops at the current iterate after one trial instead of
+        # halving the step max_halvings times.
+        provider = RoundingFloorProvider()
+        curve = PLCurve((10.0,), (7.0,))
+        trace = newton_estimate(provider, curve, sigma0=3.0, sigma_exact=7.0,
+                                options=NewtonOptions(tol=1e-6))
+        assert trace.reason == "step_tolerance"
+        assert abs(trace.final_sigma - 7.0) < 1e-6
+        last_deriv = len(provider.calls) - 1 - provider.calls[::-1].index(
+            "deriv")
+        assert provider.calls[last_deriv + 1:] == ["pl"]
+        # the stop is recorded as a zero step, so the stopping rule holds
+        assert trace.alphas[-1] == 0.0 and set(trace.alphas[:-1]) == {1.0}
+        assert trace.sigmas[-1] == trace.sigmas[-2]
+        assert len(trace.rel_errors) == trace.iterations
+
+
     def test_starts_at_optimum(self, curve_1d):
         prov = OneDimensionalForward(FAMILY)
         trace = newton_estimate(prov, curve_1d, sigma0=5.0, sigma_exact=5.0)
@@ -285,8 +353,14 @@ class TestNewton:
         prov = OneDimensionalForward(FAMILY)
         trace = newton_estimate(prov, curve_1d, sigma0=25.0, sigma_exact=5.0)
         path = tmp_path / "trace.csv"
-        trace.to_csv(path, config_hash="deadbeef")
-        lines = path.read_text().splitlines()
+        write_csv(path, ["n", "sigma", "J", "alpha", "rel_error"],
+                  [[n + 1, f"{s:.17g}", f"{j:.17g}", f"{a:.17g}", f"{e:.17g}"]
+                   for n, (s, j, a, e) in enumerate(zip(
+                       trace.sigmas, trace.objectives, trace.alphas,
+                       trace.rel_errors))], "deadbeef")
+        text = path.read_bytes().decode()
+        lines = text.split("\n")
         assert lines[0] == "# config_hash=deadbeef"
         assert lines[1] == "n,sigma,J,alpha,rel_error"
-        assert len(lines) == 2 + trace.iterations
+        assert lines[-1] == "" and "\r" not in text
+        assert len(lines) == 2 + trace.iterations + 1
