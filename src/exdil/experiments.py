@@ -300,7 +300,8 @@ def validation_study(*, sigma_star: float, betas: Sequence[float],
                                      x_cells_per_length=x_cells_per_length)
         trace = _run_newton(provider, data, sigma0, newton, sigma_star)
         traces[beta] = trace
-        finals[beta] = trace.rel_errors[-1]
+        # final_sigma falls back to sigma0 when no step was accepted
+        finals[beta] = abs(sigma_star - trace.final_sigma) / abs(sigma_star)
         within[beta] = finals[beta] < 0.01
     return ValidationResult(traces=traces, final_errors=finals,
                             within_one_percent=within)

@@ -24,6 +24,13 @@ with u's homogeneous boundary conditions, after which dI/dsigma and
 d2I/dsigma2 are the same thickness-weighted integrals of u1 and u2.  The
 expansion provider has no such equations and differentiates its forward
 values by centred finite differences instead.
+
+For the mapped collocation provider under ``SENSITIVITY_PDE`` every forward
+value is computed with its derivatives: the two sensitivity solves reuse
+the node's factorization, so a line-search trial yields the sensitivities
+of its own point, and once the trial is accepted the next iteration's J'
+and J'' need no new factorization.  Each provider keeps its latest
+evaluation per thickness, which is all a Newton fit can reuse.
 """
 
 from __future__ import annotations
@@ -165,15 +172,27 @@ def sensitivities_1d(device: DeviceConfig, xi: float, solution: Solution1D
 def _central_derivatives(pl: Callable[[float], float], sigma: float,
                          rel_step: float) -> tuple[float, float, float]:
     step = rel_step * sigma
+    mid = pl(sigma)     # first, while the cache holds the accepted trial
     hi = pl(sigma + step)
     lo = pl(sigma - step)
-    mid = pl(sigma)
     return mid, (hi - lo) / (2.0 * step), (hi - 2.0 * mid + lo) / step ** 2
 
 
 # ---------------------------------------------------------------------------
 # Forward providers: sigma, d -> E[I] (with optional derivatives)
 # ---------------------------------------------------------------------------
+
+def _latest(cache: dict, sigma: float, d: float, evaluate: Callable):
+    """Cached forward values at (sigma, d).  ``cache`` holds one entry per
+    thickness, d -> (sigma, values), the latest evaluation: a Newton fit
+    never returns to an earlier sigma."""
+    hit = cache.get(d)
+    if hit is not None and hit[0] == sigma:
+        return hit[1]
+    values = evaluate()
+    cache[d] = (sigma, values)
+    return values
+
 
 @dataclass(frozen=True)
 class OneDimensionalForward:
@@ -215,6 +234,12 @@ class MappedCollocationForward:
 
     With ``fixed_epsilon`` set, the roughness amplitude scales with each
     thickness (hbar = eps * d); otherwise the model's hbar is used as-is.
+
+    Under ``SENSITIVITY_PDE`` one evaluation gives (E[I], E[I'], E[I'']),
+    the sensitivities solved on each node's own factorization: ``pl``
+    returns its first component, which is bit for bit E[I] computed alone,
+    and a following ``pl_with_derivatives`` at the same point (an accepted
+    line-search trial) reads it from the cache.
     """
 
     family: DeviceFamily
@@ -224,33 +249,30 @@ class MappedCollocationForward:
     deriv: str = SENSITIVITY_PDE
     fixed_epsilon: Optional[float] = None
     fd_step_rel: float = 1e-4
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def _model_for(self, d: float) -> iface.InterfaceModel:
         if self.fixed_epsilon is None:
             return self.model
         return dataclasses.replace(self.model, hbar=self.fixed_epsilon * d)
 
-    def _grid(self) -> Grid2D:
-        return Grid2D.unit(*self.cells)
+    def _values(self, sigma: float, d: float):
+        """E[I], or the triple under SENSITIVITY_PDE, through the cache."""
+        return _latest(self._cache, sigma, d, lambda: expected_mapped_pl(
+            self.family.device(sigma, d), self._model_for(d), self.rule,
+            Grid2D.unit(*self.cells),
+            derivatives=self.deriv == SENSITIVITY_PDE))
 
     def pl(self, sigma: float, d: float) -> float:
-        key = (sigma, d)
-        if key not in self._cache:
-            self._cache[key] = expected_mapped_pl(
-                self.family.device(sigma, d), self._model_for(d), self.rule,
-                self._grid())
-        return self._cache[key]
+        values = self._values(sigma, d)
+        return values if self.deriv == CENTRAL_FD else values[0]
 
     def pl_with_derivatives(self, sigma: float, d: float):
         if self.deriv == CENTRAL_FD:
             return _central_derivatives(lambda s: self.pl(s, d), sigma,
                                         self.fd_step_rel)
-        values = expected_mapped_pl(self.family.device(sigma, d),
-                                    self._model_for(d), self.rule,
-                                    self._grid(), derivatives=True)
-        self._cache[(sigma, d)] = values[0]
-        return values
+        return self._values(sigma, d)
 
 
 @dataclass(frozen=True)
@@ -272,25 +294,27 @@ class AsymptoticForward:
     fixed_epsilon: Optional[float] = None
     fd_step_rel: float = 1e-4
     x_cells_per_length: float = 0.0
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def _nx(self, d: float) -> int:
         if self.x_cells_per_length > 0:
             return max(self.cells[0], int(np.ceil(d * self.x_cells_per_length)))
         return self.cells[0]
 
+    def _expected_pl(self, sigma: float, d: float) -> float:
+        device = self.family.device(sigma, d)
+        basis = build_basis(device, self.model, nx=self._nx(d),
+                            nz=self.cells[1])
+        eps = self.fixed_epsilon if self.fixed_epsilon is not None \
+            else device.epsilon(self.model.hbar)
+        approximant = assemble_approximant(basis, epsilon=eps)
+        return expected_pl(approximant, iface.moments(self.model.dist),
+                           self.order)
+
     def pl(self, sigma: float, d: float) -> float:
-        key = (sigma, d)
-        if key not in self._cache:
-            device = self.family.device(sigma, d)
-            basis = build_basis(device, self.model, nx=self._nx(d),
-                                nz=self.cells[1])
-            eps = self.fixed_epsilon if self.fixed_epsilon is not None \
-                else device.epsilon(self.model.hbar)
-            approximant = assemble_approximant(basis, epsilon=eps)
-            self._cache[key] = expected_pl(
-                approximant, iface.moments(self.model.dist), self.order)
-        return self._cache[key]
+        return _latest(self._cache, sigma, d,
+                       lambda: self._expected_pl(sigma, d))
 
     def pl_with_derivatives(self, sigma: float, d: float):
         if self.deriv != CENTRAL_FD:

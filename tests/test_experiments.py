@@ -5,15 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from exdil import cli
+from exdil import cli, experiments
 from exdil.experiments import (MODEL_1D, MODEL_2D, config_hash,
                                convergence_study, fit_slope,
                                generate_synthetic_curve, load_config,
-                               timing_study)
+                               timing_study, validation_study)
 from exdil.forward_mapped import DeviceConfig, GenerationProfile, \
     solve_mapped_1d
 from exdil.interface import InterfaceModel, UniformDist, covariance
-from exdil.inverse import DeviceFamily
+from exdil.inverse import DeviceFamily, EstimationTrace
 
 FAMILY = DeviceFamily(period=4.0)
 
@@ -271,6 +271,37 @@ class TestConfigAndCli:
             assert data.startswith(head), name
             assert b"\r" not in data, name
             assert data.endswith(b"\n"), name
+
+
+def exhausted_newton(provider, curve, sigma0=None, options=None,
+                     sigma_exact=None):
+    """A fit whose first line search gives up: no iterate is recorded."""
+    return EstimationTrace(sigma0=sigma0, rel_errors=[],
+                           reason="line_search_exhausted")
+
+
+class TestValidationStudy:
+    def test_empty_trace_reports_start_error(self, monkeypatch):
+        monkeypatch.setattr(experiments, "newton_estimate", exhausted_newton)
+        res = validation_study(sigma_star=5.0, betas=(-2.0,),
+                               thicknesses=(10.0, 20.0), family=FAMILY, K=3,
+                               est_cells=(16, 16), sigma0=7.5)
+        assert res.traces[-2.0].iterations == 0
+        assert res.final_errors == {-2.0: 0.5}
+        assert res.within_one_percent == {-2.0: False}
+
+    def test_cli_validate_with_empty_trace(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "newton_estimate", exhausted_newton)
+        path = tmp_path / "run.cfg"
+        out = tmp_path / "out"
+        path.write_text(CONFIG.format(out=out)
+                        + "\n[validate]\nsigma_star = 5.0\nbetas = -2\n"
+                        "thicknesses = 10, 20\n\n[newton]\nsigma0 = 7.5\n")
+        assert cli.main(["validate", "--config", str(path)]) == 0
+        rows = (out / "validate_summary.csv").read_text().splitlines()
+        assert rows[2:] == ["-2,0.5,0,0"]
+        assert (out / "validate_beta-2.csv").read_text().splitlines()[2:] \
+            == []
 
 
 class TestTimingStudy:

@@ -5,8 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from exdil import fd_core
 from exdil.collocation import TENSOR_GL, QuadratureRule, build_rule
-from exdil.experiments import generate_synthetic_curve, write_csv
+from exdil.experiments import MODEL_2D, generate_synthetic_curve, write_csv
 from exdil.fd_core import Grid2D
 from exdil.forward_mapped import (DeviceConfig, GenerationProfile,
                                   expected_mapped_pl, sensitivities_mapped,
@@ -199,6 +200,106 @@ class TestCollocationProvider:
                                         fixed_epsilon=0.02)
         assert prov._model_for(50.0).hbar == pytest.approx(1.0)
         assert prov._model_for(10.0).hbar == pytest.approx(0.2)
+
+
+class UncachedMappedForward:
+    """Oracle for MappedCollocationForward: E[I] alone in ``pl`` and a
+    fresh solve with derivatives in ``pl_with_derivatives``, no cache."""
+
+    def __init__(self, family, model, rule, cells):
+        self.family, self.model, self.rule = family, model, rule
+        self.grid = Grid2D.unit(*cells)
+
+    def pl(self, sigma, d):
+        return expected_mapped_pl(self.family.device(sigma, d), self.model,
+                                  self.rule, self.grid)
+
+    def pl_with_derivatives(self, sigma, d):
+        return expected_mapped_pl(self.family.device(sigma, d), self.model,
+                                  self.rule, self.grid, derivatives=True)
+
+
+@pytest.fixture(scope="module")
+def mapped_fit():
+    """Rule, model and curve of a small mapped fit to its own data."""
+    model = InterfaceModel.with_power_spectrum(1.0, 4.0, 2, -1.0,
+                                               UniformDist(-1.0, 1.0))
+    rule = build_rule(TENSOR_GL, 2, 2, (-1.0, 1.0))
+    curve = generate_synthetic_curve(MODEL_2D, 5.0, (8.0, 12.0, 16.0),
+                                     family=FAMILY, model=model,
+                                     rule_kind=TENSOR_GL, rule_size=2,
+                                     cells=(24, 24))
+    return model, rule, curve
+
+
+class TestMappedNewtonReuse:
+    def test_one_factorization_per_point(self, mapped_fit, monkeypatch):
+        # Each accepted trial is solved once, with its derivatives; only
+        # the start point adds a set of factorizations.
+        model, rule, curve = mapped_fit
+        splu = fd_core.spla.splu
+        calls = []
+
+        def counting_splu(*args, **kwargs):
+            calls.append(None)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(fd_core.spla, "splu", counting_splu)
+        prov = MappedCollocationForward(FAMILY, model, rule, cells=(24, 24))
+        trace = newton_estimate(prov, curve, sigma0=7.5, sigma_exact=5.0)
+        assert trace.reason == "step_tolerance"
+        assert set(trace.alphas) == {1.0}
+        assert len(calls) == \
+            (len(trace.sigmas) + 1) * len(curve) * rule.node_count
+
+    @pytest.mark.parametrize("sigma0", [7.5, 2.0])
+    def test_trace_matches_uncached_oracle(self, mapped_fit, sigma0):
+        # from 2.0 the first step is halved six times: rejected trials
+        # computed with derivatives must not change the iterates
+        model, rule, curve = mapped_fit
+        new = newton_estimate(
+            MappedCollocationForward(FAMILY, model, rule, cells=(24, 24)),
+            curve, sigma0=sigma0, sigma_exact=5.0)
+        old = newton_estimate(
+            UncachedMappedForward(FAMILY, model, rule, (24, 24)),
+            curve, sigma0=sigma0, sigma_exact=5.0)
+        assert new.sigmas == old.sigmas
+        assert new.objectives == old.objectives
+        assert new.alphas == old.alphas
+        assert new.rel_errors == old.rel_errors
+        assert new.reason == old.reason == "step_tolerance"
+
+
+class TestProviderCopies:
+    """A dataclasses.replace copy gets its own cache, so it never returns
+    the values of the provider it was copied from."""
+
+    def test_mapped_copy_with_other_cells_or_deriv(self):
+        model = InterfaceModel(0.3, 4.0, 2, (1.0, 0.5), UniformDist(-1, 1))
+        rule = build_rule(TENSOR_GL, 2, 2, (-1.0, 1.0))
+        prov = MappedCollocationForward(FAMILY, model, rule, cells=(16, 16))
+        first = prov.pl(6.0, 30.0)
+        finer = dataclasses.replace(prov, cells=(24, 24))
+        fresh = MappedCollocationForward(FAMILY, model, rule, cells=(24, 24))
+        assert finer.pl(6.0, 30.0) == fresh.pl(6.0, 30.0) != first
+        fd = dataclasses.replace(prov, deriv=CENTRAL_FD)
+        assert fd.pl(6.0, 30.0) == MappedCollocationForward(
+            FAMILY, model, rule, cells=(16, 16), deriv=CENTRAL_FD).pl(6.0, 30.0)
+
+    def test_asymptotic_copy_with_other_order(self):
+        model = InterfaceModel(0.5, 4.0, 2, (1.0, 0.5), UniformDist(0, 1))
+        prov = AsymptoticForward(FAMILY, model, order=2, cells=(32, 16))
+        second = prov.pl(6.0, 30.0)
+        zeroth = dataclasses.replace(prov, order=0)
+        assert zeroth.pl(6.0, 30.0) == AsymptoticForward(
+            FAMILY, model, order=0, cells=(32, 16)).pl(6.0, 30.0) != second
+
+    def test_cache_keeps_latest_sigma_per_thickness(self):
+        model = InterfaceModel(0.5, 4.0, 2, (1.0, 0.5), UniformDist(0, 1))
+        prov = AsymptoticForward(FAMILY, model, cells=(32, 16))
+        values = {(s, d): prov.pl(s, d) for s in (5.0, 6.0)
+                  for d in (20.0, 30.0)}
+        assert prov._cache == {d: (6.0, values[6.0, d]) for d in (20.0, 30.0)}
 
 
 class TestDerivativePlan:
