@@ -20,6 +20,17 @@ always the fixed node-order weighted sum, so results are bit-identical
 regardless of the worker count.  A functional may return an array (say a
 value and its derivatives); each component is then reduced on its own by
 that same sum.
+
+Every rule on a support symmetric about zero has bitwise antisymmetric 1D
+nodes (Gauss-Legendre by construction, Clenshaw-Curtis by explicit
+antisymmetrization), so a node's mirror image under sign flips of its
+coordinates is again a node, bit for bit.  :func:`fold` uses this: given
+sign vectors under which a functional is known to be invariant, it merges
+each orbit of nodes into its lowest-index member with the orbit's summed
+weight.  Matching is exact, so a rule without such mirror images (Monte
+Carlo draws, a support such as [0, 1]) folds to itself; no tolerance and no
+support check is involved.  Whether a functional has the symmetry is the
+caller's knowledge, so :func:`expect` never folds on its own.
 """
 
 from __future__ import annotations
@@ -41,6 +52,7 @@ __all__ = [
     "CollocationError",
     "build_rule",
     "expect",
+    "fold",
 ]
 
 TENSOR_GL = "tensor_gl"
@@ -99,6 +111,9 @@ def _clenshaw_curtis_1d(npts: int):
     N = npts - 1
     k = np.arange(npts)
     x = -np.cos(np.pi * k / N)
+    # Antisymmetric bit for bit (the middle node exactly 0.0), so that
+    # mirrored nodes match exactly in fold().
+    x = (x - x[::-1]) / 2.0
     w = np.zeros(npts)
     js = np.arange(1, N // 2 + 1)
     bj = np.where(2 * js == N, 1.0, 2.0)
@@ -215,10 +230,52 @@ def expect(rule: QuadratureRule, functional: Callable[[np.ndarray], float],
                              descriptor=rule.descriptor)
 
 
+def fold(rule: QuadratureRule, flips) -> QuadratureRule:
+    """Merge the nodes of ``rule`` that sign flips map onto one another.
+
+    ``flips`` are sign vectors of length ``rule.dim`` under which the
+    functional to be integrated is invariant, f(s * t) = f(t); with their
+    products they form a group.  A node's orbit is every node equal, bit for
+    bit, to the node with one of the group's sign vectors applied (compared
+    as tuples of Python floats, so -0.0 matches 0.0).  Each orbit is kept as
+    its lowest-index node, carrying the orbit's weights summed in node-index
+    order, and the kept nodes stay in index order, so the folded rule, and
+    any expectation over it, is one fixed function of ``rule``.  A rule in
+    which no node matches another is returned unchanged.
+    """
+    group = {(1.0,) * rule.dim}
+    for flip in flips:
+        signs = tuple(float(s) for s in flip)
+        if len(signs) != rule.dim or not set(signs) <= {1.0, -1.0}:
+            raise ValueError(f"{flip!r} is not a sign vector of length "
+                             f"{rule.dim}")
+        group |= {tuple(g * s for g, s in zip(member, signs))
+                  for member in group}
+    keys = [tuple(node.tolist()) for node in rule.nodes]
+    index = {}
+    for qi, key in enumerate(keys):
+        index.setdefault(key, qi)
+    rep = []
+    for qi, key in enumerate(keys):
+        images = (tuple(c * s for c, s in zip(key, signs)) for signs in group)
+        rep.append(min([qi] + [index[im] for im in images if im in index]))
+    kept = sorted(set(rep))
+    if len(kept) == rule.node_count:
+        return rule
+    weight = dict.fromkeys(kept, 0.0)
+    for qi, r in enumerate(rep):
+        weight[r] += float(rule.weights[qi])
+    return QuadratureRule(
+        kind=rule.kind, dim=rule.dim, nodes=rule.nodes[kept],
+        weights=np.array([weight[r] for r in kept]),
+        descriptor=f"{rule.descriptor} folded to {len(kept)} orbits")
+
+
 def _eval_node(functional, rule, qi):
     try:
         return np.asarray(functional(rule.nodes[qi]), dtype=float)
     except Exception as exc:
         raise CollocationError(
             f"functional failed at node {qi} of {rule.node_count} "
-            f"({rule.descriptor}): {exc}") from exc
+            f"({rule.descriptor}), coefficients "
+            f"{tuple(rule.nodes[qi].tolist())}: {exc}") from exc

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exdil.collocation import (MONTE_CARLO, SMOLYAK, TENSOR_GL,
-                               CollocationError, build_rule, expect)
+                               CollocationError, _clenshaw_curtis_1d,
+                               build_rule, expect, fold)
 from exdil.fd_core import Grid2D
 
 
@@ -122,8 +123,11 @@ class TestExpect:
                 raise RuntimeError("boom")
             return 1.0
 
-        with pytest.raises(CollocationError, match="node"):
+        with pytest.raises(CollocationError, match="node") as err:
             expect(rule, bad)
+        # a folded rule's indices are not the caller's: name the point too
+        point = (float(rule.nodes[2, 0]),)
+        assert f"coefficients {point!r}" in str(err.value)
 
     def test_threaded_matches_serial(self):
         rule = build_rule(TENSOR_GL, 2, 4, (0.0, 1.0))
@@ -173,3 +177,73 @@ class TestExpectField:
         rule = build_rule(TENSOR_GL, 1, 3, (-1.0, 1.0))
         out = expect(rule, lambda t: self.make_field(grid, t[0] ** 3)).value
         assert np.abs(out).max() < 1e-14
+
+
+def even_functional(t):
+    # invariant under flipping t[1] alone and t[0], t[2] together
+    t = np.asarray(t)
+    return float(np.exp(np.cos(t[0] + 2 * t[2]) + t[1] ** 2)
+                 + np.cos(t[0] * t[2]) * (1 + t[1] ** 2))
+
+
+class TestFold:
+    @pytest.mark.parametrize("m", [3, 5, 9, 17])
+    def test_clenshaw_curtis_nodes_antisymmetric(self, m):
+        x, _ = _clenshaw_curtis_1d(m)
+        assert np.array_equal(x, -x[::-1])
+        assert x[m // 2] == 0.0 and not np.signbit(x[m // 2])
+
+    def test_gauss_legendre_nodes_antisymmetric(self):
+        for n in range(1, 12):
+            x = build_rule(TENSOR_GL, 1, n, (-1.0, 1.0)).nodes[:, 0]
+            assert np.array_equal(x, -x[::-1])
+
+    @pytest.mark.parametrize("kind,size,kept", [(TENSOR_GL, 2, 2),
+                                                (TENSOR_GL, 3, 10),
+                                                (SMOLYAK, 3, 11)])
+    def test_folded_expectation_matches_full_rule(self, kind, size, kept):
+        rule = build_rule(kind, 3, size, (-1.0, 1.0))
+        folded = fold(rule, [(-1, -1, -1), (-1, 1, -1)])
+        assert folded.node_count == kept
+        assert expect(folded, even_functional).value == pytest.approx(
+            expect(rule, even_functional).value, rel=1e-14)
+
+    def test_lowest_index_representatives_and_index_order_sums(self):
+        rule = build_rule(SMOLYAK, 2, 3, (-0.5, 0.5))
+        flips = [(-1, -1)]
+        folded = fold(rule, flips)
+        keys = [tuple(n.tolist()) for n in rule.nodes]
+        rep = [min(qi, keys.index(tuple(-c for c in key)))
+               for qi, key in enumerate(keys)]
+        kept = sorted(set(rep))
+        assert np.array_equal(folded.nodes, rule.nodes[kept])
+        for r, w in zip(kept, folded.weights):
+            total = 0.0
+            for qi in range(rule.node_count):
+                if rep[qi] == r:
+                    total += rule.weights[qi]
+            assert w == total
+        # the flips' products join the group: two generators, four maps
+        both = fold(rule, [(-1, 1), (1, -1)])
+        assert both.node_count == fold(both, [(-1, -1)]).node_count < len(kept)
+
+    @pytest.mark.parametrize("kind,size,support", [
+        (MONTE_CARLO, 64, (-1.0, 1.0)),
+        (TENSOR_GL, 3, (0.0, 1.0)),
+        (SMOLYAK, 3, (0.0, 1.0)),
+    ])
+    def test_rules_without_mirrored_nodes_fold_nothing(self, kind, size,
+                                                       support):
+        rule = build_rule(kind, 3, size, support, seed=5)
+        assert fold(rule, [(-1, -1, -1), (-1, 1, -1), (1, -1, 1)]) is rule
+
+    def test_threaded_matches_serial(self):
+        folded = fold(build_rule(SMOLYAK, 3, 4, (-1, 1)), [(-1, -1, -1)])
+        assert expect(folded, even_functional, jobs=1).value == \
+            expect(folded, even_functional, jobs=4).value
+
+    def test_rejects_non_sign_vectors(self):
+        rule = build_rule(TENSOR_GL, 2, 2, (-1.0, 1.0))
+        for flip in [(-1,), (-1, 1, 1), (0.5, -1)]:
+            with pytest.raises(ValueError, match="sign vector"):
+                fold(rule, [flip])

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from exdil import cli, experiments
+from exdil.collocation import SMOLYAK, build_rule
 from exdil.experiments import (MODEL_1D, MODEL_2D, config_hash,
                                convergence_study, fit_slope,
                                generate_synthetic_curve, load_config,
                                timing_study, validation_study)
+from exdil.fd_core import Grid2D
 from exdil.forward_mapped import DeviceConfig, GenerationProfile, \
-    solve_mapped_1d
+    solve_mapped_1d, symmetry_folded_rule
 from exdil.interface import InterfaceModel, UniformDist, covariance
 from exdil.inverse import DeviceFamily, EstimationTrace
 
@@ -211,6 +213,20 @@ class TestConfigAndCli:
         assert "numerical failure" in err
         assert "Traceback" not in err
 
+    def test_quadrature_node_failure_under_fold_exits_3(self, tmp_path,
+                                                         capsys):
+        # a symmetric law folds the rule; the invalid nodes still get solved
+        path = tmp_path / "run.cfg"
+        path.write_text(CONFIG.format(out=tmp_path / "out")
+                        .replace("d = 10.0", "d = 0.5")
+                        .replace("hbar = 1.0", "hbar = 2.0")
+                        .replace("a = 0.0", "a = -1.0")
+                        .replace("reference = 32", "reference = 16"))
+        assert cli.main(["expect", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "folded" in err
+        assert "Traceback" not in err
+
     def test_unknown_command_exits_2(self):
         assert cli.main(["frobnicate", "--config", "x"]) == 2
 
@@ -314,3 +330,15 @@ class TestTimingStudy:
         assert res.asym_solve_count == 2 + 2
         assert res.sc_nodes > 0
         assert res.speedup > 0
+
+    def test_collocation_count_is_nodes_solved(self):
+        # with a symmetric law the contender solves its folded rule
+        dev = DeviceConfig(12.0, 10.0, 64.0, GenerationProfile.exponential(10.0))
+        model = InterfaceModel(1.0, 64.0, 2, (1.0, 1.0), UniformDist(-1.0, 1.0))
+        res = timing_study(device=dev, model=model, epsilon=0.0625,
+                           asym_cells=(32, 32), sc_cells=(48, 48),
+                           ref_points=2, max_level=3)
+        rule = build_rule(SMOLYAK, 2, res.sc_level, (-1.0, 1.0))
+        assert res.sc_level > 1
+        assert res.sc_nodes == symmetry_folded_rule(
+            rule, Grid2D.unit(48, 48)).node_count < rule.node_count

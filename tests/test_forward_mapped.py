@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from exdil import forward_mapped
-from exdil.collocation import TENSOR_GL, build_rule
-from exdil.fd_core import Grid2D, SolverError
+from exdil.collocation import (MONTE_CARLO, SMOLYAK, TENSOR_GL,
+                               CollocationError, build_rule, expect)
+from exdil.fd_core import Grid2D, SolverError, trapezoid_2d
 from exdil.forward_mapped import (DeviceConfig, DomainValidityError,
                                   GenerationProfile, expected_mapped_pl,
-                                  solve_mapped_1d, solve_mapped_2d,
-                                  solve_mapped_profile)
+                                  sensitivities_mapped, solve_mapped_1d,
+                                  solve_mapped_2d, solve_mapped_profile,
+                                  symmetry_folded_rule)
 from exdil.interface import InterfaceModel, InterfaceSample, UniformDist, \
-    sample
+    evaluate, sample
 
 
 def closed_form_pl(sigma, d):
@@ -179,6 +181,78 @@ class TestSolve2D:
         grid = Grid2D.unit(16, 16)
         assert expected_mapped_pl(dev, model, rule, grid) == \
             solve_mapped_2d(dev, model, theta, grid).pl
+
+
+class TestSymmetryFold:
+    """expected_mapped_pl solves one node per orbit of the interface's
+    symmetries; the unfolded sum over the full rule is the oracle."""
+
+    @pytest.mark.parametrize("kind,size,K,even,odd", [
+        (TENSOR_GL, 2, 3, 2, 4),
+        (SMOLYAK, 3, 3, 11, 13),
+        (TENSOR_GL, 4, 3, 16, 32),
+        (SMOLYAK, 3, 10, 86, 111),
+    ])
+    def test_orbit_counts(self, kind, size, K, even, odd):
+        rule = build_rule(kind, K, size, (-1.0, 1.0))
+        assert symmetry_folded_rule(rule, Grid2D.unit(8, 24)).node_count \
+            == even
+        assert symmetry_folded_rule(rule, Grid2D.unit(8, 25)).node_count \
+            == odd
+
+    @pytest.mark.parametrize("kind,size,support", [
+        (MONTE_CARLO, 40, (-1.0, 1.0)),
+        (TENSOR_GL, 3, (0.0, 1.0)),
+        (SMOLYAK, 3, (0.0, 1.0)),
+    ])
+    def test_rules_without_mirrored_nodes_fold_nothing(self, kind, size,
+                                                       support):
+        rule = build_rule(kind, 3, size, support, seed=3)
+        assert symmetry_folded_rule(rule, Grid2D.unit(8, 24)) is rule
+
+    @pytest.mark.parametrize("nz", [24, 25])
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_folded_equals_unfolded_oracle(self, K, nz):
+        dev = DeviceConfig(5.0, 8.3, 4.0, GenerationProfile.exponential(4.0))
+        model = InterfaceModel.with_power_spectrum(1.0, 4.0, K, -1.0,
+                                                   UniformDist(-1.0, 1.0))
+        grid = Grid2D.unit(6, nz)
+
+        def node(thetas):
+            sol = solve_mapped_2d(dev, model, InterfaceSample(tuple(thetas)),
+                                  grid)
+            u1, u2 = sensitivities_mapped(sol)
+            weight = dev.d - sol.profile
+            return (sol.pl, trapezoid_2d(u1, z_weight=weight),
+                    trapezoid_2d(u2, z_weight=weight))
+
+        for kind, size in [(TENSOR_GL, 2), (TENSOR_GL, 3), (TENSOR_GL, 4),
+                           (SMOLYAK, 2), (SMOLYAK, 3)]:
+            rule = build_rule(kind, K, size, (-1.0, 1.0))
+            oracle = expect(rule, node).value
+            folded = expected_mapped_pl(dev, model, rule, grid,
+                                        derivatives=True)
+            assert folded == pytest.approx(tuple(oracle), rel=1e-12)
+
+    def test_node_reaching_top_surface_still_raises(self):
+        # orbit members are one mirrored profile, so they share one max
+        # height: a folded rule keeps every invalid node's representative
+        dev = flat_device(d=1.0)
+        model = InterfaceModel(1.5, 4.0, 2, (1.0, 0.5), UniformDist(-1, 1))
+        rule = build_rule(TENSOR_GL, 2, 3, (-1.0, 1.0))
+        grid = Grid2D.unit(8, 8)
+        folded = symmetry_folded_rule(rule, grid)
+        assert folded.node_count < rule.node_count
+        heights = [iface_max(model, t, grid) for t in rule.nodes]
+        assert min(heights) < dev.d <= max(heights)
+        with pytest.raises(CollocationError, match="node") as err:
+            expected_mapped_pl(dev, model, rule, grid)
+        assert isinstance(err.value.__cause__, DomainValidityError)
+
+
+def iface_max(model, thetas, grid):
+    return evaluate(model, InterfaceSample(tuple(thetas)),
+                    model.L * grid.z).max()
 
 
 class TestDeviceConfig:

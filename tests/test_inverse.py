@@ -11,7 +11,8 @@ from exdil.experiments import MODEL_2D, generate_synthetic_curve, write_csv
 from exdil.fd_core import Grid2D
 from exdil.forward_mapped import (DeviceConfig, GenerationProfile,
                                   expected_mapped_pl, sensitivities_mapped,
-                                  solve_mapped_1d, solve_mapped_2d)
+                                  solve_mapped_1d, solve_mapped_2d,
+                                  symmetry_folded_rule)
 from exdil.interface import InterfaceModel, UniformDist, sample
 from exdil.inverse import (CENTRAL_FD, SENSITIVITY_PDE, AsymptoticForward,
                            DeviceFamily, EstimationError, EstimationTrace,
@@ -232,25 +233,52 @@ def mapped_fit():
     return model, rule, curve
 
 
+def count_fit_factorizations(monkeypatch, model, rule, curve, cells):
+    """Newton trace of a mapped fit from 7.5 and the splu calls it made."""
+    splu = fd_core.spla.splu
+    calls = []
+
+    def counting_splu(*args, **kwargs):
+        calls.append(None)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(fd_core.spla, "splu", counting_splu)
+    prov = MappedCollocationForward(FAMILY, model, rule, cells=cells)
+    trace = newton_estimate(prov, curve, sigma0=7.5, sigma_exact=5.0)
+    assert trace.reason == "step_tolerance"
+    assert set(trace.alphas) == {1.0}
+    return trace, len(calls)
+
+
 class TestMappedNewtonReuse:
     def test_one_factorization_per_point(self, mapped_fit, monkeypatch):
-        # Each accepted trial is solved once, with its derivatives; only
-        # the start point adds a set of factorizations.
+        # Each accepted trial is solved once, with its derivatives, and only
+        # at one node per symmetry orbit; only the start point adds a set
+        # of factorizations.  At 24² the four nodes form one orbit.
         model, rule, curve = mapped_fit
-        splu = fd_core.spla.splu
-        calls = []
+        grid = Grid2D.unit(24, 24)
+        trace, calls = count_fit_factorizations(monkeypatch, model, rule,
+                                                curve, (24, 24))
+        solved = symmetry_folded_rule(rule, grid).node_count
+        assert solved == 1
+        assert calls == (len(trace.sigmas) + 1) * len(curve) * solved
 
-        def counting_splu(*args, **kwargs):
-            calls.append(None)
-            return splu(*args, **kwargs)
-
-        monkeypatch.setattr(fd_core.spla, "splu", counting_splu)
-        prov = MappedCollocationForward(FAMILY, model, rule, cells=(24, 24))
-        trace = newton_estimate(prov, curve, sigma0=7.5, sigma_exact=5.0)
-        assert trace.reason == "step_tolerance"
-        assert set(trace.alphas) == {1.0}
-        assert len(calls) == \
-            (len(trace.sigmas) + 1) * len(curve) * rule.node_count
+    @pytest.mark.parametrize("cells,support,per_point", [
+        ((25, 25), (-1.0, 1.0), 2),   # odd nz: theta -> -theta only
+        ((24, 24), (0.0, 1.0), 4),    # no mirrored nodes: nothing folds
+    ])
+    def test_factorizations_per_point_follow_the_fold(
+            self, monkeypatch, cells, support, per_point):
+        model = InterfaceModel.with_power_spectrum(
+            1.0, 4.0, 2, -1.0, UniformDist(*support))
+        rule = build_rule(TENSOR_GL, 2, 2, support)
+        curve = generate_synthetic_curve(MODEL_2D, 5.0, (8.0, 12.0, 16.0),
+                                         family=FAMILY, model=model,
+                                         rule_kind=TENSOR_GL, rule_size=2,
+                                         cells=cells)
+        trace, calls = count_fit_factorizations(monkeypatch, model, rule,
+                                                curve, cells)
+        assert calls == (len(trace.sigmas) + 1) * len(curve) * per_point
 
     @pytest.mark.parametrize("sigma0", [7.5, 2.0])
     def test_trace_matches_uncached_oracle(self, mapped_fit, sigma0):
