@@ -11,8 +11,8 @@ misfit.
 __version__ = "0.1.0"
 
 from .interface import (InterfaceModel, InterfaceSample, ThetaMoments,
-                        UniformDist, covariance, evaluate, evaluate_dz,
-                        evaluate_dzz, moments, sample)
+                        UniformDist, evaluate, evaluate_dz, evaluate_dzz,
+                        moments, sample)
 from .fd_core import (EllipticOperator, Field2D, Grid2D, PdeCoefficients,
                       SolverError, one_sided_dx_at_boundary, trapezoid_2d)
 from .forward_mapped import (DeviceConfig, DomainValidityError,
@@ -28,9 +28,8 @@ from .asymptotic import (AsymptoticBasis, PLApproximant, assemble_approximant,
 from .inverse import (CENTRAL_FD, SENSITIVITY_PDE, AsymptoticForward,
                       DeviceFamily, EstimationError, EstimationTrace,
                       MappedCollocationForward, NewtonOptions,
-                      OneDimensionalForward, PLCurve, derivative_plan,
-                      newton_estimate, objective, objective_with_derivatives,
-                      sensitivities_1d)
+                      OneDimensionalForward, PLCurve, newton_estimate,
+                      objective, objective_with_derivatives, sensitivities_1d)
 from .experiments import (ConvergenceResult, SlopeFit, TimingResult,
                           ValidationResult, convergence_study,
                           estimation_study, fit_slope,

@@ -90,8 +90,6 @@ class QuadratureRule:
 @dataclass
 class ExpectationResult:
     value: float | np.ndarray    # an array when the functional returns one
-    node_count: int
-    descriptor: str
 
 
 def _gauss_legendre_1d(n: int, a: float, b: float):
@@ -226,8 +224,7 @@ def expect(rule: QuadratureRule, functional: Callable[[np.ndarray], float],
     total = np.array([np.sum(rule.weights * column) for column in columns])
     value = float(total[0]) if values.ndim == 1 \
         else total.reshape(values.shape[1:])
-    return ExpectationResult(value=value, node_count=rule.node_count,
-                             descriptor=rule.descriptor)
+    return ExpectationResult(value=value)
 
 
 def fold(rule: QuadratureRule, flips) -> QuadratureRule:

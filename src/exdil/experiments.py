@@ -25,11 +25,11 @@ import numpy as np
 
 from . import __version__
 from .asymptotic import assemble_approximant, build_basis, expected_pl
-from .collocation import SMOLYAK, TENSOR_GL, build_rule, expect
+from .collocation import SMOLYAK, TENSOR_GL, build_rule
 from .fd_core import Grid2D
 from .forward_mapped import (CELLS_1D, GenerationProfile, expected_mapped_pl,
                              solve_mapped_1d, symmetry_folded_rule)
-from .interface import InterfaceModel, InterfaceSample, UniformDist, moments
+from .interface import InterfaceModel, UniformDist, moments
 from .inverse import (AsymptoticForward, DeviceFamily, EstimationError,
                       EstimationTrace, NewtonOptions, PLCurve, newton_estimate)
 
@@ -103,36 +103,25 @@ def generate_synthetic_curve(kind: str, sigma_star: float,
                              cells: tuple[int, int] = (128, 128),
                              cells_1d: int = CELLS_1D,
                              fixed_epsilon: Optional[float] = None,
-                             xi: float = 0.0,
-                             xi_model: Optional[InterfaceModel] = None,
-                             xi_level: int = 3,
                              seed: Optional[int] = None) -> PLCurve:
     """Forward-model data for a prescribed diffusion length.
 
     ``model_2d`` computes E[I] of the mapped solver with the given rule per
     thickness (with ``fixed_epsilon`` set, the roughness amplitude is
-    eps * d_i; otherwise the model's hbar applies to every device).
-    ``model_1d`` evaluates the flat-interface model at the fixed offset
-    ``xi`` (deterministic; the randomness then lives entirely in the
+    eps * d_i; otherwise the model's hbar applies to every device); ``seed``
+    seeds a Monte Carlo rule.  ``model_1d`` evaluates the flat-interface
+    model (deterministic; the randomness then lives entirely in the
     estimator's forward model).  ``cells_1d`` defaults to
     :data:`~exdil.forward_mapped.CELLS_1D`, the default of
     :class:`~exdil.inverse.OneDimensionalForward` too, so by default the
     data and the flat-model provider are the same discrete model; a caller
     that overrides it must pass the same ``cells`` to the provider.
-    Passing ``xi_model`` instead averages the flat model over the pointwise
-    height ensemble of that interface -- offsets drawn as h(z, theta) with z
-    uniform over the period -- using a z-trapezoid crossed with a sparse
-    coefficient rule of level ``xi_level``.
     """
     values = []
     if kind == MODEL_1D:
         for d in thicknesses:
-            device = family.device(sigma_star, d)
-            if xi_model is None:
-                values.append(solve_mapped_1d(device, xi, cells_1d).pl)
-            else:
-                values.append(_height_ensemble_pl(device, xi_model, cells_1d,
-                                                  xi_level))
+            values.append(solve_mapped_1d(family.device(sigma_star, d),
+                                          cells=cells_1d).pl)
         return PLCurve(tuple(thicknesses), tuple(values),
                        provenance="synthetic-1d")
     if kind != MODEL_2D:
@@ -148,23 +137,6 @@ def generate_synthetic_curve(kind: str, sigma_star: float,
         values.append(expected_mapped_pl(family.device(sigma_star, d),
                                          model_d, rule, grid))
     return PLCurve(tuple(thicknesses), tuple(values), provenance="synthetic-2d")
-
-
-def _height_ensemble_pl(device, xi_model: InterfaceModel, cells_1d: int,
-                        level: int) -> float:
-    """Flat-model PL averaged over the interface's pointwise heights."""
-    from .interface import evaluate
-
-    z_nodes = np.linspace(0.0, xi_model.L, 33)[:-1]  # one period, uniform
-    rule = build_rule(SMOLYAK, xi_model.K, level, xi_model.dist.support)
-
-    def over_z(thetas):
-        sample = InterfaceSample(tuple(thetas))
-        heights = evaluate(xi_model, sample, z_nodes)
-        return float(np.mean([solve_mapped_1d(device, h, cells_1d).pl
-                              for h in heights]))
-
-    return expect(rule, over_z).value
 
 
 # ---------------------------------------------------------------------------

@@ -286,14 +286,12 @@ def check_residual(residual: np.ndarray, b: np.ndarray) -> None:
 def trapezoid_2d(field: Field2D, z_weight=None) -> float:
     """Composite trapezoid of the field over its rectangle.
 
-    ``z_weight`` is an optional per-column factor (callable of z or an array
-    of nz+1 values); it multiplies the integrand before the z integration.
+    ``z_weight`` is an optional per-column factor (an array of nz+1 values);
+    it multiplies the integrand before the z integration.
     """
     v = field.values
     if z_weight is not None:
-        w = z_weight(field.grid.z) if callable(z_weight) \
-            else np.asarray(z_weight, dtype=float)
-        v = v * w[None, :]
+        v = v * np.asarray(z_weight, dtype=float)[None, :]
     inner = np.trapezoid(v, dx=field.grid.hz, axis=1)
     return float(np.trapezoid(inner, dx=field.grid.hy))
 

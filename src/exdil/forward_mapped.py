@@ -54,8 +54,8 @@ a Dirichlet value, by the expansion basis in :mod:`exdil.asymptotic`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -103,11 +103,12 @@ class GenerationProfile:
 
     def __post_init__(self):
         terms = tuple((float(a), float(ell)) for a, ell in self.terms)
-        if self.offset < 0:
-            raise ValueError("constant part must be nonnegative")
+        if not 0 <= self.offset < math.inf:
+            raise ValueError("constant part must be finite and nonnegative")
         for a, ell in terms:
-            if a <= 0 or ell <= 0:
-                raise ValueError("amplitudes and decay lengths must be positive")
+            if not (0 < a < math.inf and 0 < ell < math.inf):
+                raise ValueError("amplitudes and decay lengths must be finite "
+                                 "and positive")
         if self.offset == 0 and not terms:
             raise ValueError("generation profile vanishes identically")
         object.__setattr__(self, "terms", terms)
@@ -119,10 +120,6 @@ class GenerationProfile:
     @classmethod
     def constant(cls, value: float) -> "GenerationProfile":
         return cls(offset=value)
-
-    @classmethod
-    def exp_sum(cls, terms) -> "GenerationProfile":
-        return cls(terms=tuple(terms))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -142,8 +139,8 @@ class DeviceConfig:
     generation: GenerationProfile
 
     def __post_init__(self):
-        if self.sigma <= 0 or self.d <= 0 or self.L <= 0:
-            raise ValueError("sigma, d and L must be positive")
+        if not all(0 < v < math.inf for v in (self.sigma, self.d, self.L)):
+            raise ValueError("sigma, d and L must be finite and positive")
 
     def epsilon(self, hbar: float) -> float:
         """Perturbation size hbar / d of a roughness amplitude hbar."""
@@ -157,7 +154,6 @@ class MappedSolution:
     field: Field2D
     pl: float
     device: DeviceConfig
-    sample: Optional[iface.InterfaceSample]
     profile: np.ndarray          # interface heights per z column
     operator: EllipticOperator   # kept for sensitivity solves
 
@@ -173,12 +169,10 @@ class Solution1D:
     y: np.ndarray
     values: np.ndarray
     pl: float
-    device: DeviceConfig
     xi: float
 
 
-def solve_mapped_profile(device: DeviceConfig, grid: Grid2D, h, hp, hpp,
-                         sample: Optional[iface.InterfaceSample] = None
+def solve_mapped_profile(device: DeviceConfig, grid: Grid2D, h, hp, hpp
                          ) -> MappedSolution:
     """Solve for an explicit interface profile.
 
@@ -216,8 +210,8 @@ def solve_mapped_profile(device: DeviceConfig, grid: Grid2D, h, hp, hpp,
     op = EllipticOperator(grid, coeffs)
     field = op.solve_field(source, 0.0)
     pl = trapezoid_2d(field, z_weight=dmh)
-    return MappedSolution(field=field, pl=pl, device=device, sample=sample,
-                          profile=h, operator=op)
+    return MappedSolution(field=field, pl=pl, device=device, profile=h,
+                          operator=op)
 
 
 def solve_mapped_2d(device: DeviceConfig, model: iface.InterfaceModel,
@@ -231,7 +225,7 @@ def solve_mapped_2d(device: DeviceConfig, model: iface.InterfaceModel,
     h = iface.evaluate(model, sample, z_phys)
     hp = iface.evaluate_dz(model, sample, z_phys)
     hpp = iface.evaluate_dzz(model, sample, z_phys)
-    return solve_mapped_profile(device, grid, h, hp, hpp, sample=sample)
+    return solve_mapped_profile(device, grid, h, hp, hpp)
 
 
 def sensitivities_mapped(solution: MappedSolution) -> tuple[Field2D, Field2D]:
@@ -354,4 +348,4 @@ def solve_mapped_1d(device: DeviceConfig, offset: float = 0.0,
     g = device.generation((1.0 - y) * width)
     u = solve_1d_rhs(device, xi, cells, g)
     pl = width * float(np.trapezoid(u, dx=hy))
-    return Solution1D(y=y, values=u, pl=pl, device=device, xi=xi)
+    return Solution1D(y=y, values=u, pl=pl, xi=xi)

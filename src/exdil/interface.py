@@ -29,7 +29,6 @@ __all__ = [
     "evaluate",
     "evaluate_dz",
     "evaluate_dzz",
-    "covariance",
     "sample",
     "moments",
 ]
@@ -91,17 +90,17 @@ class InterfaceModel:
     dist: UniformDist
 
     def __post_init__(self):
-        if self.hbar < 0:
-            raise ValueError("hbar must be nonnegative")
-        if self.L <= 0:
-            raise ValueError("period L must be positive")
+        if not 0 <= self.hbar < math.inf:
+            raise ValueError("hbar must be finite and nonnegative")
+        if not 0 < self.L < math.inf:
+            raise ValueError("period L must be finite and positive")
         if self.K < 1:
             raise ValueError("need at least one mode")
         lam = tuple(float(v) for v in self.lambdas)
         if len(lam) != self.K:
             raise ValueError(f"expected {self.K} mode weights, got {len(lam)}")
-        if any(v <= 0 for v in lam):
-            raise ValueError("mode weights must be positive")
+        if not all(0 < v < math.inf for v in lam):
+            raise ValueError("mode weights must be finite and positive")
         object.__setattr__(self, "lambdas", lam)
 
     @classmethod
@@ -164,24 +163,6 @@ def evaluate_dzz(model: InterfaceModel, sample: InterfaceSample, z):
     zz = np.asarray(z, dtype=float)
     out = -np.sin(np.multiply.outer(zz, freq)) @ (w * freq * freq)
     return float(out) if zz.ndim == 0 else out
-
-
-def covariance(model: InterfaceModel, z1, z2):
-    """Cov(h(z1), h(z2)).
-
-    With independent coefficients the cross-mode terms cancel and the
-    covariance reduces to
-
-        hbar**2 * Var(theta) * sum_k lambda_k**2 phi_k(z1) phi_k(z2).
-    """
-    a, b = model.dist.a, model.dist.b
-    var = (b - a) ** 2 / 12.0
-    lam2 = np.asarray(model.lambdas) ** 2
-    freq = model.mode_angular_frequencies()
-    s1 = np.sin(np.multiply.outer(np.asarray(z1, dtype=float), freq))
-    s2 = np.sin(np.multiply.outer(np.asarray(z2, dtype=float), freq))
-    out = model.hbar ** 2 * var * ((s1 * lam2) * s2).sum(axis=-1)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def sample(model: InterfaceModel, rng_seed) -> InterfaceSample:

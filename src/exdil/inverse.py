@@ -22,8 +22,11 @@ terms with the equation itself:
 
 with u's homogeneous boundary conditions, after which dI/dsigma and
 d2I/dsigma2 are the same thickness-weighted integrals of u1 and u2.  The
-expansion provider has no such equations and differentiates its forward
-values by centred finite differences instead.
+flat and mapped providers solve them; the expansion provider has no such
+equations and differentiates its forward values by centred differences of
+relative step :data:`FD_STEP_REL`.  That is each provider's one derivative
+path: ``MappedCollocationForward.deriv`` can still select centred
+differences only because the ``fit-mapped`` benchmark workload names it.
 
 For the mapped collocation provider under ``SENSITIVITY_PDE`` every forward
 value is computed with its derivatives: the two sensitivity solves reuse
@@ -35,7 +38,7 @@ evaluation per thickness, which is all a Newton fit can reuse.
 
 from __future__ import annotations
 
-import dataclasses
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -64,12 +67,13 @@ __all__ = [
     "objective",
     "objective_with_derivatives",
     "sensitivities_1d",
-    "derivative_plan",
     "newton_estimate",
 ]
 
 SENSITIVITY_PDE = "sensitivity_pde"
 CENTRAL_FD = "central_fd"
+
+FD_STEP_REL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -134,6 +138,13 @@ class NewtonOptions:
     armijo_c: float = 1e-4
     max_halvings: int = 20
 
+    def __post_init__(self):
+        if not (0 < self.tol < math.inf and self.max_iter >= 1
+                and self.max_halvings >= 1 and 0 < self.armijo_c < 1):
+            raise ValueError(
+                "Newton options need 0 < tol < inf, max_iter >= 1, "
+                f"max_halvings >= 1 and 0 < armijo_c < 1; got {self!r}")
+
 
 @dataclass(frozen=True)
 class DeviceFamily:
@@ -156,10 +167,10 @@ class DeviceFamily:
 # Sensitivity solves
 # ---------------------------------------------------------------------------
 
-def sensitivities_1d(device: DeviceConfig, xi: float, solution: Solution1D
+def sensitivities_1d(device: DeviceConfig, solution: Solution1D
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Flat-interface sensitivity solves on the solution's grid."""
-    sigma = device.sigma
+    """Flat-interface sensitivity solves on the solution's grid and offset."""
+    sigma, xi = device.sigma, solution.xi
     cells = solution.y.size - 1
     g = device.generation((1.0 - solution.y) * (device.d - xi))
     resid = solution.values - g
@@ -169,9 +180,9 @@ def sensitivities_1d(device: DeviceConfig, xi: float, solution: Solution1D
     return u1, u2
 
 
-def _central_derivatives(pl: Callable[[float], float], sigma: float,
-                         rel_step: float) -> tuple[float, float, float]:
-    step = rel_step * sigma
+def _central_derivatives(pl: Callable[[float], float], sigma: float
+                         ) -> tuple[float, float, float]:
+    step = FD_STEP_REL * sigma
     mid = pl(sigma)     # first, while the cache holds the accepted trial
     hi = pl(sigma + step)
     lo = pl(sigma - step)
@@ -196,7 +207,7 @@ def _latest(cache: dict, sigma: float, d: float, evaluate: Callable):
 
 @dataclass(frozen=True)
 class OneDimensionalForward:
-    """Flat-interface forward model, optionally with a fixed offset xi.
+    """Flat-interface forward model.
 
     ``cells`` defaults to :data:`exdil.forward_mapped.CELLS_1D`, as does the
     ``model_1d`` branch of :func:`exdil.experiments.generate_synthetic_curve`,
@@ -206,34 +217,25 @@ class OneDimensionalForward:
     """
 
     family: DeviceFamily
-    xi: float = 0.0
     cells: int = CELLS_1D
-    deriv: str = SENSITIVITY_PDE
-    fd_step_rel: float = 1e-4
 
     def pl(self, sigma: float, d: float) -> float:
-        return solve_mapped_1d(self.family.device(sigma, d), self.xi, self.cells).pl
+        return solve_mapped_1d(self.family.device(sigma, d),
+                               cells=self.cells).pl
 
     def pl_with_derivatives(self, sigma: float, d: float):
-        if self.deriv == CENTRAL_FD:
-            return _central_derivatives(lambda s: self.pl(s, d), sigma,
-                                        self.fd_step_rel)
         device = self.family.device(sigma, d)
-        sol = solve_mapped_1d(device, self.xi, self.cells)
-        u1, u2 = sensitivities_1d(device, self.xi, sol)
-        width = device.d - self.xi
+        sol = solve_mapped_1d(device, cells=self.cells)
+        u1, u2 = sensitivities_1d(device, sol)
         hy = 1.0 / self.cells
         return (sol.pl,
-                width * float(np.trapezoid(u1, dx=hy)),
-                width * float(np.trapezoid(u2, dx=hy)))
+                device.d * float(np.trapezoid(u1, dx=hy)),
+                device.d * float(np.trapezoid(u2, dx=hy)))
 
 
 @dataclass(frozen=True)
 class MappedCollocationForward:
     """Expectation of the mapped 2D model over a quadrature rule.
-
-    With ``fixed_epsilon`` set, the roughness amplitude scales with each
-    thickness (hbar = eps * d); otherwise the model's hbar is used as-is.
 
     Under ``SENSITIVITY_PDE`` one evaluation gives (E[I], E[I'], E[I'']),
     the sensitivities solved on each node's own factorization: ``pl``
@@ -247,20 +249,13 @@ class MappedCollocationForward:
     rule: QuadratureRule
     cells: tuple[int, int] = (64, 64)
     deriv: str = SENSITIVITY_PDE
-    fixed_epsilon: Optional[float] = None
-    fd_step_rel: float = 1e-4
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
-
-    def _model_for(self, d: float) -> iface.InterfaceModel:
-        if self.fixed_epsilon is None:
-            return self.model
-        return dataclasses.replace(self.model, hbar=self.fixed_epsilon * d)
 
     def _values(self, sigma: float, d: float):
         """E[I], or the triple under SENSITIVITY_PDE, through the cache."""
         return _latest(self._cache, sigma, d, lambda: expected_mapped_pl(
-            self.family.device(sigma, d), self._model_for(d), self.rule,
+            self.family.device(sigma, d), self.model, self.rule,
             Grid2D.unit(*self.cells),
             derivatives=self.deriv == SENSITIVITY_PDE))
 
@@ -270,14 +265,16 @@ class MappedCollocationForward:
 
     def pl_with_derivatives(self, sigma: float, d: float):
         if self.deriv == CENTRAL_FD:
-            return _central_derivatives(lambda s: self.pl(s, d), sigma,
-                                        self.fd_step_rel)
+            return _central_derivatives(lambda s: self.pl(s, d), sigma)
         return self._values(sigma, d)
 
 
 @dataclass(frozen=True)
 class AsymptoticForward:
     """Expansion-based expected photoluminescence (order 0, 1 or 2).
+
+    ``fixed_epsilon``, when set, is the roughness size at every thickness
+    (hbar = eps * d); otherwise eps = hbar / d of the model.
 
     ``x_cells_per_length`` optionally scales the depth resolution with the
     thickness (cells = max(cells[0], ceil(d * rate))); the expansion fields
@@ -290,9 +287,7 @@ class AsymptoticForward:
     model: iface.InterfaceModel
     order: int = 2
     cells: tuple[int, int] = (64, 64)
-    deriv: str = CENTRAL_FD
     fixed_epsilon: Optional[float] = None
-    fd_step_rel: float = 1e-4
     x_cells_per_length: float = 0.0
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
@@ -317,23 +312,7 @@ class AsymptoticForward:
                        lambda: self._expected_pl(sigma, d))
 
     def pl_with_derivatives(self, sigma: float, d: float):
-        if self.deriv != CENTRAL_FD:
-            raise ValueError(
-                "the expansion provider has no sensitivity equations; "
-                "use CENTRAL_FD derivatives")
-        return _central_derivatives(lambda s: self.pl(s, d), sigma,
-                                    self.fd_step_rel)
-
-
-def derivative_plan(provider, method: str):
-    """Return a copy of ``provider`` configured for the derivative method."""
-    if method not in (SENSITIVITY_PDE, CENTRAL_FD):
-        raise ValueError(f"unknown derivative method {method!r}")
-    if method == SENSITIVITY_PDE and isinstance(provider, AsymptoticForward):
-        raise ValueError(
-            "sensitivity equations are not available for the expansion "
-            "provider; use CENTRAL_FD")
-    return dataclasses.replace(provider, deriv=method)
+        return _central_derivatives(lambda s: self.pl(s, d), sigma)
 
 
 # ---------------------------------------------------------------------------

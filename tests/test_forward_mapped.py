@@ -41,15 +41,15 @@ class TestGenerationProfile:
         assert np.all(vals > 0)
 
     def test_exp_sum(self):
-        g = GenerationProfile.exp_sum([(1.0, 2.0), (0.5, 7.0)])
+        g = GenerationProfile(terms=((1.0, 2.0), (0.5, 7.0)))
         assert g(0.0) == pytest.approx(1.5)
         assert g(2.0) == pytest.approx(math.exp(-1) + 0.5 * math.exp(-2 / 7))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            GenerationProfile.exp_sum([(0.0, 1.0)])
+            GenerationProfile(terms=((0.0, 1.0),))
         with pytest.raises(ValueError):
-            GenerationProfile.exp_sum([(1.0, -1.0)])
+            GenerationProfile(terms=((1.0, -1.0),))
         with pytest.raises(ValueError):
             GenerationProfile()
 

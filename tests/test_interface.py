@@ -1,4 +1,4 @@
-"""Interface model: series evaluation, derivatives, covariance, sampling."""
+"""Interface model: series evaluation, derivatives, sampling."""
 
 import math
 
@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exdil.interface import (InterfaceModel, InterfaceSample, UniformDist,
-                             covariance, evaluate, evaluate_dz,
-                             evaluate_dzz, moments, sample)
+                             evaluate, evaluate_dz, evaluate_dzz, moments,
+                             sample)
 
 
 def model_of(hbar=1.0, L=1.0, K=1, lambdas=None, a=-1.0, b=1.0):
@@ -97,52 +97,6 @@ class TestDerivatives:
             errs.append(abs(fd - deriv(m, s, z)))
         slope = np.polyfit(np.log(deltas), np.log(errs), 1)[0]
         assert 1.8 < slope < 2.2
-
-
-class TestCovariance:
-    def test_single_mode_variance(self):
-        m = model_of(L=4.0)
-        assert covariance(m, 1.0, 1.0) == pytest.approx(1.0 / 3.0)
-
-    def test_zero_at_node(self):
-        m = model_of(hbar=2.0, L=4.0, K=3, lambdas=(1.0, 0.5, 0.3))
-        assert covariance(m, 0.0, 1.7) == pytest.approx(0.0, abs=1e-15)
-
-    def test_lag_zero_sum(self):
-        # at a point where every mode is extremal the variance is bounded by
-        # (1/3) sum lambda_k^2; check the exact closed form against brute sums
-        for beta in (0.0, -2.0):
-            m = InterfaceModel.with_power_spectrum(1.0, 4.0, 10, beta,
-                                                   UniformDist(-1, 1))
-            z = 0.77
-            freq = 2 * np.pi * np.arange(1, 11) / 4.0
-            brute = np.sum(np.array(m.lambdas) ** 2 / 3.0 * np.sin(freq * z) ** 2)
-            assert covariance(m, z, z) == pytest.approx(brute, rel=1e-12)
-
-    def test_monte_carlo_oracle(self):
-        m = model_of(hbar=1.5, L=2.0, K=2, lambdas=(1.0, 0.5), a=0.0, b=1.0)
-        rng = np.random.default_rng(123)
-        z1, z2 = 0.3, 0.9
-        n = 200_000
-        h1 = np.empty(n)
-        h2 = np.empty(n)
-        for i in range(n // 1000):
-            thetas = rng.uniform(0, 1, (1000, 2))
-            block = slice(i * 1000, (i + 1) * 1000)
-            freq = 2 * np.pi * np.arange(1, 3) / 2.0
-            w = 1.5 * np.array([1.0, 0.5]) * thetas
-            h1[block] = np.sin(freq * z1) @ w.T
-            h2[block] = np.sin(freq * z2) @ w.T
-        mc = np.mean(h1 * h2) - np.mean(h1) * np.mean(h2)
-        assert covariance(m, z1, z2) == pytest.approx(mc, abs=5e-3)
-
-    @given(st.floats(-3, 3), st.floats(-3, 3))
-    @settings(max_examples=40, deadline=None)
-    def test_symmetric_and_psd_diagonal(self, z1, z2):
-        m = model_of(hbar=0.9, L=1.7, K=3, lambdas=(1.0, 0.6, 0.1))
-        assert covariance(m, z1, z2) == pytest.approx(covariance(m, z2, z1),
-                                                      rel=1e-12, abs=1e-15)
-        assert covariance(m, z1, z1) >= 0.0
 
 
 class TestSampling:

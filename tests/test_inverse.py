@@ -14,15 +14,30 @@ from exdil.forward_mapped import (DeviceConfig, GenerationProfile,
                                   solve_mapped_1d, solve_mapped_2d,
                                   symmetry_folded_rule)
 from exdil.interface import InterfaceModel, UniformDist, sample
-from exdil.inverse import (CENTRAL_FD, SENSITIVITY_PDE, AsymptoticForward,
-                           DeviceFamily, EstimationError, EstimationTrace,
+from exdil.inverse import (CENTRAL_FD, AsymptoticForward, DeviceFamily,
+                           EstimationError, EstimationTrace,
                            MappedCollocationForward, NewtonOptions,
-                           OneDimensionalForward, PLCurve, derivative_plan,
-                           newton_estimate, objective,
-                           objective_with_derivatives, sensitivities_1d)
+                           OneDimensionalForward, PLCurve, newton_estimate,
+                           objective, objective_with_derivatives,
+                           sensitivities_1d)
 
 FAMILY = DeviceFamily(period=4.0)
 THICKNESSES = tuple(10.0 * i for i in range(1, 11))
+
+
+class CentralDifferences:
+    """Oracle: a provider's ``pl`` with sigma-derivatives by centred
+    differences of relative step 1e-4."""
+
+    def __init__(self, provider):
+        self.pl = provider.pl
+
+    def pl_with_derivatives(self, sigma, d):
+        step = 1e-4 * sigma
+        mid = self.pl(sigma, d)
+        hi = self.pl(sigma + step, d)
+        lo = self.pl(sigma - step, d)
+        return mid, (hi - lo) / (2.0 * step), (hi - 2.0 * mid + lo) / step ** 2
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +98,7 @@ class TestObjective:
 class TestSensitivities1D:
     def test_first_derivative_matches_fd(self):
         prov = OneDimensionalForward(FAMILY)
-        fd = derivative_plan(prov, CENTRAL_FD)
+        fd = CentralDifferences(prov)
         for sigma in (3.0, 5.0, 10.0, 20.0):
             _, d_sens, _ = prov.pl_with_derivatives(sigma, 30.0)
             _, d_fd, _ = fd.pl_with_derivatives(sigma, 30.0)
@@ -91,7 +106,7 @@ class TestSensitivities1D:
 
     def test_second_derivative_matches_fd(self):
         prov = OneDimensionalForward(FAMILY)
-        fd = derivative_plan(prov, CENTRAL_FD)
+        fd = CentralDifferences(prov)
         for sigma in (3.0, 10.0):
             _, _, d2_sens = prov.pl_with_derivatives(sigma, 30.0)
             _, _, d2_fd = fd.pl_with_derivatives(sigma, 30.0)
@@ -100,7 +115,7 @@ class TestSensitivities1D:
     def test_gradient_consistency(self, curve_1d):
         # analytic J' against central differences across the sigma range
         prov = OneDimensionalForward(FAMILY)
-        fd = derivative_plan(prov, CENTRAL_FD)
+        fd = CentralDifferences(prov)
         for sigma in (3.0, 5.0, 10.0, 20.0):
             _, j1, _ = objective_with_derivatives(prov, curve_1d, sigma)
             _, j1_fd, _ = objective_with_derivatives(fd, curve_1d, sigma)
@@ -111,7 +126,7 @@ class TestSensitivities1D:
         dev = FAMILY.device(5.0, 20.0)
         sol = solve_mapped_1d(dev, 0.0, 128)
         sol.values[:] = dev.generation((1.0 - sol.y) * dev.d)
-        u1, u2 = sensitivities_1d(dev, 0.0, sol)
+        u1, u2 = sensitivities_1d(dev, sol)
         assert np.abs(u1).max() < 1e-14
         assert np.abs(u2).max() < 1e-14
 
@@ -171,7 +186,7 @@ class TestCollocationProvider:
         model = InterfaceModel(0.3, 4.0, 2, (1.0, 0.5), UniformDist(-1, 1))
         rule = build_rule(TENSOR_GL, 2, 2, (-1.0, 1.0))
         prov = MappedCollocationForward(FAMILY, model, rule, cells=(24, 24))
-        fd = derivative_plan(prov, CENTRAL_FD)
+        fd = CentralDifferences(prov)
         pl_s, d_s, d2_s = prov.pl_with_derivatives(6.0, 30.0)
         pl_f, d_f, d2_f = fd.pl_with_derivatives(6.0, 30.0)
         assert pl_s == pytest.approx(pl_f, rel=1e-12)
@@ -195,12 +210,21 @@ class TestCollocationProvider:
                     deriv.pl_with_derivatives(sigma, d)[0]
 
     def test_fixed_epsilon_scales_amplitude(self):
+        # The expansion provider of the estimate study: with fixed_epsilon
+        # the model's hbar is ignored, and each thickness gets the value of
+        # a model with hbar = eps * d.
         model = InterfaceModel(1.0, 4.0, 1, (1.0,), UniformDist(0, 1))
-        rule = build_rule(TENSOR_GL, 1, 2, (0.0, 1.0))
-        prov = MappedCollocationForward(FAMILY, model, rule, cells=(16, 16),
-                                        fixed_epsilon=0.02)
-        assert prov._model_for(50.0).hbar == pytest.approx(1.0)
-        assert prov._model_for(10.0).hbar == pytest.approx(0.2)
+        prov = AsymptoticForward(FAMILY, model, cells=(32, 16),
+                                 fixed_epsilon=0.02)
+        other_hbar = AsymptoticForward(
+            FAMILY, dataclasses.replace(model, hbar=7.0), cells=(32, 16),
+            fixed_epsilon=0.02)
+        for d in (10.0, 50.0):
+            scaled = AsymptoticForward(
+                FAMILY, dataclasses.replace(model, hbar=0.02 * d),
+                cells=(32, 16))
+            assert prov.pl(5.0, d) == other_hbar.pl(5.0, d) \
+                == scaled.pl(5.0, d)
 
 
 class UncachedMappedForward:
@@ -330,22 +354,15 @@ class TestProviderCopies:
         assert prov._cache == {d: (6.0, values[6.0, d]) for d in (20.0, 30.0)}
 
 
-class TestDerivativePlan:
-    def test_asymptotic_rejects_sensitivity(self):
-        model = InterfaceModel(0.5, 4.0, 1, (1.0,), UniformDist(0, 1))
-        prov = AsymptoticForward(FAMILY, model)
-        with pytest.raises(ValueError, match="CENTRAL_FD"):
-            derivative_plan(prov, SENSITIVITY_PDE)
-
-    def test_unknown_method(self):
-        prov = OneDimensionalForward(FAMILY)
-        with pytest.raises(ValueError):
-            derivative_plan(prov, "complex_step")
-
-    def test_replaces_method(self):
-        prov = OneDimensionalForward(FAMILY)
-        assert derivative_plan(prov, CENTRAL_FD).deriv == CENTRAL_FD
-        assert prov.deriv == SENSITIVITY_PDE
+class TestNewtonOptions:
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": float("nan")}, {"tol": float("inf")}, {"tol": 0.0},
+        {"tol": -1.0}, {"max_iter": 0}, {"max_halvings": 0},
+        {"armijo_c": 0.0}, {"armijo_c": 1.0}, {"armijo_c": float("nan")},
+    ])
+    def test_rejects_out_of_range(self, kwargs):
+        with pytest.raises(ValueError, match="Newton"):
+            NewtonOptions(**kwargs)
 
 
 class FakeQuadraticProvider:
