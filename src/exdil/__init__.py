@@ -14,7 +14,7 @@ from .interface import (InterfaceModel, InterfaceSample, ThetaMoments,
                         UniformDist, evaluate, evaluate_dz, evaluate_dzz,
                         moments, sample)
 from .fd_core import (EllipticOperator, Field2D, Grid2D, PdeCoefficients,
-                      SolverError, one_sided_dx_at_boundary, trapezoid_2d)
+                      SolverError, trapezoid_2d)
 from .forward_mapped import (DeviceConfig, DomainValidityError,
                              GenerationProfile, MappedSolution, Solution1D,
                              expected_mapped_pl, sensitivities_mapped,
@@ -24,7 +24,7 @@ from .collocation import (MONTE_CARLO, SMOLYAK, TENSOR_GL, CollocationError,
                           ExpectationResult, QuadratureRule, build_rule,
                           expect)
 from .asymptotic import (AsymptoticBasis, PLApproximant, assemble_approximant,
-                         build_basis, expansion_grid, expected_pl, sampled_pl)
+                         build_basis, expected_pl, sampled_pl)
 from .inverse import (CENTRAL_FD, SENSITIVITY_PDE, AsymptoticForward,
                       DeviceFamily, EstimationError, EstimationTrace,
                       MappedCollocationForward, NewtonOptions,

@@ -12,31 +12,31 @@ the lower orders (htilde is the unit-amplitude interface series):
                                     + (d htilde(z))**2 G(d) / (2 sigma**2)
 
 The w2 datum uses dxx w0(0, z) = -G(d) / sigma**2, obtained by evaluating
-w0's own equation on the boundary, so only first normal derivatives are
-ever discretized (with the second-order one-sided scheme).  Orders n >= 3
-follow the same recursion but are not implemented.
+w0's own equation on the boundary.  Orders n >= 3 follow the same recursion
+but are not implemented.
 
-The discrete problems separate.  On the periodic grid with nz cells,
-phi_k(z) = sin(2 pi k z / L) is an exact eigenvector of the z-difference,
-D+D-z phi_k = -mu_k phi_k with mu_k = 2 (1 - cos(2 pi k / nz)) / hz**2.
-The source of w0 depends on depth only, so w0 = w0(x); the datum of w1 is a
-sum of modes, so w1 = sum_k lam_k th_k phi_k(z) f_k(x), where f_k solves the
-1D problem  sigma**2 D+D-x f - (1 + sigma**2 mu_k) f = 0  with
-f_k(0) = -d dx w0(0).  Every basis problem is therefore a tridiagonal
-solve in depth with the conventions of :mod:`exdil.forward_mapped`.
+The problems separate into 1D problems in depth, each with an elementary
+solution.  The source of w0 depends on depth only, so w0 = w0(x).  The
+datum of w1 is a sum of the modes phi_k(z) = sin(kappa_k z),
+kappa_k = 2 pi k / L, so w1 = sum_k lam_k th_k phi_k(z) f_k(x) with
+
+    f_k(x) = -d w0'(0) cosh(m_k (d - x)) / cosh(m_k d),
+    m_k = sqrt(1 + sigma**2 kappa_k**2) / sigma,
+    f_k'(0) = d w0'(0) m_k tanh(m_k d).
 
 Only strip integrals of w1 and w2 enter the photoluminescence, and the
 z-mean of a solution solves the 1D problem with the z-mean of the datum.
-Hence, as long as 2K < nz (so that no mode product aliases to a constant):
+Hence:
 
-  * i1_k is the discrete mean of phi_k, zero: order 1 equals order 0;
+  * the z-mean of phi_k is zero: order 1 equals order 0;
   * the w2 datum of the pair (j, k) is c_k phi_j phi_k with
     c_k = -d f_k'(0) + d**2 G(d) / (2 sigma**2), whose z-mean is c_k / 2
     for j = k and zero otherwise, so i2 is diagonal:
-    i2_kk = c_k / 2 * int q, with q the homogeneous solution of unit datum;
+    i2_kk = c_k / 2 * int q, with q = cosh((d - x) / sigma) / cosh(d / sigma)
+    the homogeneous solution of unit datum and int q = sigma tanh(d / sigma);
   * the boundary line integrals (d**2 / 2L) int phi_j phi_k dx w0(0) dz that
     account for the strip/true-domain mismatch are diagonal too,
-    b_kk = d**2 / 4 dx w0(0).
+    b_kk = d**2 / 4 w0'(0).
 
 The photoluminescence approximants are then
 
@@ -44,113 +44,107 @@ The photoluminescence approximants are then
     I2 = i0 + eps**2 sum_k (lam_k th_k)**2 (i2_kk + b_kk)
 
 and coefficient moments in place of the th products give the expected
-photoluminescence.  A basis costs 2 + K tridiagonal solves: w0, q, and one
-f_k per mode.  This is the Fourier/tridiagonal split of fast Poisson
-solvers (Hockney, J. ACM 12, 1965).
+photoluminescence.
+
+Of w0 only i0 = int w0 and w0'(0) are needed, and both are linear in G.
+With s = d - x the depth below the top, Green's identity against
+cosh(s / sigma) / cosh(d / sigma) and the equation integrated over the film
+give
+
+    sigma**2 w0'(0) = int_0^d G(s) cosh(s / sigma) / cosh(d / sigma) ds,
+    i0 = int_0^d G(s) ds - sigma**2 w0'(0).
+
+G is a constant plus exponentials a exp(-mu s), mu = 1 / ell (the constant
+is the term with mu = 0).  With nu = 1 / sigma and
+E(p) = int_0^d exp(-p s) ds = -expm1(-p d) / p  (E(0) = d), one term gives
+
+    int_0^d exp(-mu s) cosh(nu s) ds / cosh(nu d)
+        = (exp(-min(mu, nu) d) E(|mu - nu|) + exp(-nu d) E(mu + nu))
+          / (1 + exp(-2 nu d)).
+
+The particular solution a ell**2 / (ell**2 - sigma**2) exp(-s / ell) of the
+textbook form has a pole at ell = sigma that the solution does not have;
+here it appears only as the divided difference E(|mu - nu|), which expm1
+evaluates to full precision through mu = nu.  Every exponent is nonpositive,
+so nothing overflows however large d / sigma or m_k d grow.  A coefficient
+that still comes out non-finite raises :class:`~exdil.fd_core.SolverError`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import interface as iface
-from .fd_core import Field2D, Grid2D, one_sided_dx_at_boundary
-from .forward_mapped import DeviceConfig, solve_1d_rhs
+from .fd_core import SolverError
+from .forward_mapped import DeviceConfig
 
 __all__ = [
     "AsymptoticBasis",
     "PLApproximant",
-    "expansion_grid",
     "build_basis",
     "assemble_approximant",
     "expected_pl",
     "sampled_pl",
-    "mode_shape",
 ]
 
 
-def expansion_grid(device: DeviceConfig, nx: int = 64, nz: int = 64) -> Grid2D:
-    """Grid over the unperturbed strip; first axis is depth x in (0, d)."""
-    return Grid2D.rect(nx, nz, device.d, device.L)
-
-
-def mode_shape(k: int, L: float, z: np.ndarray) -> np.ndarray:
-    """Interface mode phi_k(z) = sin(2 pi k z / L)."""
-    return np.sin(2.0 * np.pi * k * z / L)
-
-
-@dataclass
+@dataclass(frozen=True)
 class AsymptoticBasis:
-    """Depth profiles of the order-2 basis of one (device, interface-model)
-    pair.
-
-    ``w0_profile`` is w0(x); ``modes[k-1]`` is f_k(x), so that
-    w1_k = phi_k(z) f_k(x); ``z_mean`` is q(x), the solution of the
-    homogeneous problem with unit datum.  ``solve_count`` records the
-    number of tridiagonal solves: 2 + K.  The 2D fields are built on
-    request as outer products.
-    """
+    """The order-2 basis of one (device, interface-model) pair, reduced to
+    what the photoluminescence reads: ``i0`` = int w0, ``slope`` = w0'(0),
+    ``mode_slopes[k-1]`` = f_k'(0) and ``q_integral`` = int q."""
 
     device: DeviceConfig
     model: iface.InterfaceModel
-    grid: Grid2D
-    w0_profile: np.ndarray
-    modes: np.ndarray
-    z_mean: np.ndarray
-    solve_count: int
-
-    def _phi(self, k: int) -> np.ndarray:
-        phi = mode_shape(k, self.device.L, self.grid.z)
-        phi[-1] = phi[0]               # column nz aliases column 0
-        return phi
-
-    @property
-    def w0(self) -> Field2D:
-        return Field2D(self.grid, np.outer(self.w0_profile,
-                                           np.ones(self.grid.nz + 1)))
-
-    @property
-    def w1(self) -> list[Field2D]:
-        return [Field2D(self.grid, np.outer(f, self._phi(k)))
-                for k, f in enumerate(self.modes, start=1)]
-
-    @property
-    def dx_w0(self) -> np.ndarray:
-        """dx w0(0, z) per z node."""
-        return np.full(self.grid.nz + 1,
-                       one_sided_dx_at_boundary(self.w0_profile, self.grid.hy))
+    i0: float
+    slope: float
+    mode_slopes: np.ndarray
+    q_integral: float
 
 
-def build_basis(device: DeviceConfig, model: iface.InterfaceModel,
-                grid: Grid2D | None = None, nx: int = 64, nz: int = 64
+def _decay_integral(p: float, d: float) -> float:
+    """int_0^d exp(-p s) ds for p >= 0, accurate as p -> 0."""
+    return d if p == 0.0 else -math.expm1(-p * d) / p
+
+
+def _leading_order(device: DeviceConfig) -> tuple[float, float]:
+    """(i0, w0'(0)) of the leading-order problem, term by term in G."""
+    d, nu = device.d, 1.0 / device.sigma
+    gen = device.generation
+    decay = math.exp(-nu * d)
+    total = flux = 0.0
+    for a, mu in ((gen.offset, 0.0),) + tuple(
+            (a, 1.0 / ell) for a, ell in gen.terms):
+        total += a * _decay_integral(mu, d)
+        flux += a * (math.exp(-min(mu, nu) * d)
+                     * _decay_integral(abs(mu - nu), d)
+                     + decay * _decay_integral(mu + nu, d))
+    flux /= 1.0 + decay * decay          # sigma**2 w0'(0)
+    return total - flux, flux * nu * nu
+
+
+def build_basis(device: DeviceConfig, model: iface.InterfaceModel
                 ) -> AsymptoticBasis:
-    """Solve the order-2 basis: 2 + K tridiagonal solves in depth."""
+    """The order-2 basis in closed form (see the module docstring)."""
     if not np.isclose(model.L, device.L, rtol=1e-12):
         raise ValueError(
             f"interface period {model.L} does not match device period {device.L}")
-    grid = grid or expansion_grid(device, nx, nz)
-    if not (np.isclose(grid.ny * grid.hy, device.d, rtol=1e-12)
-            and np.isclose(grid.nz * grid.hz, device.L, rtol=1e-12)):
-        raise ValueError("the expansion grid must span the strip (0, d) x (0, L)")
-    if 2 * model.K >= grid.nz:
-        raise ValueError(
-            f"{model.K} modes alias on {grid.nz} z cells: the mode products "
-            "of the second order need 2K < nz")
-
-    cells = grid.ny
-    w0 = solve_1d_rhs(device, 0.0, cells, device.generation(device.d - grid.y))
-    z_mean = solve_1d_rhs(device, 0.0, cells, 0.0, dirichlet=1.0)
-    datum = -device.d * one_sided_dx_at_boundary(w0, grid.hy)
-    k = np.arange(1, model.K + 1)
-    shifts = -1.0 + 2.0 * device.sigma ** 2 \
-        * (np.cos(2.0 * np.pi * k / grid.nz) - 1.0) / grid.hz ** 2
-    modes = np.array([solve_1d_rhs(device, 0.0, cells, 0.0, shift=s,
-                                   dirichlet=datum) for s in shifts])
-    return AsymptoticBasis(device=device, model=model, grid=grid,
-                           w0_profile=w0, modes=modes, z_mean=z_mean,
-                           solve_count=2 + model.K)
+    sigma, d = device.sigma, device.d
+    i0, slope = _leading_order(device)
+    # Python floats: an overflow gives inf, caught below, not a warning
+    m = [math.hypot(1.0, sigma * kappa) / sigma
+         for kappa in model.mode_angular_frequencies().tolist()]
+    mode_slopes = [d * slope * mk * math.tanh(mk * d) for mk in m]
+    q_integral = sigma * math.tanh(d / sigma)
+    if not np.all(np.isfinite([i0, slope, q_integral, *mode_slopes])):
+        raise SolverError(f"non-finite expansion coefficient at "
+                          f"sigma = {sigma!r}, d = {d!r}")
+    return AsymptoticBasis(device=device, model=model, i0=i0, slope=slope,
+                           mode_slopes=np.array(mode_slopes),
+                           q_integral=q_integral)
 
 
 @dataclass(frozen=True)
@@ -176,23 +170,21 @@ class PLApproximant:
 
 def assemble_approximant(basis: AsymptoticBasis,
                          epsilon: float | None = None) -> PLApproximant:
-    """Integrate the basis profiles into expansion coefficients.
+    """Expansion coefficients of the basis.
 
     ``epsilon`` defaults to hbar / d of the basis model; passing it
     explicitly lets one basis serve a whole sweep of roughness sizes (the
-    profiles do not depend on eps).
+    basis does not depend on eps).
     """
-    device, hx = basis.device, basis.grid.hy
+    device = basis.device
     if epsilon is None:
         epsilon = device.epsilon(basis.model.hbar)
     d2 = device.d ** 2
-    c = (-device.d * one_sided_dx_at_boundary(basis.modes.T, hx)
+    c = (-device.d * basis.mode_slopes
          + d2 * device.generation(device.d) / (2.0 * device.sigma ** 2))
-    slope0 = one_sided_dx_at_boundary(basis.w0_profile, hx)
     return PLApproximant(
-        i0=float(np.trapezoid(basis.w0_profile, dx=hx)),
-        i2=0.5 * c * float(np.trapezoid(basis.z_mean, dx=hx)),
-        boundary=np.full(basis.model.K, d2 / 4.0 * slope0),
+        i0=basis.i0, i2=0.5 * c * basis.q_integral,
+        boundary=np.full(basis.model.K, d2 / 4.0 * basis.slope),
         lambdas=np.asarray(basis.model.lambdas), epsilon=epsilon)
 
 

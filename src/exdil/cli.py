@@ -123,7 +123,6 @@ def _dispatch(command: str, cfg, outdir: Path) -> list[str]:
         result = exp.convergence_study(
             device=device, model=model,
             eps_values=cfg.floats("converge", "eps", exp.EPS_SWEEP),
-            asym_cells=(cfg.value("grid", "asymptotic", int, 64),) * 2,
             ref_cells=(cfg.value("grid", "reference", int, 128),) * 2,
             ref_points=cfg.value("rule", "size", int, 4))
         return result.write(outdir, cfg.sha)
@@ -134,8 +133,6 @@ def _dispatch(command: str, cfg, outdir: Path) -> list[str]:
             eps_values=cfg.floats("estimate", "eps"),
             thicknesses=cfg.floats("estimate", "thicknesses"),
             model=model, family=family,
-            est_cells=(cfg.value("grid", "estimator_x", int, 256),
-                       cfg.value("grid", "estimator_z", int, 128)),
             data_cells=(cfg.value("grid", "data_x", int, 256),
                         cfg.value("grid", "data_z", int, 128)),
             data_points=cfg.value("rule", "data_size", int, 3),
@@ -156,9 +153,6 @@ def _dispatch(command: str, cfg, outdir: Path) -> list[str]:
             family=family,
             K=cfg.value("interface", "modes", int, 10),
             hbar=cfg.value("interface", "hbar", float, 1.0),
-            est_cells=(cfg.value("grid", "estimator_x", int, 64),
-                       cfg.value("grid", "estimator_z", int, 64)),
-            x_cells_per_length=cfg.value("grid", "estimator_x_rate", float, 5.0),
             sigma0=cfg.value("newton", "sigma0", float, 0.0) or None,
             newton=_newton_options(cfg))
         outputs = []
@@ -180,12 +174,11 @@ def _dispatch(command: str, cfg, outdir: Path) -> list[str]:
         result = exp.timing_study(
             device=device, model=model,
             epsilon=cfg.value("timing", "eps", float, 0.1),
-            asym_cells=(cfg.value("grid", "asymptotic", int, 64),) * 2,
             sc_cells=(cfg.value("grid", "asymptotic", int, 64),) * 2)
         exp.write_csv(outdir / "timing.csv",
                       ["method", "seconds", "nodes_or_solves", "error"],
                       [["asymptotic_order2", f"{result.asym_seconds:.6g}",
-                        result.asym_solve_count, f"{result.asym_error:.6g}"],
+                        "", f"{result.asym_error:.6g}"],
                        ["collocation", f"{result.sc_seconds:.6g}",
                         result.sc_nodes, f"{result.sc_error:.6g}"],
                        ["reference", f"{result.ref_seconds:.6g}",

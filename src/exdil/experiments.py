@@ -31,7 +31,8 @@ from .forward_mapped import (CELLS_1D, GenerationProfile, expected_mapped_pl,
                              solve_mapped_1d, symmetry_folded_rule)
 from .interface import InterfaceModel, UniformDist, moments
 from .inverse import (AsymptoticForward, DeviceFamily, EstimationError,
-                      EstimationTrace, NewtonOptions, PLCurve, newton_estimate)
+                      EstimationTrace, NewtonOptions, PLCurve, finite_floats,
+                      newton_estimate)
 
 __all__ = [
     "SlopeFit",
@@ -117,13 +118,13 @@ def generate_synthetic_curve(kind: str, sigma_star: float,
     data and the flat-model provider are the same discrete model; a caller
     that overrides it must pass the same ``cells`` to the provider.
     """
+    thicknesses = finite_floats("thicknesses", thicknesses)
     values = []
     if kind == MODEL_1D:
         for d in thicknesses:
             values.append(solve_mapped_1d(family.device(sigma_star, d),
                                           cells=cells_1d).pl)
-        return PLCurve(tuple(thicknesses), tuple(values),
-                       provenance="synthetic-1d")
+        return PLCurve(thicknesses, tuple(values), provenance="synthetic-1d")
     if kind != MODEL_2D:
         raise ValueError(f"unknown data kind {kind!r}")
     if model is None:
@@ -136,7 +137,7 @@ def generate_synthetic_curve(kind: str, sigma_star: float,
             dataclasses.replace(model, hbar=fixed_epsilon * d)
         values.append(expected_mapped_pl(family.device(sigma_star, d),
                                          model_d, rule, grid))
-    return PLCurve(tuple(thicknesses), tuple(values), provenance="synthetic-2d")
+    return PLCurve(thicknesses, tuple(values), provenance="synthetic-2d")
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +173,6 @@ class ConvergenceResult:
 def convergence_study(*, device, model: InterfaceModel,
                       eps_values: Sequence[float] = EPS_SWEEP,
                       orders: Sequence[int] = (0, 1, 2),
-                      asym_cells: tuple[int, int] = (64, 64),
                       ref_cells: tuple[int, int] = (128, 128),
                       ref_points: int = 4) -> ConvergenceResult:
     """Expected-PL error of each expansion order against a mapped reference.
@@ -181,7 +181,7 @@ def convergence_study(*, device, model: InterfaceModel,
     reference solves the mapped model per eps with a tensor Gauss-Legendre
     rule at the fine grid.
     """
-    basis = build_basis(device, model, nx=asym_cells[0], nz=asym_cells[1])
+    basis = build_basis(device, model)
     mom = moments(model.dist)
     ref_grid = Grid2D.unit(*ref_cells)
     rule = build_rule(TENSOR_GL, model.K, ref_points, model.dist.support)
@@ -213,7 +213,6 @@ def estimation_study(*, sigma_star: float, eps_values: Sequence[float],
                      family: DeviceFamily,
                      data_cells: tuple[int, int] = (256, 128),
                      data_points: int = 3,
-                     est_cells: tuple[int, int] = (256, 128),
                      order: int = 2,
                      sigma0: Optional[float] = None,
                      newton: NewtonOptions = NewtonOptions()
@@ -221,9 +220,9 @@ def estimation_study(*, sigma_star: float, eps_values: Sequence[float],
     """Newton estimation against mapped-model data, one run per eps.
 
     Each eps is fixed across the curve (the roughness amplitude scales with
-    thickness), matching how the data was generated.  The default grids
-    resolve the interface-mode boundary layers (width set by the period)
-    across the whole thickness range.
+    thickness), matching how the data was generated.  The default data
+    grid resolves the interface-mode boundary layers (width set by the
+    period) across the whole thickness range.
     """
     traces = {}
     for eps in eps_values:
@@ -231,7 +230,7 @@ def estimation_study(*, sigma_star: float, eps_values: Sequence[float],
             MODEL_2D, sigma_star, thicknesses, family=family, model=model,
             rule_size=data_points, cells=data_cells, fixed_epsilon=eps)
         provider = AsymptoticForward(family=family, model=model, order=order,
-                                     cells=est_cells, fixed_epsilon=eps)
+                                     fixed_epsilon=eps)
         traces[eps] = _run_newton(provider, curve, sigma0, newton, sigma_star)
     return traces
 
@@ -259,7 +258,8 @@ def validation_study(*, sigma_star: float, betas: Sequence[float],
     The data come from the one-dimensional model; the estimator assumes the
     rough-interface model with lambda_k = k**beta.  Agreement degrades as
     beta grows towards zero (short correlation lengths), which is the point
-    of the comparison.
+    of the comparison.  ``est_cells`` and ``x_cells_per_length`` are
+    accepted and ignored: the expansion has no grid.
     """
     data = generate_synthetic_curve(MODEL_1D, sigma_star, thicknesses,
                                     family=family, cells_1d=cells_1d)
@@ -267,9 +267,7 @@ def validation_study(*, sigma_star: float, betas: Sequence[float],
     for beta in betas:
         model = InterfaceModel.with_power_spectrum(hbar, family.period, K,
                                                    beta, dist)
-        provider = AsymptoticForward(family=family, model=model, order=order,
-                                     cells=est_cells,
-                                     x_cells_per_length=x_cells_per_length)
+        provider = AsymptoticForward(family=family, model=model, order=order)
         trace = _run_newton(provider, data, sigma0, newton, sigma_star)
         traces[beta] = trace
         # final_sigma falls back to sigma0 when no step was accepted
@@ -296,7 +294,6 @@ def _run_newton(provider, curve, sigma0, newton, sigma_star) -> EstimationTrace:
 @dataclass
 class TimingResult:
     asym_seconds: float
-    asym_solve_count: int
     asym_error: float
     sc_seconds: float
     sc_level: int
@@ -308,7 +305,6 @@ class TimingResult:
 
 
 def timing_study(*, device, model: InterfaceModel, epsilon: float = 0.0625,
-                 asym_cells: tuple[int, int] = (64, 64),
                  sc_cells: tuple[int, int] = (128, 128),
                  ref_points: int = 3, max_level: int = 6) -> TimingResult:
     """Wall-time comparison of the expansion against plain collocation.
@@ -332,7 +328,7 @@ def timing_study(*, device, model: InterfaceModel, epsilon: float = 0.0625,
     ref_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    basis = build_basis(device, model_eps, nx=asym_cells[0], nz=asym_cells[1])
+    basis = build_basis(device, model_eps)
     approximant = assemble_approximant(basis, epsilon=epsilon)
     asym_value = expected_pl(approximant, mom, 2)
     asym_seconds = time.perf_counter() - t0
@@ -351,8 +347,8 @@ def timing_study(*, device, model: InterfaceModel, epsilon: float = 0.0625,
             break
 
     return TimingResult(
-        asym_seconds=asym_seconds, asym_solve_count=basis.solve_count,
-        asym_error=asym_error, sc_seconds=sc_seconds, sc_level=sc_level,
+        asym_seconds=asym_seconds, asym_error=asym_error,
+        sc_seconds=sc_seconds, sc_level=sc_level,
         sc_nodes=sc_nodes, sc_error=sc_error, ref_seconds=ref_seconds,
         reference=reference, speedup=sc_seconds / asym_seconds)
 

@@ -42,7 +42,6 @@ __all__ = [
     "SolverError",
     "check_residual",
     "trapezoid_2d",
-    "one_sided_dx_at_boundary",
 ]
 
 #: Relative residual accepted from the direct solver.  Fixed once so that
@@ -79,10 +78,6 @@ class Grid2D:
     def unit(cls, ny: int, nz: int | None = None) -> "Grid2D":
         nz = ny if nz is None else nz
         return cls(ny, nz, 1.0 / ny, 1.0 / nz)
-
-    @classmethod
-    def rect(cls, ny: int, nz: int, height: float, width: float) -> "Grid2D":
-        return cls(ny, nz, height / ny, width / nz)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -295,11 +290,3 @@ def trapezoid_2d(field: Field2D, z_weight=None) -> float:
     inner = np.trapezoid(v, dx=field.grid.hz, axis=1)
     return float(np.trapezoid(inner, dx=field.grid.hy))
 
-
-def one_sided_dx_at_boundary(values, h: float) -> np.ndarray:
-    """Second-order one-sided derivative along the first axis at its first
-    row (the Dirichlet row of a field, x = 0 of a depth profile).
-
-    Returns (-3 v[0] + 4 v[1] - v[2]) / (2 h); exact for quadratics.
-    """
-    return (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)

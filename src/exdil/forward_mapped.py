@@ -48,8 +48,7 @@ values equal the unfolded ones to rounding (1e-14 relative).
 
 For a flat interface h = xi the problem drops to one dimension; the solver
 for that case shares the conventions (and its matrix is reused by the
-sensitivity solves in :mod:`exdil.inverse` and, with a diagonal shift and
-a Dirichlet value, by the expansion basis in :mod:`exdil.asymptotic`).
+sensitivity solves in :mod:`exdil.inverse`).
 """
 
 from __future__ import annotations
@@ -286,8 +285,7 @@ def expected_mapped_pl(device: DeviceConfig, model: iface.InterfaceModel,
     return tuple(float(v) for v in value) if derivatives else value
 
 
-def _banded_1d(device: DeviceConfig, xi: float, cells: int,
-               shift: float = -1.0):
+def _banded_1d(device: DeviceConfig, xi: float, cells: int):
     """Tridiagonal operator of the flat-interface problem in banded form.
 
     Rows follow the 2D conventions: Dirichlet node eliminated at y = 0,
@@ -299,26 +297,24 @@ def _banded_1d(device: DeviceConfig, xi: float, cells: int,
     n = cells
     ab = np.zeros((3, n))
     ab[0, 1:] = c                      # superdiagonal
-    ab[1, :] = -2.0 * c + shift        # diagonal
+    ab[1, :] = -2.0 * c - 1.0          # diagonal
     ab[2, :-1] = c                     # subdiagonal
     ab[2, n - 2] = 2.0 * c             # Neumann fold on the last row
     return ab, hy, width
 
 
 def solve_1d_rhs(device: DeviceConfig, xi: float, cells: int,
-                 source, shift: float = -1.0,
-                 dirichlet: float = 0.0) -> np.ndarray:
-    """Solve  sigma**2 u_yy / (d-xi)**2 + shift u + source = 0  on the unit
-    interval with u(0) = dirichlet and u'(1) = 0; ``source`` holds node
-    values (cells+1 entries, or a scalar).  Returns all node values
-    including the boundary.
+                 source) -> np.ndarray:
+    """Solve  sigma**2 u_yy / (d-xi)**2 - u + source = 0  on the unit
+    interval with u(0) = 0 and u'(1) = 0; ``source`` holds node values
+    (cells+1 entries, or a scalar).  Returns all node values including the
+    boundary.
 
     The residual is checked as in :mod:`exdil.fd_core`: rows normalized by
     the diagonal, relative tolerance ``RESIDUAL_RTOL``.
     """
-    ab, _, _ = _banded_1d(device, xi, cells, shift)
+    ab, _, _ = _banded_1d(device, xi, cells)
     b = -np.broadcast_to(np.asarray(source, dtype=float), (cells + 1,))[1:]
-    b[0] -= ab[0, 1] * dirichlet       # eliminated Dirichlet node
     x = solve_banded((1, 1), ab, b)
     if not np.all(np.isfinite(x)):
         raise SolverError("1d solve produced non-finite values")
@@ -327,7 +323,7 @@ def solve_1d_rhs(device: DeviceConfig, xi: float, cells: int,
     r[1:] += ab[2, :-1] * x[:-1]
     scale = abs(ab[1, 0])              # the diagonal is constant
     check_residual(r / scale, b / scale)
-    return np.concatenate(([dirichlet], x))
+    return np.concatenate(([0.0], x))
 
 
 def solve_mapped_1d(device: DeviceConfig, offset: float = 0.0,

@@ -76,6 +76,15 @@ CENTRAL_FD = "central_fd"
 FD_STEP_REL = 1e-4
 
 
+def finite_floats(name: str, values) -> tuple[float, ...]:
+    """``values`` as a tuple of floats; raises ValueError naming ``name``
+    unless every one is finite."""
+    out = tuple(float(v) for v in values)
+    if not all(math.isfinite(v) for v in out):
+        raise ValueError(f"{name} must be finite, got {out}")
+    return out
+
+
 @dataclass(frozen=True)
 class PLCurve:
     """Thickness series with (expected) photoluminescence values."""
@@ -85,8 +94,8 @@ class PLCurve:
     provenance: str = "external"
 
     def __post_init__(self):
-        d = tuple(float(v) for v in self.thicknesses)
-        vals = tuple(float(v) for v in self.values)
+        d = finite_floats("thicknesses", self.thicknesses)
+        vals = finite_floats("photoluminescence values", self.values)
         if len(d) != len(vals) or not d:
             raise ValueError("thicknesses and values must pair up (nonempty)")
         if any(b <= a for a, b in zip(d, d[1:])):
@@ -271,36 +280,23 @@ class MappedCollocationForward:
 
 @dataclass(frozen=True)
 class AsymptoticForward:
-    """Expansion-based expected photoluminescence (order 0, 1 or 2).
+    """Expansion-based expected photoluminescence (order 0, 1 or 2), from
+    the closed-form basis of :mod:`exdil.asymptotic`.
 
     ``fixed_epsilon``, when set, is the roughness size at every thickness
     (hbar = eps * d); otherwise eps = hbar / d of the model.
-
-    ``x_cells_per_length`` optionally scales the depth resolution with the
-    thickness (cells = max(cells[0], ceil(d * rate))); the expansion fields
-    carry interface-mode layers whose width is set by the period, so a
-    thickness sweep needs constant physical spacing, not constant cell
-    count.
     """
 
     family: DeviceFamily
     model: iface.InterfaceModel
     order: int = 2
-    cells: tuple[int, int] = (64, 64)
     fixed_epsilon: Optional[float] = None
-    x_cells_per_length: float = 0.0
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
-    def _nx(self, d: float) -> int:
-        if self.x_cells_per_length > 0:
-            return max(self.cells[0], int(np.ceil(d * self.x_cells_per_length)))
-        return self.cells[0]
-
     def _expected_pl(self, sigma: float, d: float) -> float:
         device = self.family.device(sigma, d)
-        basis = build_basis(device, self.model, nx=self._nx(d),
-                            nz=self.cells[1])
+        basis = build_basis(device, self.model)
         eps = self.fixed_epsilon if self.fixed_epsilon is not None \
             else device.epsilon(self.model.hbar)
         approximant = assemble_approximant(basis, epsilon=eps)
@@ -366,8 +362,8 @@ def newton_estimate(provider, curve: PLCurve, sigma0: float | None = None,
     """
     opts = options or NewtonOptions()
     sigma = 0.25 * max(curve.thicknesses) if sigma0 is None else float(sigma0)
-    if sigma <= 0:
-        raise ValueError("sigma0 must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma0 must be finite and positive, got {sigma}")
     trace = EstimationTrace(sigma0=sigma,
                             rel_errors=None if sigma_exact is None else [])
 

@@ -1,23 +1,26 @@
-"""Expansion basis solves, approximant assembly, and order checks.
+"""Expansion coefficients, approximant assembly, and order checks.
 
-The mode-separated basis is checked against the 2D problems it separates,
-assembled straight from the fd core (oracles that do not share the 1D code
-path): the full random-datum problems and the per-mode 2D basis.
+The closed-form basis of :mod:`exdil.asymptotic` is checked against a
+discrete oracle that converges to it at second order: the expansion on a
+strip grid, one tridiagonal solve in depth per problem.  That oracle in turn
+is checked against the 2D problems it separates, assembled straight from the
+fd core: the full random-datum problems and the per-mode 2D basis.
 """
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from exdil import interface as iface
-from exdil.asymptotic import (assemble_approximant, build_basis,
-                              expansion_grid, expected_pl, mode_shape,
-                              sampled_pl)
+from exdil.asymptotic import (PLApproximant, assemble_approximant,
+                              build_basis, expected_pl, sampled_pl)
 from exdil.fd_core import (EllipticOperator, Field2D, Grid2D, PdeCoefficients,
-                           one_sided_dx_at_boundary, trapezoid_2d)
+                           SolverError, trapezoid_2d)
 from exdil.forward_mapped import (DeviceConfig, GenerationProfile,
                                   solve_1d_rhs, solve_mapped_2d)
 from exdil.interface import InterfaceModel, InterfaceSample, UniformDist, \
@@ -31,6 +34,95 @@ def device(sigma=2.0, d=10.0, L=4.0, gen=None):
 def model_of(dev, K=3, hbar=0.5, a=0.0, b=1.0, lambdas=None):
     return InterfaceModel(hbar, dev.L, K, lambdas or (1.0,) * K,
                           UniformDist(a, b))
+
+
+def strip_grid(dev, nx, nz):
+    """Grid over the unperturbed strip; first axis is depth x in (0, d)."""
+    return Grid2D(nx, nz, dev.d / nx, dev.L / nz)
+
+
+def mode_shape(k, L, z):
+    """Interface mode phi_k(z) = sin(2 pi k z / L)."""
+    return np.sin(2.0 * np.pi * k * z / L)
+
+
+def one_sided_dx(values, h):
+    """Second-order one-sided derivative along the first axis at its first
+    row: (-3 v[0] + 4 v[1] - v[2]) / (2 h), exact for quadratics."""
+    return (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
+
+
+def solve_depth(dev, cells, source, shift=-1.0, dirichlet=0.0):
+    """sigma**2 u'' + shift u + source = 0 on (0, d) with u(0) = dirichlet
+    and u'(d) = 0: centred differences on ``cells`` cells, the Neumann row
+    closed by a ghost node.  ``source`` holds node values or a scalar."""
+    c = dev.sigma ** 2 / (dev.d / cells) ** 2
+    ab = np.zeros((3, cells))
+    ab[0, 1:] = c
+    ab[1, :] = -2.0 * c + shift
+    ab[2, :-1] = c
+    ab[2, -2] = 2.0 * c
+    b = -np.broadcast_to(np.asarray(source, dtype=float), (cells + 1,))[1:]
+    b[0] -= c * dirichlet
+    return np.concatenate(([dirichlet], solve_banded((1, 1), ab, b)))
+
+
+class DiscreteBasis:
+    """Oracle: the expansion on a strip grid with nx x nz cells.
+
+    phi_k is an exact eigenvector of the periodic z-difference,
+    D+D-z phi_k = -mu_k phi_k with mu_k = 2 (1 - cos(2 pi k / nz)) / hz**2,
+    so w0, q and each mode f_k are tridiagonal solves in depth (2 + K in
+    all), and slopes at x = 0 are one-sided.  Requires 2K < nz, so that no
+    mode product aliases to a constant.
+    """
+
+    def __init__(self, dev, model, nx, nz):
+        self.dev, self.model = dev, model
+        self.grid = grid = strip_grid(dev, nx, nz)
+        self.w0_profile = solve_depth(dev, nx, dev.generation(dev.d - grid.y))
+        self.z_mean = solve_depth(dev, nx, 0.0, dirichlet=1.0)
+        datum = -dev.d * one_sided_dx(self.w0_profile, grid.hy)
+        k = np.arange(1, model.K + 1)
+        mu = 2.0 * (1.0 - np.cos(2.0 * np.pi * k / nz)) / grid.hz ** 2
+        self.modes = np.array([
+            solve_depth(dev, nx, 0.0, shift=-1.0 - dev.sigma ** 2 * m,
+                        dirichlet=datum) for m in mu])
+
+    def _phi(self, k):
+        phi = mode_shape(k, self.dev.L, self.grid.z)
+        phi[-1] = phi[0]               # column nz aliases column 0
+        return phi
+
+    @property
+    def w0(self):
+        return Field2D(self.grid, np.outer(self.w0_profile,
+                                           np.ones(self.grid.nz + 1)))
+
+    @property
+    def w1(self):
+        return [Field2D(self.grid, np.outer(f, self._phi(k)))
+                for k, f in enumerate(self.modes, start=1)]
+
+    @property
+    def dx_w0(self):
+        """dx w0(0, z) per z node."""
+        return np.full(self.grid.nz + 1,
+                       one_sided_dx(self.w0_profile, self.grid.hy))
+
+    def approximant(self, epsilon=None):
+        dev, hx = self.dev, self.grid.hy
+        if epsilon is None:
+            epsilon = dev.epsilon(self.model.hbar)
+        d2 = dev.d ** 2
+        c = (-dev.d * one_sided_dx(self.modes.T, hx)
+             + d2 * dev.generation(dev.d) / (2.0 * dev.sigma ** 2))
+        return PLApproximant(
+            i0=float(np.trapezoid(self.w0_profile, dx=hx)),
+            i2=0.5 * c * float(np.trapezoid(self.z_mean, dx=hx)),
+            boundary=np.full(self.model.K,
+                             d2 / 4.0 * one_sided_dx(self.w0_profile, hx)),
+            lambdas=np.asarray(self.model.lambdas), epsilon=epsilon)
 
 
 def strip_operator(dev, grid):
@@ -53,14 +145,14 @@ def w2_datum(dev, phi_j, phi_k, dx_j, dx_k):
 def basis_2d(dev, K, nx, nz):
     """Coefficients of the per-mode 2D basis: one 2D solve for w0, each
     w1_k and each symmetrized w2_jk.  Returns (i0, i1, i2 + b)."""
-    grid = expansion_grid(dev, nx, nz)
+    grid = strip_grid(dev, nx, nz)
     op = strip_operator(dev, grid)
     L = dev.L
     w0 = solve_w0_2d(dev, grid, op)
-    dx_w0 = one_sided_dx_at_boundary(w0.values, w0.grid.hy)
+    dx_w0 = one_sided_dx(w0.values, w0.grid.hy)
     phis = [mode_shape(k, L, grid.z) for k in range(1, K + 1)]
     w1 = [op.solve_field(0.0, -dev.d * phi * dx_w0) for phi in phis]
-    dx_w1 = [one_sided_dx_at_boundary(f.values, f.grid.hy) for f in w1]
+    dx_w1 = [one_sided_dx(f.values, f.grid.hy) for f in w1]
     i1 = np.array([trapezoid_2d(f) / L for f in w1])
     i2b = np.empty((K, K))
     for j in range(K):
@@ -78,7 +170,7 @@ class TestLeadingOrder:
         dev = device()
         errs = {}
         for nx in (128, 256):
-            basis = build_basis(dev, model_of(dev, K=1), nx=nx, nz=8)
+            basis = DiscreteBasis(dev, model_of(dev, K=1), nx, 8)
             x = basis.grid.y
             exact = 1 - np.cosh((dev.d - x) / dev.sigma) \
                 / math.cosh(dev.d / dev.sigma)
@@ -89,64 +181,131 @@ class TestLeadingOrder:
     def test_w0_z_constant(self):
         # the 2D leading-order solve is z-constant, and equals the 1D one
         dev = device(gen=GenerationProfile.exponential(5.0))
-        grid = expansion_grid(dev, 32, 32)
+        grid = strip_grid(dev, 32, 32)
         w0 = solve_w0_2d(dev, grid, strip_operator(dev, grid))
         spread = np.abs(w0.values - w0.values[:, :1]).max()
         assert spread < 1e-11
-        basis = build_basis(dev, model_of(dev, K=1), nx=32, nz=32)
+        basis = DiscreteBasis(dev, model_of(dev, K=1), 32, 32)
         assert basis.w0.values == pytest.approx(w0.values, abs=1e-12)
 
     def test_strip_integral_closed_form(self):
+        # constant generation: w0 = 1 - cosh((d - x)/sigma) / cosh(d/sigma)
         dev = device()
-        basis = build_basis(dev, model_of(dev, K=1), nx=512, nz=8)
-        appr = assemble_approximant(basis, epsilon=0.0)
-        exact = dev.d - dev.sigma * math.tanh(dev.d / dev.sigma)
-        assert appr.i0 == pytest.approx(exact, rel=1e-5)
+        basis = build_basis(dev, model_of(dev, K=1))
+        t = math.tanh(dev.d / dev.sigma)
+        assert basis.i0 == pytest.approx(dev.d - dev.sigma * t, rel=1e-14)
+        assert basis.slope == pytest.approx(t / dev.sigma, rel=1e-14)
+        assert basis.q_integral == pytest.approx(dev.sigma * t, rel=1e-14)
 
     def test_fine_depth_grid_second_order(self):
         # a depth resolution the 2D basis could not afford: i0 converges to
         # the closed form at second order
         dev = device()
-        exact = dev.d - dev.sigma * math.tanh(dev.d / dev.sigma)
+        exact = build_basis(dev, model_of(dev, K=10)).i0
         errs = {}
         for nx in (2048, 4096):
-            basis = build_basis(dev, model_of(dev, K=10), nx=nx, nz=64)
-            errs[nx] = abs(assemble_approximant(basis).i0 - exact)
+            basis = DiscreteBasis(dev, model_of(dev, K=10), nx, 64)
+            errs[nx] = abs(basis.approximant().i0 - exact)
         assert errs[4096] < 1e-6 * exact
         assert math.log2(errs[2048] / errs[4096]) == pytest.approx(2.0, abs=0.1)
+        # refining depth and period together, i0 and the order-2 E[I] both
+        # converge at second order: for a decay length other than sigma, at
+        # the resonance ell = sigma, and for a constant plus two exponentials
+        for sigma, gen in (
+                (2.0, GenerationProfile.exponential(3.0)),
+                (5.0, GenerationProfile.exponential(5.0)),
+                (2.0, GenerationProfile(terms=((1.0, 3.0), (0.5, 7.0)),
+                                        offset=0.3))):
+            dev = device(sigma=sigma, gen=gen)
+            model = model_of(dev, K=3, hbar=1.0, a=-1.0, b=1.0,
+                             lambdas=(1.0, 0.5, 1.0 / 3.0))
+            mom = moments(model.dist)
+            exact = assemble_approximant(build_basis(dev, model))
+            errs = []
+            for nx, nz in ((512, 32), (1024, 64)):
+                appr = DiscreteBasis(dev, model, nx, nz).approximant()
+                errs.append((abs(appr.i0 - exact.i0),
+                             abs(expected_pl(appr, mom, 2)
+                                 - expected_pl(exact, mom, 2))))
+            for coarse, fine in zip(*errs):
+                assert math.log2(coarse / fine) == pytest.approx(2.0, abs=0.1)
 
     def test_zero_data_zero_solution(self):
         # the homogeneous problem with zero boundary datum is identically
         # zero (the trivial case a vanishing generation profile would hit)
         dev = device()
-        grid = expansion_grid(dev, 16, 16)
+        grid = strip_grid(dev, 16, 16)
         op = strip_operator(dev, grid)
         assert np.abs(op.solve_field(0.0, 0.0).values).max() == 0.0
         assert np.abs(solve_1d_rhs(dev, 0.0, 16, 0.0)).max() == 0.0
 
 
+class TestClosedForm:
+    def test_smooth_through_resonance(self):
+        # C = a ell**2 / (ell**2 - sigma**2) has a pole at sigma = ell that
+        # the solution has not: across it (and exactly on it) i0 and E[I]
+        # stay on a quadratic in sigma to rounding
+        ell = 5.0
+        model = InterfaceModel.with_power_spectrum(1.0, 4.0, 10, -1.0,
+                                                   UniformDist(-1.0, 1.0))
+        mom = moments(model.dist)
+        ks = np.arange(-10, 11)
+        values = []
+        for k in ks:
+            dev = device(sigma=ell * (1.0 + k * 1e-7), d=10.0,
+                         gen=GenerationProfile.exponential(ell))
+            appr = assemble_approximant(build_basis(dev, model))
+            values.append((appr.i0, expected_pl(appr, mom, 2)))
+        for column in np.array(values).T:
+            fit = np.polyval(np.polyfit(ks, column, 2), ks)
+            assert np.abs(fit / column - 1.0).max() < 1e-13
+
+    @pytest.mark.parametrize("sigma, d", [(5.0, 60.0), (0.5, 100.0)])
+    def test_finite_without_warnings_for_thick_films(self, sigma, d):
+        # m_k d reaches 1e3 at d = 60, K = 10, L = 4, and d / sigma = 200
+        model = InterfaceModel.with_power_spectrum(1.0, 4.0, 10, -1.0,
+                                                   UniformDist(-1.0, 1.0))
+        dev = device(sigma=sigma, d=d,
+                     gen=GenerationProfile(terms=((1.0, d / 2),), offset=0.1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            appr = assemble_approximant(build_basis(dev, model))
+            value = expected_pl(appr, moments(model.dist), 2)
+        assert np.all(np.isfinite(appr.i2)) and math.isfinite(value)
+        assert 0 < value < d * dev.generation(0.0)
+
+    def test_non_finite_coefficient_raises_solver_error(self):
+        dev = device(sigma=1e-200, gen=GenerationProfile.exponential(5.0))
+        with pytest.raises(SolverError, match="non-finite"):
+            build_basis(dev, model_of(dev, K=2))
+
+
 class TestFirstOrder:
     def test_zero_boundary_slope_gives_zero_mode(self):
         dev = device()
-        grid = expansion_grid(dev, 16, 16)
+        grid = strip_grid(dev, 16, 16)
         flat = Field2D(grid, np.ones(grid.shape))  # one-sided slope is zero
         datum = -dev.d * mode_shape(1, dev.L, grid.z) \
-            * one_sided_dx_at_boundary(flat.values, grid.hy)
+            * one_sided_dx(flat.values, grid.hy)
         w1 = strip_operator(dev, grid).solve_field(0.0, datum)
         assert np.abs(w1.values).max() < 1e-14
-        f1 = solve_1d_rhs(dev, 0.0, 16, 0.0, shift=-5.0,
-                          dirichlet=-dev.d * one_sided_dx_at_boundary(
-                              flat.values, grid.hy)[0])
+        f1 = solve_depth(dev, 16, 0.0, shift=-5.0,
+                         dirichlet=-dev.d * one_sided_dx(flat.values,
+                                                         grid.hy)[0])
         assert np.abs(f1).max() < 1e-14
 
     def test_linearity_in_datum(self):
         # tripling the generation triples w0, hence every mode datum
-        one = build_basis(device(), model_of(device(), K=3), nx=24, nz=24)
+        one = DiscreteBasis(device(), model_of(device(), K=3), 24, 24)
         dev3 = device(gen=GenerationProfile.constant(3.0))
-        three = build_basis(dev3, model_of(dev3, K=3), nx=24, nz=24)
+        three = DiscreteBasis(dev3, model_of(dev3, K=3), 24, 24)
         assert three.modes == pytest.approx(3.0 * one.modes, abs=1e-12)
         assert three.w1[1].values == pytest.approx(3.0 * one.w1[1].values,
                                                    abs=1e-12)
+        closed = [build_basis(dev, model_of(dev, K=3))
+                  for dev in (device(), dev3)]
+        assert closed[1].mode_slopes == pytest.approx(
+            3.0 * closed[0].mode_slopes, rel=1e-14)
 
     def test_mode_reconstruction_matches_direct_solve(self):
         # superposing the per-mode outer products equals the 2D solve with
@@ -154,7 +313,7 @@ class TestFirstOrder:
         dev = device(sigma=3.0, gen=GenerationProfile.exponential(5.0))
         model = model_of(dev, K=3, a=-1.0, b=1.0)
         theta = sample(model, 5)
-        basis = build_basis(dev, model, nx=32, nz=32)
+        basis = DiscreteBasis(dev, model, 32, 32)
         grid = basis.grid
         lam_th = np.array(model.lambdas) * np.array(theta.thetas)
         combo = sum(c * w.values for c, w in zip(lam_th, basis.w1))
@@ -164,8 +323,7 @@ class TestFirstOrder:
         htilde = sum(lam_th[k] * mode_shape(k + 1, dev.L, grid.z)
                      for k in range(3))
         direct = op.solve_field(
-            0.0, -dev.d * htilde * one_sided_dx_at_boundary(w0.values,
-                                                            grid.hy))
+            0.0, -dev.d * htilde * one_sided_dx(w0.values, grid.hy))
         assert direct.values == pytest.approx(combo, abs=1e-11)
 
 
@@ -177,19 +335,18 @@ class TestSecondOrder:
         dev = device(sigma=3.0, gen=GenerationProfile.exponential(4.0))
         model = model_of(dev, K=3, a=-1.0, b=1.0)
         theta = sample(model, 11)
-        appr = assemble_approximant(build_basis(dev, model, nx=32, nz=32),
-                                    epsilon=1.0)
+        appr = DiscreteBasis(dev, model, 32, 32).approximant(epsilon=1.0)
         second = sampled_pl(appr, theta, 2) - appr.i0
 
-        grid = expansion_grid(dev, 32, 32)
+        grid = strip_grid(dev, 32, 32)
         op = strip_operator(dev, grid)
         w0 = solve_w0_2d(dev, grid, op)
-        dx_w0 = one_sided_dx_at_boundary(w0.values, w0.grid.hy)
+        dx_w0 = one_sided_dx(w0.values, w0.grid.hy)
         lam_th = np.array(model.lambdas) * np.array(theta.thetas)
         htilde = sum(lam_th[k] * mode_shape(k + 1, dev.L, grid.z)
                      for k in range(3))
         w1 = op.solve_field(0.0, -dev.d * htilde * dx_w0)
-        dx_w1 = one_sided_dx_at_boundary(w1.values, w1.grid.hy)
+        dx_w1 = one_sided_dx(w1.values, w1.grid.hy)
         datum = (-dev.d * htilde * dx_w1
                  + (dev.d * htilde) ** 2 / (2 * dev.sigma ** 2)
                  * dev.generation(dev.d))
@@ -200,19 +357,18 @@ class TestSecondOrder:
 
     def test_boundary_datum_vanishes_at_mode_nodes(self):
         dev = device()
-        grid = expansion_grid(dev, 16, 16)
+        grid = strip_grid(dev, 16, 16)
         op = strip_operator(dev, grid)
         w0 = solve_w0_2d(dev, grid, op)
         phi = mode_shape(1, dev.L, grid.z)
         w1 = op.solve_field(
-            0.0, -dev.d * phi * one_sided_dx_at_boundary(w0.values, grid.hy))
-        dx_w1 = one_sided_dx_at_boundary(w1.values, w1.grid.hy)
+            0.0, -dev.d * phi * one_sided_dx(w0.values, grid.hy))
+        dx_w1 = one_sided_dx(w1.values, w1.grid.hy)
         w2 = op.solve_field(0.0, w2_datum(dev, phi, phi, dx_w1, dx_w1))
         # phi_1 vanishes at z = 0 and z = L/2, hence so does the datum
         assert w2.values[0, 0] == pytest.approx(0.0, abs=1e-13)
         assert w2.values[0, grid.nz // 2] == pytest.approx(0.0, abs=1e-12)
-        appr = assemble_approximant(build_basis(dev, model_of(dev, K=1),
-                                                nx=16, nz=16))
+        appr = DiscreteBasis(dev, model_of(dev, K=1), 16, 16).approximant()
         assert appr.i2[0] == pytest.approx(trapezoid_2d(w2) / dev.L,
                                            rel=1e-11)
 
@@ -227,9 +383,7 @@ class TestAgainst2DBasis:
     def test_coefficients_match(self, sigma, d, K, nx, nz):
         dev = DeviceConfig(sigma, d, 4.0, GenerationProfile.exponential(d / 2))
         i0, i1, i2b = basis_2d(dev, K, nx, nz)
-        basis = build_basis(dev, model_of(dev, K=K), nx=nx, nz=nz)
-        appr = assemble_approximant(basis)
-        assert basis.solve_count == 2 + K
+        appr = DiscreteBasis(dev, model_of(dev, K=K), nx, nz).approximant()
         assert appr.i0 == pytest.approx(i0, rel=1e-11)
         diag = np.diag(i2b)
         assert appr.i2 + appr.boundary == pytest.approx(diag, rel=1e-11)
@@ -239,23 +393,11 @@ class TestAgainst2DBasis:
         offdiag = i2b - np.diag(diag)
         assert np.abs(offdiag).max() < 1e-12 * np.abs(diag).max()
 
-    def test_aliasing_guard(self):
-        dev = device()
-        with pytest.raises(ValueError, match="alias"):
-            build_basis(dev, model_of(dev, K=8), nx=16, nz=16)
-        assert build_basis(dev, model_of(dev, K=7), nx=16, nz=16) \
-            .solve_count == 9
-
-    def test_grid_must_span_strip(self):
-        dev = device()
-        with pytest.raises(ValueError, match="span"):
-            build_basis(dev, model_of(dev, K=1), grid=Grid2D.unit(16))
-
 
 class TestApproximant:
     def test_epsilon_zero_all_orders_agree(self):
         dev = device()
-        basis = build_basis(dev, model_of(dev), nx=16, nz=16)
+        basis = build_basis(dev, model_of(dev))
         appr = assemble_approximant(basis, epsilon=0.0)
         mom = moments(UniformDist(0.0, 1.0))
         assert expected_pl(appr, mom, 0) == expected_pl(appr, mom, 1) \
@@ -264,7 +406,7 @@ class TestApproximant:
     def test_symmetric_order1_equals_order0_bitwise(self):
         dev = device(gen=GenerationProfile.exponential(5.0))
         model = model_of(dev, K=4, a=-1.0, b=1.0)
-        basis = build_basis(dev, model, nx=32, nz=32)
+        basis = build_basis(dev, model)
         appr = assemble_approximant(basis, epsilon=0.05)
         mom = moments(model.dist)
         assert expected_pl(appr, mom, 0) == expected_pl(appr, mom, 1)
@@ -275,7 +417,7 @@ class TestApproximant:
         # leaves i0 unchanged
         dev = device()
         model = model_of(dev, K=1, a=0.0, b=1.0)
-        basis = build_basis(dev, model, nx=16, nz=16)
+        basis = build_basis(dev, model)
         appr = assemble_approximant(basis, epsilon=0.1)
         assert moments(model.dist).mean == 0.5
         _, i1, _ = basis_2d(dev, 1, 16, 16)
@@ -296,8 +438,8 @@ class TestApproximant:
         # sine orthogonality: (L/2) delta_jk times the slope
         dev = device()
         model = model_of(dev, K=3)
-        basis = build_basis(dev, model, nx=64, nz=32)
-        appr = assemble_approximant(basis)
+        basis = DiscreteBasis(dev, model, 64, 32)
+        appr = basis.approximant()
         slope = basis.dx_w0[0]
         want_diag = dev.d ** 2 / (2 * dev.L) * (dev.L / 2) * slope
         phis = [mode_shape(k, dev.L, basis.grid.z) for k in (1, 2, 3)]
@@ -312,24 +454,16 @@ class TestApproximant:
 
     def test_sampled_at_zero_is_i0(self):
         dev = device()
-        basis = build_basis(dev, model_of(dev, K=2), nx=16, nz=16)
+        basis = build_basis(dev, model_of(dev, K=2))
         appr = assemble_approximant(basis, epsilon=0.2)
         assert sampled_pl(appr, InterfaceSample((0.0, 0.0)), 2) == appr.i0
 
     def test_unsupported_order(self):
         dev = device()
-        basis = build_basis(dev, model_of(dev, K=1), nx=16, nz=16)
+        basis = build_basis(dev, model_of(dev, K=1))
         appr = assemble_approximant(basis)
         with pytest.raises(ValueError, match="order"):
             expected_pl(appr, moments(UniformDist(0, 1)), 3)
-
-    def test_solve_count_identity(self):
-        dev = device()
-        for K in (1, 2, 5):
-            basis = build_basis(dev, model_of(dev, K=K), nx=16, nz=16)
-            assert basis.solve_count == 2 + K
-            assert len(basis.w1) == K
-            assert basis.modes.shape == (K, 17)
 
 
 class TestOrders:
@@ -340,14 +474,14 @@ class TestOrders:
         dev = DeviceConfig(12.0, 10.0, L, GenerationProfile.exponential(10.0))
         model = InterfaceModel(1.0, L, 1, (1.0,), UniformDist(0.0, 1.0))
         th = InterfaceSample((0.8,))
-        basis = build_basis(dev, model, nx=128, nz=64)
+        basis = DiscreteBasis(dev, model, 128, 64)
         gridf = Grid2D.unit(128, 64)
         eps_values = [2.0 ** -k for k in range(2, 6)]
         errs0, errs2 = [], []
         for eps in eps_values:
             m = dataclasses.replace(model, hbar=eps * dev.d)
             pl = solve_mapped_2d(dev, m, th, gridf).pl
-            appr = assemble_approximant(basis, epsilon=eps)
+            appr = basis.approximant(epsilon=eps)
             errs0.append(abs(sampled_pl(appr, th, 0) - pl))
             errs2.append(abs(sampled_pl(appr, th, 2) - pl))
         slope0 = np.polyfit(np.log(eps_values), np.log(errs0), 1)[0]
@@ -362,7 +496,7 @@ class TestOrders:
         dev = DeviceConfig(12.0, 10.0, L, GenerationProfile.exponential(10.0))
         model = InterfaceModel(1.0, L, 1, (1.0,), UniformDist(0.0, 1.0))
         th = InterfaceSample((0.8,))
-        basis = build_basis(dev, model, nx=128, nz=64)
+        basis = DiscreteBasis(dev, model, 128, 64)
         gridf = Grid2D.unit(128, 64)
         eps_values = [2.0 ** -k for k in range(2, 6)]
         errs = []

@@ -79,7 +79,7 @@ def tiny_convergence():
     model = InterfaceModel(1.0, 64.0, 1, (1.0,), UniformDist(0.0, 1.0))
     return convergence_study(device=dev, model=model,
                              eps_values=(0.25, 0.125, 0.0625),
-                             asym_cells=(16, 16), ref_cells=(32, 32),
+                             ref_cells=(32, 32),
                              ref_points=2)
 
 
@@ -121,7 +121,6 @@ b = 1.0
 lambdas = 1.0
 
 [grid]
-asymptotic = 16
 reference = 32
 
 [rule]
@@ -130,6 +129,35 @@ size = 2
 
 [converge]
 eps = 0.25, 0.125, 0.0625
+"""
+
+
+RESONANCE_CONFIG = """
+[run]
+kind = resonance
+output = {out}
+
+[interface]
+modes = 2
+lambdas = 1.0, 0.5
+
+[grid]
+reference = 16
+asymptotic = 16
+
+[rule]
+size = 2
+
+[converge]
+eps = 0.25, 0.125, 0.0625
+
+[validate]
+sigma_star = 5.0
+betas = -2, -1
+thicknesses = 10, 20, 30
+
+[newton]
+sigma0 = 5.0
 """
 
 
@@ -164,16 +192,6 @@ class TestConfigAndCli:
                         .replace("sigma = 12.0", "sigma = 12%"))
         assert cli.main(["converge", "--config", str(path)]) == 2
         assert "bad config" in capsys.readouterr().err
-
-    def test_aliased_modes_exit_2(self, tmp_path, capsys):
-        # 2K >= nz: the expansion's mode products alias on 16 z cells
-        path = tmp_path / "run.cfg"
-        path.write_text(CONFIG.format(out=tmp_path / "out")
-                        .replace("modes = 1", "modes = 8")
-                        .replace("lambdas = 1.0", "lambdas = " + ", ".join(
-                            ["1.0"] * 8)))
-        assert cli.main(["converge", "--config", str(path)]) == 2
-        assert "alias" in capsys.readouterr().err
 
     def test_quadrature_node_failure_exits_3(self, tmp_path, capsys):
         # hbar > d: the interface reaches the top surface at a rule node
@@ -227,6 +245,38 @@ class TestConfigAndCli:
         assert cli.main(["validate", "--config", str(path)]) == 2
         assert "Newton options" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, key", [
+        ("[validate]\nthicknesses = 10, nan, 30\n", "thicknesses"),
+        ("[validate]\nthicknesses = 10, 20, 30\n\n[newton]\nsigma0 = nan\n",
+         "sigma0"),
+    ], ids=["thicknesses", "sigma0"])
+    def test_non_finite_validate_input_named(self, tmp_path, capsys, extra,
+                                             key):
+        path = tmp_path / "run.cfg"
+        path.write_text(CONFIG.format(out=tmp_path / "out")
+                        + "\n" + extra.replace(
+                            "[validate]\n",
+                            "[validate]\nsigma_star = 5.0\nbetas = -2\n"))
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "finite" in err
+
+    def test_default_device_sits_on_the_resonance(self, tmp_path):
+        # [device] and [generation] at their defaults give sigma = 5, d = 10
+        # and decay length 0.5 d = 5: exactly the pole of the particular
+        # solution's coefficient, which the expansion must not see
+        path = tmp_path / "run.cfg"
+        out = tmp_path / "out"
+        path.write_text(RESONANCE_CONFIG.format(out=out))
+        for command in ("converge", "validate", "timing"):
+            assert cli.main([command, "--config", str(path)]) == 0, command
+        for name in ("convergence.csv", "slopes.csv", "timing.csv",
+                     "validate_summary.csv", "validate_beta-2.csv"):
+            rows = (out / name).read_text().splitlines()[2:]
+            assert rows, name
+            fields = [v for row in rows for v in row.split(",")[1:] if v]
+            assert all(np.isfinite(float(v)) for v in fields), name
+
     def test_unknown_command_exits_2(self):
         assert cli.main(["frobnicate", "--config", "x"]) == 2
 
@@ -270,8 +320,8 @@ class TestConfigAndCli:
         out = tmp_path / "out"
         text = (CONFIG.format(out=out)
                 .replace("seed = 7", "seed = 7\ndump_field = 1")
-                .replace("reference = 32", "reference = 16\nestimator_x = 32"
-                         "\nestimator_z = 32\ndata_x = 16\ndata_z = 16")
+                .replace("reference = 32", "reference = 16\ndata_x = 16"
+                         "\ndata_z = 16")
                 .replace("size = 2", "size = 2\ndata_size = 2")
                 + "\n[validate]\nsigma_star = 5.0\nbetas = -2, -1\n"
                 "thicknesses = 10, 20, 30\n"
@@ -306,7 +356,7 @@ class TestValidationStudy:
         monkeypatch.setattr(experiments, "newton_estimate", exhausted_newton)
         res = validation_study(sigma_star=5.0, betas=(-2.0,),
                                thicknesses=(10.0, 20.0), family=FAMILY, K=3,
-                               est_cells=(16, 16), sigma0=7.5)
+                               sigma0=7.5)
         assert res.traces[-2.0].iterations == 0
         assert res.final_errors == {-2.0: 0.5}
         assert res.within_one_percent == {-2.0: False}
@@ -330,9 +380,7 @@ class TestTimingStudy:
         dev = DeviceConfig(12.0, 10.0, 64.0, GenerationProfile.exponential(10.0))
         model = InterfaceModel(1.0, 64.0, 2, (1.0, 1.0), UniformDist(0.0, 1.0))
         res = timing_study(device=dev, model=model, epsilon=0.0625,
-                           asym_cells=(32, 32), sc_cells=(48, 48),
-                           ref_points=2, max_level=3)
-        assert res.asym_solve_count == 2 + 2
+                           sc_cells=(48, 48), ref_points=2, max_level=3)
         assert res.sc_nodes > 0
         assert res.speedup > 0
 
@@ -341,8 +389,7 @@ class TestTimingStudy:
         dev = DeviceConfig(12.0, 10.0, 64.0, GenerationProfile.exponential(10.0))
         model = InterfaceModel(1.0, 64.0, 2, (1.0, 1.0), UniformDist(-1.0, 1.0))
         res = timing_study(device=dev, model=model, epsilon=0.0625,
-                           asym_cells=(32, 32), sc_cells=(48, 48),
-                           ref_points=2, max_level=3)
+                           sc_cells=(48, 48), ref_points=2, max_level=3)
         rule = build_rule(SMOLYAK, 2, res.sc_level, (-1.0, 1.0))
         assert res.sc_level > 1
         assert res.sc_nodes == symmetry_folded_rule(

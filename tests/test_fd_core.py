@@ -5,8 +5,14 @@ import pytest
 
 from exdil.experiments import write_csv
 from exdil.fd_core import (EllipticOperator, Field2D, Grid2D, PdeCoefficients,
-                           SolverError, one_sided_dx_at_boundary,
-                           trapezoid_2d)
+                           SolverError, trapezoid_2d)
+
+
+def one_sided_dx_at_boundary(values, h):
+    """Second-order one-sided derivative along the first axis at its first
+    row: (-3 v[0] + 4 v[1] - v[2]) / (2 h), exact for quadratics (the
+    scheme of the discrete expansion oracle in test_asymptotic)."""
+    return (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
 
 
 def sample_field(grid, fn):
@@ -227,7 +233,7 @@ class TestGridAndField:
             Grid2D(8, 8, -0.1, 0.1)
 
     def test_rect(self):
-        g = Grid2D.rect(10, 20, 5.0, 8.0)
+        g = Grid2D(10, 20, 5.0 / 10, 8.0 / 20)
         assert g.hy == pytest.approx(0.5)
         assert g.hz == pytest.approx(0.4)
         assert g.y[-1] == pytest.approx(5.0)

@@ -14,7 +14,8 @@ from exdil.forward_mapped import (DeviceConfig, GenerationProfile,
                                   solve_mapped_1d, solve_mapped_2d,
                                   symmetry_folded_rule)
 from exdil.interface import InterfaceModel, UniformDist, sample
-from exdil.inverse import (CENTRAL_FD, AsymptoticForward, DeviceFamily,
+from exdil.inverse import (CENTRAL_FD, FD_STEP_REL, AsymptoticForward,
+                           DeviceFamily,
                            EstimationError, EstimationTrace,
                            MappedCollocationForward, NewtonOptions,
                            OneDimensionalForward, PLCurve, newton_estimate,
@@ -53,6 +54,15 @@ class TestPLCurve:
             PLCurve((10.0, 20.0), (1.0, -1.0))
         with pytest.raises(ValueError):
             PLCurve((), ())
+
+    @pytest.mark.parametrize("d, values, name", [
+        ((10.0, float("nan"), 30.0), (1.0, 2.0, 3.0), "thicknesses"),
+        ((10.0, float("inf")), (1.0, 2.0), "thicknesses"),
+        ((10.0, 20.0), (1.0, float("nan")), "photoluminescence values"),
+    ])
+    def test_rejects_non_finite(self, d, values, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            PLCurve(d, values)
 
     def test_pairs(self):
         c = PLCurve((1.0, 2.0), (3.0, 4.0), provenance="external")
@@ -214,17 +224,30 @@ class TestCollocationProvider:
         # the model's hbar is ignored, and each thickness gets the value of
         # a model with hbar = eps * d.
         model = InterfaceModel(1.0, 4.0, 1, (1.0,), UniformDist(0, 1))
-        prov = AsymptoticForward(FAMILY, model, cells=(32, 16),
-                                 fixed_epsilon=0.02)
+        prov = AsymptoticForward(FAMILY, model, fixed_epsilon=0.02)
         other_hbar = AsymptoticForward(
-            FAMILY, dataclasses.replace(model, hbar=7.0), cells=(32, 16),
-            fixed_epsilon=0.02)
+            FAMILY, dataclasses.replace(model, hbar=7.0), fixed_epsilon=0.02)
         for d in (10.0, 50.0):
             scaled = AsymptoticForward(
-                FAMILY, dataclasses.replace(model, hbar=0.02 * d),
-                cells=(32, 16))
+                FAMILY, dataclasses.replace(model, hbar=0.02 * d))
             assert prov.pl(5.0, d) == other_hbar.pl(5.0, d) \
                 == scaled.pl(5.0, d)
+
+
+class TestAsymptoticProvider:
+    def test_second_derivative_step_independent(self):
+        # the closed-form expansion is exact to rounding, so the centred
+        # I'' of pl_with_derivatives agrees with one at twice the step
+        model = InterfaceModel.with_power_spectrum(1.0, 4.0, 10, -2.0,
+                                                   UniformDist(-1.0, 1.0))
+        prov = AsymptoticForward(FAMILY, model)
+        sigma, d = 7.5, 40.0
+        mid, _, d2 = prov.pl_with_derivatives(sigma, d)
+        step = 2.0 * FD_STEP_REL * sigma
+        oracle = AsymptoticForward(FAMILY, model)
+        d2_wide = (oracle.pl(sigma + step, d) - 2.0 * mid
+                   + oracle.pl(sigma - step, d)) / step ** 2
+        assert d2 == pytest.approx(d2_wide, rel=1e-4)
 
 
 class UncachedMappedForward:
@@ -340,15 +363,15 @@ class TestProviderCopies:
 
     def test_asymptotic_copy_with_other_order(self):
         model = InterfaceModel(0.5, 4.0, 2, (1.0, 0.5), UniformDist(0, 1))
-        prov = AsymptoticForward(FAMILY, model, order=2, cells=(32, 16))
+        prov = AsymptoticForward(FAMILY, model, order=2)
         second = prov.pl(6.0, 30.0)
         zeroth = dataclasses.replace(prov, order=0)
         assert zeroth.pl(6.0, 30.0) == AsymptoticForward(
-            FAMILY, model, order=0, cells=(32, 16)).pl(6.0, 30.0) != second
+            FAMILY, model, order=0).pl(6.0, 30.0) != second
 
     def test_cache_keeps_latest_sigma_per_thickness(self):
         model = InterfaceModel(0.5, 4.0, 2, (1.0, 0.5), UniformDist(0, 1))
-        prov = AsymptoticForward(FAMILY, model, cells=(32, 16))
+        prov = AsymptoticForward(FAMILY, model)
         values = {(s, d): prov.pl(s, d) for s in (5.0, 6.0)
                   for d in (20.0, 30.0)}
         assert prov._cache == {d: (6.0, values[6.0, d]) for d in (20.0, 30.0)}
@@ -416,6 +439,12 @@ class TestNewton:
         assert trace.sigmas[-1] == trace.sigmas[-2]
         assert len(trace.rel_errors) == trace.iterations
 
+
+    @pytest.mark.parametrize("sigma0", [float("nan"), float("inf"), -1.0])
+    def test_rejects_bad_start(self, sigma0):
+        with pytest.raises(ValueError, match="sigma0"):
+            newton_estimate(FakeQuadraticProvider(), PLCurve((10.0,), (7.0,)),
+                            sigma0=sigma0)
 
     def test_starts_at_optimum(self, curve_1d):
         prov = OneDimensionalForward(FAMILY)
