@@ -68,6 +68,31 @@ here it appears only as the divided difference E(|mu - nu|), which expm1
 evaluates to full precision through mu = nu.  Every exponent is nonpositive,
 so nothing overflows however large d / sigma or m_k d grow.  A coefficient
 that still comes out non-finite raises :class:`~exdil.fd_core.SolverError`.
+
+Write F = sigma**2 w0'(0) and h(m) = m tanh(m d), so that
+f_k'(0) = d w0'(0) h(m_k) and int q = sigma**2 h(nu) (the mode family at
+kappa = 0).  With Lam = sum_k lam_k**2, T = sum_k lam_k**2 h(m_k) and m2
+the coefficients' second moment, the order-2 expected photoluminescence is
+
+    E[I2] = int G - F + eps**2 m2 d**2 (Lam nu**2 F / 4
+                                        + (Lam G(d) / 4 - F T / 2) h(nu)),
+
+and orders 0 and 1 are int G - F.  So sigma enters only through the three
+scalars F, h(nu) and T, and :func:`expected_pl_with_derivatives`
+differentiates them by hand.  It works in nu and converts at the end,
+d/dsigma = -nu**2 d/dnu and d2/dsigma2 = nu**4 d2/dnu2 + 2 nu**3 d/dnu.
+With dm_k/dnu = nu / m_k and d2m_k/dnu2 = kappa_k**2 / m_k**3,
+
+    h'(m) = tanh(m d) + m d sech(m d)**2,
+    h''(m) = 2 d sech(m d)**2 (1 - m d tanh(m d)).
+
+The two parts of a term of F are int_0^d exp(-nu (d -+ s) - mu s) ds, so
+each nu-derivative brings down a factor -(d -+ s).  Their derivatives
+therefore need the moments M_j(p) = int_0^d s**j exp(-p s) ds, j = 0, 1, 2, at
+p = |mu - nu| and p = mu + nu.  The recurrence
+M_j = (j M_{j-1} - d**j exp(-p d)) / p cancels as p d -> 0, which is the
+resonance again.  Below p d = 1/2 the moments come from the series
+M_j = d**(j+1) sum_n (-p d)**n / (n! (n + j + 1)), exact through p = 0.
 """
 
 from __future__ import annotations
@@ -88,6 +113,8 @@ __all__ = [
     "assemble_approximant",
     "expected_pl",
     "sampled_pl",
+    "ExpansionModes",
+    "expected_pl_with_derivatives",
 ]
 
 
@@ -110,38 +137,97 @@ def _decay_integral(p: float, d: float) -> float:
     return d if p == 0.0 else -math.expm1(-p * d) / p
 
 
-def _leading_order(device: DeviceConfig) -> tuple[float, float]:
-    """(i0, w0'(0)) of the leading-order problem, term by term in G."""
-    d, nu = device.d, 1.0 / device.sigma
-    gen = device.generation
+# Below p d = 1/2 the moment recurrence cancels; there the power series
+# reaches full precision within 17 terms.
+_SERIES_BELOW = 0.5
+_SERIES_TERMS = 17
+
+
+def _decay_moments(p: float, d: float) -> tuple[float, float, float]:
+    """M_j(p) = int_0^d s**j exp(-p s) ds for j = 0, 1, 2 and p >= 0."""
+    x = p * d
+    m0 = _decay_integral(p, d)
+    if x < _SERIES_BELOW:
+        # M_j = d**(j+1) sum_n (-x)**n / (n! (n + j + 1))
+        term, s1, s2 = 1.0, 0.0, 0.0
+        for n in range(_SERIES_TERMS):
+            s1 += term / (n + 2)
+            s2 += term / (n + 3)
+            term *= -x / (n + 1)
+        return m0, d * d * s1, d * d * d * s2
+    # M_j = (j M_{j-1} - d**j exp(-x)) / p
+    e = math.exp(-x)
+    m1 = (m0 - d * e) / p
+    return m0, m1, (2.0 * m1 - d * d * e) / p
+
+
+def _flux(generation, d: float, nu: float
+          ) -> tuple[float, float, float, float]:
+    """(int G, F, dF/dnu, d2F/dnu2) with F = sigma**2 w0'(0) and
+    nu = 1 / sigma, term by term in G (see the module docstring)."""
     decay = math.exp(-nu * d)
-    total = flux = 0.0
-    for a, mu in ((gen.offset, 0.0),) + tuple(
-            (a, 1.0 / ell) for a, ell in gen.terms):
+    total = f0 = f1 = f2 = 0.0
+    for a, mu in ((generation.offset, 0.0),) + tuple(
+            (a, 1.0 / ell) for a, ell in generation.terms):
         total += a * _decay_integral(mu, d)
-        flux += a * (math.exp(-min(mu, nu) * d)
-                     * _decay_integral(abs(mu - nu), d)
-                     + decay * _decay_integral(mu + nu, d))
-    flux /= 1.0 + decay * decay          # sigma**2 w0'(0)
-    return total - flux, flux * nu * nu
+        near = math.exp(-min(mu, nu) * d)
+        m0, m1, m2 = _decay_moments(abs(mu - nu), d)
+        p0, p1, p2 = _decay_moments(mu + nu, d)
+        f0 += a * (near * m0 + decay * p0)
+        if mu >= nu:
+            f1 += a * (near * (m1 - d * m0) - decay * (d * p0 + p1))
+            f2 += a * (near * (d * d * m0 - 2.0 * d * m1 + m2)
+                       + decay * (d * d * p0 + 2.0 * d * p1 + p2))
+        else:
+            f1 += a * (-near * m1 - decay * (d * p0 + p1))
+            f2 += a * (near * m2 + decay * (d * d * p0 + 2.0 * d * p1 + p2))
+    # F = f0 / D with D = 1 + exp(-2 nu d)
+    r = decay * decay
+    f0 /= 1.0 + r
+    f1 = (f1 + 2.0 * d * r * f0) / (1.0 + r)
+    f2 = (f2 + 4.0 * d * r * f1 - 4.0 * d * d * r * f0) / (1.0 + r)
+    return total, f0, f1, f2
+
+
+def _mode_slope(m: float, d: float) -> tuple[float, float, float]:
+    """h(m) = m tanh(m d), with dh/dm and d2h/dm2."""
+    t = math.tanh(m * d)
+    e = math.exp(-2.0 * m * d)
+    sech2 = 4.0 * e / ((1.0 + e) * (1.0 + e))
+    return m * t, t + m * d * sech2, 2.0 * d * sech2 * (1.0 - m * d * t)
+
+
+def _check_finite(values, sigma: float, d: float) -> None:
+    # the closed forms run on Python floats: an overflow arrives here as
+    # inf, not as a numpy warning
+    if not all(math.isfinite(v) for v in values):
+        raise SolverError(f"non-finite expansion coefficient at "
+                          f"sigma = {sigma!r}, d = {d!r}")
+
+
+def _check_leading(i0: float) -> None:
+    if not i0 > 0:
+        raise ValueError(f"leading PL term must be positive, got {i0}")
+
+
+def _check_period(model: iface.InterfaceModel, period: float) -> None:
+    if not np.isclose(model.L, period, rtol=1e-12):
+        raise ValueError(
+            f"interface period {model.L} does not match device period {period}")
 
 
 def build_basis(device: DeviceConfig, model: iface.InterfaceModel
                 ) -> AsymptoticBasis:
     """The order-2 basis in closed form (see the module docstring)."""
-    if not np.isclose(model.L, device.L, rtol=1e-12):
-        raise ValueError(
-            f"interface period {model.L} does not match device period {device.L}")
+    _check_period(model, device.L)
     sigma, d = device.sigma, device.d
-    i0, slope = _leading_order(device)
-    # Python floats: an overflow gives inf, caught below, not a warning
-    m = [math.hypot(1.0, sigma * kappa) / sigma
-         for kappa in model.mode_angular_frequencies().tolist()]
-    mode_slopes = [d * slope * mk * math.tanh(mk * d) for mk in m]
-    q_integral = sigma * math.tanh(d / sigma)
-    if not np.all(np.isfinite([i0, slope, q_integral, *mode_slopes])):
-        raise SolverError(f"non-finite expansion coefficient at "
-                          f"sigma = {sigma!r}, d = {d!r}")
+    nu = 1.0 / sigma
+    total, flux, _, _ = _flux(device.generation, d, nu)
+    i0, slope = total - flux, flux * nu * nu
+    mode_slopes = [d * slope * _mode_slope(math.hypot(nu, kappa), d)[0]
+                   for kappa in model.mode_angular_frequencies().tolist()]
+    q_integral = sigma * sigma * _mode_slope(nu, d)[0]
+    _check_finite([i0, slope, q_integral, *mode_slopes], sigma, d)
     return AsymptoticBasis(device=device, model=model, i0=i0, slope=slope,
                            mode_slopes=np.array(mode_slopes),
                            q_integral=q_integral)
@@ -164,8 +250,7 @@ class PLApproximant:
     epsilon: float
 
     def __post_init__(self):
-        if not self.i0 > 0:
-            raise ValueError(f"leading PL term must be positive, got {self.i0}")
+        _check_leading(self.i0)
 
 
 def assemble_approximant(basis: AsymptoticBasis,
@@ -223,3 +308,67 @@ def sampled_pl(approximant: PLApproximant,
         total = total + approximant.epsilon ** 2 * float(
             c ** 2 @ (approximant.i2 + approximant.boundary))
     return float(total)
+
+
+@dataclass(frozen=True)
+class ExpansionModes:
+    """What the expected photoluminescence reads of an interface model:
+    the mode angular frequencies kappa_k, the weights lam_k**2, their sum
+    and the coefficients' second moment."""
+
+    kappas: tuple[float, ...]
+    weights: tuple[float, ...]
+    weight_sum: float
+    second_moment: float
+
+    @classmethod
+    def of(cls, model: iface.InterfaceModel, period: float
+           ) -> "ExpansionModes":
+        """The constants of ``model`` on devices of period ``period``, which
+        must be the model's own."""
+        _check_period(model, period)
+        weights = tuple(lam * lam for lam in model.lambdas)
+        return cls(kappas=tuple(model.mode_angular_frequencies().tolist()),
+                   weights=weights, weight_sum=math.fsum(weights),
+                   second_moment=iface.moments(model.dist).second)
+
+
+def expected_pl_with_derivatives(device: DeviceConfig, modes: ExpansionModes,
+                                 epsilon: float, order: int
+                                 ) -> tuple[float, float, float]:
+    """(E[I], dE[I]/dsigma, d2E[I]/dsigma2) at the given expansion order, in
+    closed form: :func:`expected_pl` of :func:`build_basis` to rounding,
+    differentiated by hand through F, int q and the mode sum T (see the
+    module docstring).  Raises :class:`~exdil.fd_core.SolverError` on a
+    non-finite value."""
+    _check_order(order)
+    sigma, d = device.sigma, device.d
+    nu = 1.0 / sigma
+    total, f0, f1, f2 = _flux(device.generation, d, nu)
+    i0 = total - f0
+    # derivatives in nu until the last line
+    e0, e1, e2 = i0, -f1, -f2
+    if order == 2:
+        t0 = t1 = t2 = 0.0
+        for kappa, weight in zip(modes.kappas, modes.weights):
+            m = math.hypot(nu, kappa)
+            h0, h1, h2 = _mode_slope(m, d)
+            dm = nu / m
+            t0 += weight * h0
+            t1 += weight * h1 * dm
+            t2 += weight * (h2 * dm * dm + h1 * kappa * kappa / (m * m * m))
+        q0, q1, q2 = _mode_slope(nu, d)           # nu**2 int q
+        lam = 0.25 * modes.weight_sum
+        w0 = lam * device.generation(d) - 0.5 * f0 * t0
+        w1 = -0.5 * (f1 * t0 + f0 * t1)
+        w2 = -0.5 * (f2 * t0 + 2.0 * f1 * t1 + f0 * t2)
+        scale = epsilon * epsilon * modes.second_moment * d * d
+        e0 += scale * (lam * nu * nu * f0 + w0 * q0)
+        e1 += scale * (lam * (2.0 * nu * f0 + nu * nu * f1)
+                       + w1 * q0 + w0 * q1)
+        e2 += scale * (lam * (2.0 * f0 + 4.0 * nu * f1 + nu * nu * f2)
+                       + w2 * q0 + 2.0 * w1 * q1 + w0 * q2)
+    values = (e0, -nu * nu * e1, nu * nu * (nu * nu * e2 + 2.0 * nu * e1))
+    _check_finite(values, sigma, d)
+    _check_leading(i0)
+    return values

@@ -174,7 +174,7 @@ def _dispatch(command: str, cfg, outdir: Path) -> list[str]:
         result = exp.timing_study(
             device=device, model=model,
             epsilon=cfg.value("timing", "eps", float, 0.1),
-            sc_cells=(cfg.value("grid", "asymptotic", int, 64),) * 2)
+            sc_cells=(cfg.value("grid", "reference", int, 64),) * 2)
         exp.write_csv(outdir / "timing.csv",
                       ["method", "seconds", "nodes_or_solves", "error"],
                       [["asymptotic_order2", f"{result.asym_seconds:.6g}",

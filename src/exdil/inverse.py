@@ -22,18 +22,22 @@ terms with the equation itself:
 
 with u's homogeneous boundary conditions, after which dI/dsigma and
 d2I/dsigma2 are the same thickness-weighted integrals of u1 and u2.  The
-flat and mapped providers solve them; the expansion provider has no such
-equations and differentiates its forward values by centred differences of
-relative step :data:`FD_STEP_REL`.  That is each provider's one derivative
-path: ``MappedCollocationForward.deriv`` can still select centred
-differences only because the ``fit-mapped`` benchmark workload names it.
+flat and mapped providers solve them.  The expansion provider's expected
+PL is a closed form in sigma, and it differentiates that closed form
+analytically (:func:`exdil.asymptotic.expected_pl_with_derivatives`).
+That is each provider's one derivative path.  Centred differences of
+relative step :data:`FD_STEP_REL` remain only as
+``MappedCollocationForward(deriv=CENTRAL_FD)``, because the ``fit-mapped``
+benchmark workload names that option.
 
-For the mapped collocation provider under ``SENSITIVITY_PDE`` every forward
-value is computed with its derivatives: the two sensitivity solves reuse
-the node's factorization, so a line-search trial yields the sensitivities
-of its own point, and once the trial is accepted the next iteration's J'
-and J'' need no new factorization.  Each provider keeps its latest
-evaluation per thickness, which is all a Newton fit can reuse.
+The expansion provider, and the mapped collocation provider under
+``SENSITIVITY_PDE``, compute every forward value with its derivatives.  For
+the mapped provider the two sensitivity solves reuse the node's
+factorization.  So a line-search trial yields the derivatives of its own
+point, and once the trial is accepted the next iteration's J' and J'' need
+no new evaluation: a fit costs (iterations + 1) evaluations per thickness.
+Each provider keeps its latest evaluation per thickness, which is all a
+Newton fit can reuse.
 """
 
 from __future__ import annotations
@@ -46,12 +50,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import interface as iface
-from .asymptotic import assemble_approximant, build_basis, expected_pl
+from .asymptotic import ExpansionModes, expected_pl_with_derivatives
 from .collocation import QuadratureRule
 from .fd_core import Grid2D
 from .forward_mapped import (CELLS_1D, DeviceConfig, GenerationProfile,
                              Solution1D, expected_mapped_pl, solve_1d_rhs,
-                             solve_mapped_1d)
+                             solve_mapped_1d, symmetry_folded_rule)
 
 __all__ = [
     "SENSITIVITY_PDE",
@@ -258,13 +262,19 @@ class MappedCollocationForward:
     rule: QuadratureRule
     cells: tuple[int, int] = (64, 64)
     deriv: str = SENSITIVITY_PDE
+    _folded: QuadratureRule = field(init=False, repr=False, compare=False)
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
+
+    def __post_init__(self):
+        # folding a folded rule returns it unchanged
+        object.__setattr__(self, "_folded", symmetry_folded_rule(
+            self.rule, Grid2D.unit(*self.cells)))
 
     def _values(self, sigma: float, d: float):
         """E[I], or the triple under SENSITIVITY_PDE, through the cache."""
         return _latest(self._cache, sigma, d, lambda: expected_mapped_pl(
-            self.family.device(sigma, d), self.model, self.rule,
+            self.family.device(sigma, d), self.model, self._folded,
             Grid2D.unit(*self.cells),
             derivatives=self.deriv == SENSITIVITY_PDE))
 
@@ -280,9 +290,13 @@ class MappedCollocationForward:
 
 @dataclass(frozen=True)
 class AsymptoticForward:
-    """Expansion-based expected photoluminescence (order 0, 1 or 2), from
-    the closed-form basis of :mod:`exdil.asymptotic`.
+    """Expansion-based expected photoluminescence (order 0, 1 or 2) with
+    its analytic sigma-derivatives, from
+    :func:`exdil.asymptotic.expected_pl_with_derivatives`.
 
+    Every evaluation gives (E[I], E[I'], E[I'']): ``pl`` returns its first
+    component, so a following ``pl_with_derivatives`` at the same point (an
+    accepted line-search trial) reads the whole triple from the cache.
     ``fixed_epsilon``, when set, is the roughness size at every thickness
     (hbar = eps * d); otherwise eps = hbar / d of the model.
     """
@@ -291,24 +305,25 @@ class AsymptoticForward:
     model: iface.InterfaceModel
     order: int = 2
     fixed_epsilon: Optional[float] = None
+    _modes: ExpansionModes = field(init=False, repr=False, compare=False)
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
-    def _expected_pl(self, sigma: float, d: float) -> float:
-        device = self.family.device(sigma, d)
-        basis = build_basis(device, self.model)
-        eps = self.fixed_epsilon if self.fixed_epsilon is not None \
-            else device.epsilon(self.model.hbar)
-        approximant = assemble_approximant(basis, epsilon=eps)
-        return expected_pl(approximant, iface.moments(self.model.dist),
-                           self.order)
+    def __post_init__(self):
+        object.__setattr__(self, "_modes", ExpansionModes.of(
+            self.model, self.family.period))
 
     def pl(self, sigma: float, d: float) -> float:
-        return _latest(self._cache, sigma, d,
-                       lambda: self._expected_pl(sigma, d))
+        return self.pl_with_derivatives(sigma, d)[0]
 
     def pl_with_derivatives(self, sigma: float, d: float):
-        return _central_derivatives(lambda s: self.pl(s, d), sigma)
+        def evaluate():
+            device = self.family.device(sigma, d)
+            eps = self.fixed_epsilon if self.fixed_epsilon is not None \
+                else device.epsilon(self.model.hbar)
+            return expected_pl_with_derivatives(device, self._modes, eps,
+                                                self.order)
+        return _latest(self._cache, sigma, d, evaluate)
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,6 @@ lambdas = 1.0, 0.5
 
 [grid]
 reference = 16
-asymptotic = 16
 
 [rule]
 size = 2
@@ -276,6 +275,27 @@ class TestConfigAndCli:
             assert rows, name
             fields = [v for row in rows for v in row.split(",")[1:] if v]
             assert all(np.isfinite(float(v)) for v in fields), name
+
+    def test_timing_grid_is_the_reference_key(self, tmp_path, monkeypatch):
+        # timing's reference and contender run on [grid] reference, the
+        # mapped grid of forward, expect and converge; [grid] asymptotic
+        # sets nothing
+        seen = {}
+
+        def recording_timing_study(**kwargs):
+            seen.update(kwargs)
+            return experiments.TimingResult(
+                asym_seconds=1.0, asym_error=0.0, sc_seconds=1.0, sc_level=1,
+                sc_nodes=1, sc_error=0.0, ref_seconds=1.0, reference=1.0,
+                speedup=1.0)
+
+        monkeypatch.setattr(experiments, "timing_study",
+                            recording_timing_study)
+        path = tmp_path / "run.cfg"
+        path.write_text(RESONANCE_CONFIG.format(out=tmp_path / "out").replace(
+            "reference = 16\n", "reference = 16\nasymptotic = 32\n"))
+        assert cli.main(["timing", "--config", str(path)]) == 0
+        assert seen["sc_cells"] == (16, 16)
 
     def test_unknown_command_exits_2(self):
         assert cli.main(["frobnicate", "--config", "x"]) == 2

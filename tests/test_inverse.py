@@ -1,11 +1,14 @@
 """Misfit, sensitivities, and the Newton estimation loop."""
 
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
 
-from exdil import fd_core
+from exdil import fd_core, inverse
+from exdil.asymptotic import expected_pl_with_derivatives
 from exdil.collocation import TENSOR_GL, QuadratureRule, build_rule
 from exdil.experiments import MODEL_2D, generate_synthetic_curve, write_csv
 from exdil.fd_core import Grid2D
@@ -14,7 +17,7 @@ from exdil.forward_mapped import (DeviceConfig, GenerationProfile,
                                   solve_mapped_1d, solve_mapped_2d,
                                   symmetry_folded_rule)
 from exdil.interface import InterfaceModel, UniformDist, sample
-from exdil.inverse import (CENTRAL_FD, FD_STEP_REL, AsymptoticForward,
+from exdil.inverse import (CENTRAL_FD, AsymptoticForward,
                            DeviceFamily,
                            EstimationError, EstimationTrace,
                            MappedCollocationForward, NewtonOptions,
@@ -234,20 +237,107 @@ class TestCollocationProvider:
                 == scaled.pl(5.0, d)
 
 
+def richardson_derivatives(pl, sigma, rel_step=1e-2):
+    """Oracle: (I', I'') of ``pl`` at ``sigma`` by centred differences at
+    steps h and h/2, Richardson-extrapolated to O(h**4)."""
+    mid = pl(sigma)
+
+    def centred(h):
+        hi, lo = pl(sigma + h), pl(sigma - h)
+        return (hi - lo) / (2.0 * h), (hi - 2.0 * mid + lo) / h ** 2
+
+    wide, narrow = centred(rel_step * sigma), centred(0.5 * rel_step * sigma)
+    return tuple((4.0 * n - w) / 3.0 for w, n in zip(wide, narrow))
+
+
+def expansion_provider(beta, order=2, fixed_epsilon=None, K=10):
+    model = InterfaceModel.with_power_spectrum(1.0, 4.0, K, beta,
+                                               UniformDist(-1.0, 1.0))
+    return AsymptoticForward(FAMILY, model, order=order,
+                             fixed_epsilon=fixed_epsilon)
+
+
 class TestAsymptoticProvider:
-    def test_second_derivative_step_independent(self):
-        # the closed-form expansion is exact to rounding, so the centred
-        # I'' of pl_with_derivatives agrees with one at twice the step
-        model = InterfaceModel.with_power_spectrum(1.0, 4.0, 10, -2.0,
+    @pytest.mark.parametrize("fixed_epsilon", [None, 0.05])
+    @pytest.mark.parametrize("beta", [-2.0, -1.0])
+    @pytest.mark.parametrize("order", [0, 2])
+    def test_derivatives_match_richardson(self, order, beta, fixed_epsilon):
+        prov = expansion_provider(beta, order, fixed_epsilon)
+        oracle = expansion_provider(beta, order, fixed_epsilon)
+        for sigma in (3.1, 5.0, 7.5):
+            for d in (8.2, 10.0, 40.0):
+                _, d1, d2 = prov.pl_with_derivatives(sigma, d)
+                r1, r2 = richardson_derivatives(
+                    lambda s: oracle.pl(s, d), sigma)
+                assert d1 == pytest.approx(r1, rel=1e-8), (sigma, d)
+                assert d2 == pytest.approx(r2, rel=1e-6), (sigma, d)
+
+    def test_smooth_through_resonance(self):
+        # d = 10 gives decay length ell = 5: sigma = ell exactly and either
+        # side of it, where the flux moments change branch
+        prov = expansion_provider(-2.0)
+        step = 5.0 * 1e-8
+        lo, mid, hi = (prov.pl_with_derivatives(5.0 + k * step, 10.0)
+                       for k in (-1, 0, 1))
+        assert all(math.isfinite(v) for v in lo + mid + hi)
+        for a, b, c in zip(lo, mid, hi):
+            assert 0.5 * (a + c) == pytest.approx(b, rel=1e-12)
+        for n in (0, 1):
+            assert (hi[n] - lo[n]) / (2.0 * step) == \
+                pytest.approx(mid[n + 1], rel=1e-6)
+
+    def test_finite_without_warnings_for_thick_films(self):
+        prov = expansion_provider(-1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = prov.pl_with_derivatives(0.3, 60.0)    # d / sigma = 200
+        assert all(math.isfinite(v) for v in values)
+
+    def test_period_mismatch_raises_on_construction(self):
+        model = InterfaceModel.with_power_spectrum(1.0, 5.0, 3, -1.0,
                                                    UniformDist(-1.0, 1.0))
-        prov = AsymptoticForward(FAMILY, model)
-        sigma, d = 7.5, 40.0
-        mid, _, d2 = prov.pl_with_derivatives(sigma, d)
-        step = 2.0 * FD_STEP_REL * sigma
-        oracle = AsymptoticForward(FAMILY, model)
-        d2_wide = (oracle.pl(sigma + step, d) - 2.0 * mid
-                   + oracle.pl(sigma - step, d)) / step ** 2
-        assert d2 == pytest.approx(d2_wide, rel=1e-4)
+        with pytest.raises(ValueError, match="does not match"):
+            AsymptoticForward(FAMILY, model)
+
+    def test_pl_is_first_component_of_derivatives(self):
+        for fixed_epsilon in (None, 0.05):
+            for sigma in (3.1, 5.0, 5.13, 7.4):
+                for d in (8.2, 10.0, 16.1, 40.0):
+                    plain, deriv = (expansion_provider(-1.0, 2, fixed_epsilon)
+                                    for _ in range(2))
+                    assert plain.pl(sigma, d) == \
+                        deriv.pl_with_derivatives(sigma, d)[0]
+
+    def test_objective_is_first_component(self, curve_1d):
+        for sigma in (3.0, 4.7, 5.3, 9.0):
+            plain, deriv = (expansion_provider(-2.0) for _ in range(2))
+            assert objective(plain, curve_1d, sigma) == \
+                objective_with_derivatives(deriv, curve_1d, sigma)[0]
+
+    def test_one_evaluation_per_newton_point(self, monkeypatch):
+        # the fit-expansion benchmark inputs of seed 1: each iterate is
+        # evaluated once, with its derivatives, plus the start point
+        rng = np.random.default_rng(1)
+        sigma_star = float(rng.uniform(4.8, 5.2))
+        thicknesses = tuple(s + float(rng.uniform(0.0, 0.2))
+                            for s in (10.0, 17.5, 25.0, 32.5, 40.0))
+        curve = generate_synthetic_curve("model_1d", sigma_star, thicknesses,
+                                         family=FAMILY)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return expected_pl_with_derivatives(*args, **kwargs)
+
+        monkeypatch.setattr(inverse, "expected_pl_with_derivatives", counting)
+        for beta in (-2.0, -1.0):
+            calls.clear()
+            trace = newton_estimate(expansion_provider(beta), curve,
+                                    sigma0=1.5 * sigma_star,
+                                    options=NewtonOptions(tol=1e-2))
+            assert trace.reason == "step_tolerance"
+            assert trace.alphas == [1.0] * 3
+            assert len(calls) == (trace.iterations + 1) * len(curve) == 20
 
 
 class UncachedMappedForward:
@@ -372,9 +462,12 @@ class TestProviderCopies:
     def test_cache_keeps_latest_sigma_per_thickness(self):
         model = InterfaceModel(0.5, 4.0, 2, (1.0, 0.5), UniformDist(0, 1))
         prov = AsymptoticForward(FAMILY, model)
-        values = {(s, d): prov.pl(s, d) for s in (5.0, 6.0)
-                  for d in (20.0, 30.0)}
-        assert prov._cache == {d: (6.0, values[6.0, d]) for d in (20.0, 30.0)}
+        for s in (5.0, 6.0):
+            for d in (20.0, 30.0):
+                prov.pl(s, d)
+        fresh = AsymptoticForward(FAMILY, model)
+        assert prov._cache == {d: (6.0, fresh.pl_with_derivatives(6.0, d))
+                               for d in (20.0, 30.0)}
 
 
 class TestNewtonOptions:
