@@ -54,6 +54,9 @@ give
     sigma**2 w0'(0) = int_0^d G(s) cosh(s / sigma) / cosh(d / sigma) ds,
     i0 = int_0^d G(s) ds - sigma**2 w0'(0).
 
+Since w0 solves the flat-interface problem, i0 is also the flat-interface
+photoluminescence, :func:`flat_pl`.
+
 G is a constant plus exponentials a exp(-mu s), mu = 1 / ell (the constant
 is the term with mu = 0).  With nu = 1 / sigma and
 E(p) = int_0^d exp(-p s) ds = -expm1(-p d) / p  (E(0) = d), one term gives
@@ -109,6 +112,7 @@ from .forward_mapped import DeviceConfig
 __all__ = [
     "AsymptoticBasis",
     "PLApproximant",
+    "flat_pl",
     "build_basis",
     "assemble_approximant",
     "expected_pl",
@@ -163,8 +167,8 @@ def _decay_moments(p: float, d: float) -> tuple[float, float, float]:
 
 def _flux(generation, d: float, nu: float
           ) -> tuple[float, float, float, float]:
-    """(int G, F, dF/dnu, d2F/dnu2) with F = sigma**2 w0'(0) and
-    nu = 1 / sigma, term by term in G (see the module docstring)."""
+    """(i0, F, dF/dnu, d2F/dnu2) with F = sigma**2 w0'(0), i0 = int G - F
+    and nu = 1 / sigma, term by term in G (see the module docstring)."""
     decay = math.exp(-nu * d)
     total = f0 = f1 = f2 = 0.0
     for a, mu in ((generation.offset, 0.0),) + tuple(
@@ -186,7 +190,7 @@ def _flux(generation, d: float, nu: float
     f0 /= 1.0 + r
     f1 = (f1 + 2.0 * d * r * f0) / (1.0 + r)
     f2 = (f2 + 4.0 * d * r * f1 - 4.0 * d * d * r * f0) / (1.0 + r)
-    return total, f0, f1, f2
+    return total - f0, f0, f1, f2
 
 
 def _mode_slope(m: float, d: float) -> tuple[float, float, float]:
@@ -216,14 +220,25 @@ def _check_period(model: iface.InterfaceModel, period: float) -> None:
             f"interface period {model.L} does not match device period {period}")
 
 
+def flat_pl(device: DeviceConfig) -> float:
+    """Photoluminescence of the flat interface at offset 0 in closed form:
+    the order-0 term i0 = int G - F at nu = 1 / sigma, the continuum limit
+    of :func:`~exdil.forward_mapped.solve_mapped_1d`.  Raises
+    :class:`~exdil.fd_core.SolverError` on a non-finite value."""
+    sigma, d = device.sigma, device.d
+    i0 = _flux(device.generation, d, 1.0 / sigma)[0]
+    _check_finite([i0], sigma, d)
+    return i0
+
+
 def build_basis(device: DeviceConfig, model: iface.InterfaceModel
                 ) -> AsymptoticBasis:
     """The order-2 basis in closed form (see the module docstring)."""
     _check_period(model, device.L)
     sigma, d = device.sigma, device.d
     nu = 1.0 / sigma
-    total, flux, _, _ = _flux(device.generation, d, nu)
-    i0, slope = total - flux, flux * nu * nu
+    i0, flux, _, _ = _flux(device.generation, d, nu)
+    slope = flux * nu * nu
     mode_slopes = [d * slope * _mode_slope(math.hypot(nu, kappa), d)[0]
                    for kappa in model.mode_angular_frequencies().tolist()]
     q_integral = sigma * sigma * _mode_slope(nu, d)[0]
@@ -344,8 +359,7 @@ def expected_pl_with_derivatives(device: DeviceConfig, modes: ExpansionModes,
     _check_order(order)
     sigma, d = device.sigma, device.d
     nu = 1.0 / sigma
-    total, f0, f1, f2 = _flux(device.generation, d, nu)
-    i0 = total - f0
+    i0, f0, f1, f2 = _flux(device.generation, d, nu)
     # derivatives in nu until the last line
     e0, e1, e2 = i0, -f1, -f2
     if order == 2:

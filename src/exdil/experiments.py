@@ -24,7 +24,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .asymptotic import assemble_approximant, build_basis, expected_pl
+from .asymptotic import (assemble_approximant, build_basis, expected_pl,
+                         flat_pl)
 from .collocation import SMOLYAK, TENSOR_GL, build_rule
 from .fd_core import Grid2D
 from .forward_mapped import (CELLS_1D, GenerationProfile, expected_mapped_pl,
@@ -246,7 +247,6 @@ def validation_study(*, sigma_star: float, betas: Sequence[float],
                      thicknesses: Sequence[float], family: DeviceFamily,
                      K: int = 10, hbar: float = 1.0,
                      dist: UniformDist = UniformDist(-1.0, 1.0),
-                     cells_1d: int = CELLS_1D,
                      est_cells: tuple[int, int] = (64, 64),
                      x_cells_per_length: float = 5.0,
                      order: int = 2,
@@ -255,14 +255,19 @@ def validation_study(*, sigma_star: float, betas: Sequence[float],
                      ) -> ValidationResult:
     """Fit the 2D expansion model to flat-interface data, per spectrum decay.
 
-    The data come from the one-dimensional model; the estimator assumes the
+    The data are the flat-interface photoluminescence in closed form,
+    :func:`~exdil.asymptotic.flat_pl` at each thickness: the continuum
+    model, as the expansion is, not the discrete solve of
+    ``generate_synthetic_curve(MODEL_1D)``.  The estimator assumes the
     rough-interface model with lambda_k = k**beta.  Agreement degrades as
     beta grows towards zero (short correlation lengths), which is the point
     of the comparison.  ``est_cells`` and ``x_cells_per_length`` are
     accepted and ignored: the expansion has no grid.
     """
-    data = generate_synthetic_curve(MODEL_1D, sigma_star, thicknesses,
-                                    family=family, cells_1d=cells_1d)
+    thicknesses = finite_floats("thicknesses", thicknesses)
+    data = PLCurve(thicknesses, tuple(
+        flat_pl(family.device(sigma_star, d)) for d in thicknesses),
+        provenance="flat-closed-form")
     traces, finals, within = {}, {}, {}
     for beta in betas:
         model = InterfaceModel.with_power_spectrum(hbar, family.period, K,

@@ -28,6 +28,7 @@ against a single factorization, which the sensitivity solvers rely on.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,12 +130,66 @@ def _broadcast(value, shape) -> np.ndarray:
     return np.broadcast_to(np.asarray(value, dtype=float), shape)
 
 
+@dataclass(frozen=True)
+class _StencilPattern:
+    """CSC structure of the stencil matrix of one grid shape.
+
+    The nine stencil emits of :class:`EllipticOperator`, concatenated,
+    give one value per entry; ``data = values[first]`` fills every slot,
+    and ``data[pair_slots] += values[second]`` adds the other entry of
+    each duplicate pair that the top row's ghost fold makes.  Every slot
+    holds one entry or two, so the sum does not depend on their order.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    first: np.ndarray
+    pair_slots: np.ndarray
+    second: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _stencil_pattern(ny: int, nz: int) -> _StencilPattern:
+    I, J = np.meshgrid(np.arange(1, ny + 1), np.arange(nz), indexing="ij")
+    jp = (J + 1) % nz
+    jm = (J - 1) % nz
+    base = (I - 1) * nz + J
+    # Ghost fold: the top row's northern neighbours reflect onto row ny-1.
+    up = np.where(I < ny, I + 1, ny - 1)
+    # Southern neighbours of row 1 are Dirichlet nodes and move to the
+    # right-hand side (EllipticOperator.rhs), so only rows 2..ny have them.
+    cols = (base, (I - 1) * nz + jp, (I - 1) * nz + jm,
+            (up - 1) * nz + J, (up - 1) * nz + jp, (up - 1) * nz + jm,
+            ((I - 2) * nz + J)[1:], ((I - 2) * nz + jp)[1:],
+            ((I - 2) * nz + jm)[1:])
+    row = np.concatenate([base.ravel()] * 6 + [base[1:].ravel()] * 3)
+    col = np.concatenate([c.ravel() for c in cols])
+    n = ny * nz
+    key = col * n + row
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.ones(key.size, dtype=bool)
+    new[1:] = key[1:] != key[:-1]
+    slot = np.cumsum(new) - 1
+    first = order[new]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(col[first], minlength=n), out=indptr[1:])
+    pattern = _StencilPattern(
+        indptr=indptr, indices=row[first].astype(np.int32), first=first,
+        pair_slots=slot[~new], second=order[~new])
+    for array in vars(pattern).values():
+        array.flags.writeable = False
+    return pattern
+
+
 class EllipticOperator:
     """Stencil matrix for fixed coefficients, reusable across right-hand
     sides and Dirichlet data.
 
     The matrix depends only on the coefficients, so it is assembled and
     factorized once; :meth:`solve_field` then costs two triangular solves.
+    Its sparsity pattern depends only on the grid shape and is built once
+    per shape (a small cache keeps the latest few).
     Its rows follow the unknown layout idx = (i-1)*nz + j, and each equation
     is divided by the magnitude of its diagonal stencil weight, which keeps
     the residual tolerance meaningful when the mapped geometry stretches
@@ -157,42 +212,22 @@ class EllipticOperator:
         C = cyz / (4.0 * grid.hy * grid.hz)
         E = cy / (2.0 * grid.hy)
 
-        I, J = np.meshgrid(np.arange(1, ny + 1), np.arange(nz), indexing="ij")
-        jp = (J + 1) % nz
-        jm = (J - 1) % nz
-        base = (I - 1) * nz + J
-        # Ghost fold: the top row's northern neighbours reflect onto row ny-1.
-        up = np.where(I < ny, I + 1, ny - 1)
-
-        rows, cols, vals = [], [], []
-
-        def emit(r, c, v):
-            rows.append(r.ravel())
-            cols.append(c.ravel())
-            vals.append(v.ravel())
-
-        emit(base, base, -2.0 * A - 2.0 * B + c0)
-        emit(base, (I - 1) * nz + jp, B)
-        emit(base, (I - 1) * nz + jm, B)
-        emit(base, (up - 1) * nz + J, A + E)
-        emit(base, (up - 1) * nz + jp, C)
-        emit(base, (up - 1) * nz + jm, -C)
-        # Southern neighbours of row 1 are Dirichlet nodes and move to the
-        # right-hand side; their stencil weights are kept for that purpose.
-        south = I > 1
-        emit(base[south], ((I - 2) * nz + J)[south], (A - E)[south])
-        emit(base[south], ((I - 2) * nz + jp)[south], -C[south])
-        emit(base[south], ((I - 2) * nz + jm)[south], C[south])
-
+        diag = -2.0 * A - 2.0 * B + c0
+        magnitude = np.abs(diag).ravel()
+        self._row_scale = np.where(magnitude > 0, magnitude, 1.0)
+        scale = (1.0 / self._row_scale).reshape(ny, nz)
+        # The emits in the order of _stencil_pattern, each equation scaled
+        # before the ghost fold sums its duplicate pairs.
+        north = (diag, B, B, A + E, C, -C)
+        south = ((A - E)[1:], -C[1:], C[1:])
+        values = np.concatenate([(v * scale).ravel() for v in north]
+                                + [(v * scale[1:]).ravel() for v in south])
+        pattern = _stencil_pattern(ny, nz)
+        data = values[pattern.first]
+        data[pattern.pair_slots] += values[pattern.second]
         n = ny * nz
-        diag = np.abs(-2.0 * A - 2.0 * B + c0).ravel()
-        self._row_scale = np.where(diag > 0, diag, 1.0)
-        scale = 1.0 / self._row_scale
-        all_rows = np.concatenate(rows)
-        coo = sp.coo_matrix(
-            (np.concatenate(vals) * scale[all_rows],
-             (all_rows, np.concatenate(cols))), shape=(n, n))
-        self._matrix = coo.tocsc()
+        self._matrix = sp.csc_matrix((data, pattern.indices, pattern.indptr),
+                                     shape=(n, n))
         self._bottom_s = A[0] - E[0]
         self._bottom_c = C[0]
         self._lu = None
@@ -245,15 +280,16 @@ class EllipticOperator:
         lu = self.factorize()
         x = lu.solve(b)
         tol = RESIDUAL_RTOL * (1.0 + float(np.linalg.norm(b)))
-        for _ in range(2):
+        for sweep in range(3):
+            # r is always the residual of the returned x
             r = b - self._matrix @ x
-            if float(np.linalg.norm(r)) <= tol:
+            if sweep == 2 or float(np.linalg.norm(r)) <= tol:
                 break
             x = x + lu.solve(r)
         if not np.all(np.isfinite(x)):
             raise SolverError("solver produced non-finite values",
                               residual=np.inf)
-        check_residual(self._matrix @ x - b, b)
+        check_residual(r, b)
         return x
 
     def solve_field(self, source, dirichlet=0.0) -> Field2D:

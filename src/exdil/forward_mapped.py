@@ -121,6 +121,12 @@ class GenerationProfile:
         return cls(offset=value)
 
     def __call__(self, x):
+        if isinstance(x, float):
+            # the array path's arithmetic on one value, without the arrays
+            value = self.offset
+            for a, ell in self.terms:
+                value = value + a * np.exp(-x / ell)
+            return float(value)
         x = np.asarray(x, dtype=float)
         out = np.full_like(x, self.offset)
         for a, ell in self.terms:

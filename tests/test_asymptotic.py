@@ -17,12 +17,15 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from exdil import interface as iface
-from exdil.asymptotic import (PLApproximant, assemble_approximant,
-                              build_basis, expected_pl, sampled_pl)
+from exdil.asymptotic import (ExpansionModes, PLApproximant,
+                              assemble_approximant, build_basis,
+                              expected_pl, expected_pl_with_derivatives,
+                              flat_pl, sampled_pl)
 from exdil.fd_core import (EllipticOperator, Field2D, Grid2D, PdeCoefficients,
                            SolverError, trapezoid_2d)
 from exdil.forward_mapped import (DeviceConfig, GenerationProfile,
-                                  solve_1d_rhs, solve_mapped_2d)
+                                  solve_1d_rhs, solve_mapped_1d,
+                                  solve_mapped_2d)
 from exdil.interface import InterfaceModel, InterfaceSample, UniformDist, \
     moments, sample
 
@@ -278,6 +281,40 @@ class TestClosedForm:
         dev = device(sigma=1e-200, gen=GenerationProfile.exponential(5.0))
         with pytest.raises(SolverError, match="non-finite"):
             build_basis(dev, model_of(dev, K=2))
+
+
+class TestFlatPL:
+    @pytest.mark.parametrize("sigma, gen", [
+        (5.0, GenerationProfile.exponential(5.0)),
+        (5.0, GenerationProfile.exponential(5.0 * (1.0 + 1e-8))),
+        (5.0, GenerationProfile.exponential(5.0 * (1.0 - 1e-8))),
+        (2.0, GenerationProfile(terms=((1.0, 3.0),), offset=0.3))])
+    def test_discrete_solve_converges_at_second_order(self, sigma, gen):
+        # the flat-interface solve approaches the closed form at O(h**2),
+        # on the resonance ell = sigma, either side of it, and for a
+        # constant plus an exponential
+        dev = device(sigma=sigma, gen=gen)
+        exact = flat_pl(dev)
+        errs = [abs(solve_mapped_1d(dev, 0.0, cells).pl - exact)
+                for cells in (256, 512, 1024)]
+        assert errs[-1] < 1e-6 * exact
+        for coarse, fine in zip(errs, errs[1:]):
+            assert math.log2(coarse / fine) == pytest.approx(2.0, abs=0.1)
+
+    @pytest.mark.parametrize("sigma, d", [(5.0, 10.0), (3.1, 8.2),
+                                          (7.5, 40.0)])
+    def test_is_the_expansions_leading_term(self, sigma, d):
+        # one formula: the order-0 value of both expansion paths, bit for
+        # bit
+        dev = device(sigma=sigma, d=d,
+                     gen=GenerationProfile.exponential(d / 2))
+        model = InterfaceModel.with_power_spectrum(1.0, 4.0, 10, -2.0,
+                                                   UniformDist(-1.0, 1.0))
+        modes = ExpansionModes.of(model, dev.L)
+        value = flat_pl(dev)
+        assert value.hex() == build_basis(dev, model).i0.hex()
+        assert value.hex() == expected_pl_with_derivatives(
+            dev, modes, 0.1, 0)[0].hex()
 
 
 class TestFirstOrder:

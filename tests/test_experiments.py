@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from exdil import cli, experiments
+from exdil.asymptotic import flat_pl
 from exdil.collocation import SMOLYAK, build_rule
 from exdil.experiments import (MODEL_1D, MODEL_2D, config_hash,
                                convergence_study, fit_slope,
@@ -393,6 +394,42 @@ class TestValidationStudy:
         assert rows[2:] == ["-2,0.5,0,0"]
         assert (out / "validate_beta-2.csv").read_text().splitlines()[2:] \
             == []
+
+    def test_data_are_the_flat_closed_form(self, monkeypatch):
+        seen = []
+
+        def capturing_newton(provider, curve, **kwargs):
+            seen.append(curve)
+            return exhausted_newton(provider, curve, **kwargs)
+
+        monkeypatch.setattr(experiments, "newton_estimate", capturing_newton)
+        thicknesses = (10.0, 17.5, 25.0, 32.5, 40.0)
+        validation_study(sigma_star=4.9, betas=(-2.0, -1.0),
+                         thicknesses=thicknesses, family=FAMILY, K=3,
+                         sigma0=7.5)
+        assert len(seen) == 2
+        for curve in seen:
+            assert curve.thicknesses == thicknesses
+            assert [v.hex() for v in curve.values] == [
+                flat_pl(FAMILY.device(4.9, d)).hex() for d in thicknesses]
+
+    def test_cli_error_grows_as_beta_rises(self, tmp_path):
+        # the paper's trend: the flat data agree less with the rough model
+        # as the spectrum decays more slowly
+        path = tmp_path / "run.cfg"
+        out = tmp_path / "out"
+        path.write_text(f"[run]\nkind = validate\noutput = {out}\n\n"
+                        "[interface]\nmodes = 10\n\n"
+                        "[validate]\nsigma_star = 5.0\n"
+                        "betas = -3, -2, -1, -0.5\n"
+                        "thicknesses = 10, 17.5, 25, 32.5, 40\n")
+        assert cli.main(["validate", "--config", str(path)]) == 0
+        rows = [row.split(",") for row in
+                (out / "validate_summary.csv").read_text().splitlines()[2:]]
+        assert [row[0] for row in rows] == ["-3", "-2", "-1", "-0.5"]
+        assert all(row[3] != "0" for row in rows)
+        errors = [float(row[1]) for row in rows]
+        assert all(a < b for a, b in zip(errors, errors[1:]))
 
 
 class TestTimingStudy:

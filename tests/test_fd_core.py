@@ -1,8 +1,12 @@
 """Finite-difference core: stencils, assembly, solves, quadrature."""
 
+import types
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from exdil import fd_core
 from exdil.experiments import write_csv
 from exdil.fd_core import (EllipticOperator, Field2D, Grid2D, PdeCoefficients,
                            SolverError, trapezoid_2d)
@@ -136,7 +140,106 @@ def manufactured(grid, sig2=0.8, cyz=0.25, cy=0.4):
     return u, source, dirichlet
 
 
+def coo_matrix_oracle(grid, coeffs):
+    """The stencil matrix assembled entry by entry as COO triplets and
+    converted by scipy, which sums the ghost fold's duplicates."""
+    ny, nz = grid.ny, grid.nz
+
+    def node(c):
+        return np.broadcast_to(np.asarray(c, dtype=float),
+                               grid.shape)[1:, :nz]
+
+    A = node(coeffs.cyy) / grid.hy ** 2
+    B = node(coeffs.czz) / grid.hz ** 2
+    C = node(coeffs.cyz) / (4.0 * grid.hy * grid.hz)
+    E = node(coeffs.cy) / (2.0 * grid.hy)
+    c0 = node(coeffs.c0)
+    I, J = np.meshgrid(np.arange(1, ny + 1), np.arange(nz), indexing="ij")
+    jp, jm = (J + 1) % nz, (J - 1) % nz
+    base = (I - 1) * nz + J
+    up = np.where(I < ny, I + 1, ny - 1)
+    south = I > 1
+    triplets = [
+        (base, base, -2.0 * A - 2.0 * B + c0),
+        (base, (I - 1) * nz + jp, B), (base, (I - 1) * nz + jm, B),
+        (base, (up - 1) * nz + J, A + E), (base, (up - 1) * nz + jp, C),
+        (base, (up - 1) * nz + jm, -C),
+        (base[south], ((I - 2) * nz + J)[south], (A - E)[south]),
+        (base[south], ((I - 2) * nz + jp)[south], -C[south]),
+        (base[south], ((I - 2) * nz + jm)[south], C[south])]
+    rows = np.concatenate([r.ravel() for r, _, _ in triplets])
+    cols = np.concatenate([c.ravel() for _, c, _ in triplets])
+    vals = np.concatenate([np.broadcast_to(v, r.shape).ravel()
+                           for r, _, v in triplets])
+    diag = np.abs(-2.0 * A - 2.0 * B + c0).ravel()
+    scale = 1.0 / np.where(diag > 0, diag, 1.0)
+    n = ny * nz
+    return sp.coo_matrix((vals * scale[rows], (rows, cols)),
+                         shape=(n, n)).tocsc()
+
+
+def random_coeffs(grid, seed):
+    """Node coefficients with every stencil weight distinct, and the cross
+    term zero on some nodes (so the matrix stores signed zeros)."""
+    rng = np.random.default_rng(seed)
+    cyz = rng.uniform(-0.5, 0.5, grid.shape)
+    cyz[rng.uniform(size=grid.shape) < 0.3] = 0.0
+    return PdeCoefficients(cyy=rng.uniform(0.5, 2.0, grid.shape),
+                           czz=rng.uniform(0.5, 2.0, grid.shape), cyz=cyz,
+                           cy=rng.uniform(-1.0, 1.0, grid.shape), c0=-1.0)
+
+
+def same_bits(a, b):
+    return all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
+               for x, y in ((a.indptr, b.indptr), (a.indices, b.indices),
+                            (a.data, b.data)))
+
+
 class TestAssembleSolve:
+    @pytest.mark.parametrize("ny, nz", [(4, 4), (4, 9), (7, 5), (32, 32),
+                                        (128, 128)])
+    def test_cached_pattern_matches_coo_oracle(self, ny, nz):
+        # bit for bit, on the first call for a grid shape and on a second
+        # call, with other coefficients, that reuses the cached pattern
+        g = Grid2D.unit(ny, nz)
+        for seed in (0, 1):
+            coeffs = random_coeffs(g, seed)
+            assert same_bits(EllipticOperator(g, coeffs).matrix,
+                             coo_matrix_oracle(g, coeffs))
+
+    def test_checks_the_residual_of_the_returned_solution(self, monkeypatch):
+        # an LU whose first `bad` solves are off by 1e-3 in one entry: two
+        # bad solves are repaired by the second refinement sweep, three are
+        # not, and the residual check must see the difference
+        g = Grid2D.unit(16, 16)
+        _, source, dirichlet = manufactured(g)
+        exact = EllipticOperator(g, screened_coeffs(0.8, 0.25, 0.4))
+        b = exact.rhs(source, dirichlet)
+        expected = exact.solve_vector(b)
+        splu = fd_core.spla.splu
+
+        def perturbed_splu(bad):
+            def factor(matrix, permc_spec):
+                lu, calls = splu(matrix, permc_spec=permc_spec), []
+
+                def solve(rhs):
+                    calls.append(None)
+                    x = lu.solve(rhs)
+                    if len(calls) <= bad:
+                        x[x.size // 2] += 1e-3
+                    return x
+                return types.SimpleNamespace(solve=solve)
+            return types.SimpleNamespace(splu=factor)
+
+        monkeypatch.setattr(fd_core, "spla", perturbed_splu(2))
+        op = EllipticOperator(g, screened_coeffs(0.8, 0.25, 0.4))
+        assert op.solve_vector(b) == pytest.approx(expected, abs=1e-12)
+        monkeypatch.setattr(fd_core, "spla", perturbed_splu(3))
+        op = EllipticOperator(g, screened_coeffs(0.8, 0.25, 0.4))
+        with pytest.raises(SolverError, match="residual"):
+            op.solve_vector(b)
+
+
     def test_zero_source_zero_solution(self):
         g = Grid2D.unit(8, 8)
         op = EllipticOperator(g, screened_coeffs())

@@ -45,6 +45,20 @@ class TestGenerationProfile:
         assert g(0.0) == pytest.approx(1.5)
         assert g(2.0) == pytest.approx(math.exp(-1) + 0.5 * math.exp(-2 / 7))
 
+    @pytest.mark.parametrize("g", [
+        GenerationProfile.constant(2.0),
+        GenerationProfile.exponential(5.0),
+        GenerationProfile.exponential(0.3, amplitude=7.0),
+        GenerationProfile(terms=((1.0, 3.0), (0.5, 0.7)), offset=0.25)])
+    def test_float_path_matches_array_path_bitwise(self, g):
+        xs = np.concatenate([np.linspace(0.0, 200.0, 801),
+                             [1e-300, 5e-324, 1e300, np.inf]])
+        array = g(xs)
+        for x, expected in zip(xs.tolist(), array.tolist()):
+            value = g(x)
+            assert type(value) is float
+            assert value.hex() == g(np.asarray(x)).hex() == expected.hex()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             GenerationProfile(terms=((0.0, 1.0),))
