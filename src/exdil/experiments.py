@@ -451,7 +451,9 @@ def write_csv(path: Path, header: list[str], rows, conf_hash: str) -> None:
 
 
 def write_manifest(outdir: Path, cfg: RunConfig, outputs: list[str]) -> None:
-    import scipy
+    # scipy's version from its installed metadata: importing scipy for it
+    # would load the package in runs that never use it
+    from importlib.metadata import version
 
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -462,7 +464,7 @@ def write_manifest(outdir: Path, cfg: RunConfig, outputs: list[str]) -> None:
         "versions": {
             "exdil": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": version("scipy"),
         },
     }
     with open(outdir / "manifest.json", "w") as fh:

@@ -24,16 +24,25 @@ a sparse direct LU (SuperLU with minimum-degree ordering on A^T + A, which
 is markedly faster than the default ordering on this nearly symmetric
 pattern).  One :class:`EllipticOperator` can solve many right-hand sides
 against a single factorization, which the sensitivity solvers rely on.
+
+scipy is loaded on first use, not on import: the first
+:class:`EllipticOperator` imports ``scipy.sparse`` and
+``scipy.sparse.linalg``, so the closed-form studies, which build no
+operator, never load them.  Until then the module attributes ``sp`` and
+``spla`` resolve through the module ``__getattr__`` (PEP 562), which loads
+them on the spot.  A value bound to either attribute from outside before
+that wins over the first load, and :meth:`EllipticOperator.factorize`
+looks ``spla`` up at call time, so a stand-in ``spla`` installed before any
+operator exists sees every ``splu`` call.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 __all__ = [
     "Grid2D",
@@ -50,6 +59,24 @@ __all__ = [
 RESIDUAL_RTOL = 1e-10
 
 _PERMC_SPEC = "MMD_AT_PLUS_A"
+
+# Module attributes bound to a scipy module on first use (see the module
+# docstring).
+_SCIPY = {"sp": "scipy.sparse", "spla": "scipy.sparse.linalg"}
+
+
+def __getattr__(name):
+    # Called only while ``name`` is unbound; setdefault keeps a value that
+    # another thread or an outside caller bound in the meantime.
+    if name in _SCIPY:
+        return globals().setdefault(name, importlib.import_module(_SCIPY[name]))
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _load_scipy() -> None:
+    for name in _SCIPY:
+        if name not in globals():
+            __getattr__(name)
 
 
 class SolverError(RuntimeError):
@@ -197,6 +224,7 @@ class EllipticOperator:
     """
 
     def __init__(self, grid: Grid2D, coeffs: PdeCoefficients):
+        _load_scipy()
         self.grid = grid
         ny, nz = grid.ny, grid.nz
         shape = grid.shape
@@ -262,6 +290,8 @@ class EllipticOperator:
         return b.ravel() / self._row_scale
 
     def factorize(self):
+        # spla is looked up at call time, so a stand-in bound from outside
+        # sees this call
         if self._lu is None:
             try:
                 self._lu = spla.splu(self._matrix, permc_spec=_PERMC_SPEC)

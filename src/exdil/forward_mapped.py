@@ -48,7 +48,13 @@ values equal the unfolded ones to rounding (1e-14 relative).
 
 For a flat interface h = xi the problem drops to one dimension; the solver
 for that case shares the conventions (and its matrix is reused by the
-sensitivity solves in :mod:`exdil.inverse`).
+sensitivity solves in :mod:`exdil.inverse`).  Its banded solver,
+``scipy.linalg.solve_banded``, is imported at the first 1D solve, as
+:mod:`exdil.fd_core` imports its sparse modules at the first operator, so
+importing the package loads no scipy.  Until then the module attribute
+``solve_banded`` resolves through the module ``__getattr__`` (PEP 562); a
+value bound to it from outside wins over the first load, and
+:func:`solve_1d_rhs` looks it up at call time.
 """
 
 from __future__ import annotations
@@ -57,7 +63,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from . import interface as iface
 from .collocation import QuadratureRule, expect, fold
@@ -83,6 +88,14 @@ __all__ = [
 # data and the flat-model forward provider both take their default from
 # here, so that by default they are one discrete model.
 CELLS_1D = 2048
+
+
+def __getattr__(name):
+    # Called only while ``name`` is unbound (see the module docstring).
+    if name == "solve_banded":
+        from scipy.linalg import solve_banded
+        return globals().setdefault(name, solve_banded)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class DomainValidityError(ValueError):
@@ -321,7 +334,8 @@ def solve_1d_rhs(device: DeviceConfig, xi: float, cells: int,
     """
     ab, _, _ = _banded_1d(device, xi, cells)
     b = -np.broadcast_to(np.asarray(source, dtype=float), (cells + 1,))[1:]
-    x = solve_banded((1, 1), ab, b)
+    solve = globals().get("solve_banded") or __getattr__("solve_banded")
+    x = solve((1, 1), ab, b)
     if not np.all(np.isfinite(x)):
         raise SolverError("1d solve produced non-finite values")
     r = ab[1] * x - b

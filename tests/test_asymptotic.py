@@ -301,11 +301,11 @@ class TestFlatPL:
         for coarse, fine in zip(errs, errs[1:]):
             assert math.log2(coarse / fine) == pytest.approx(2.0, abs=0.1)
 
-    @pytest.mark.parametrize("sigma, d", [(5.0, 10.0), (3.1, 8.2),
-                                          (7.5, 40.0)])
+    @pytest.mark.parametrize("sigma, d", [
+        (sigma, d) for sigma in (3.1, 5.0, 7.5) for d in (8.2, 10.0, 40.0)])
     def test_is_the_expansions_leading_term(self, sigma, d):
         # one formula: the order-0 value of both expansion paths, bit for
-        # bit
+        # bit, whether or not the flux's sigma-derivatives are computed
         dev = device(sigma=sigma, d=d,
                      gen=GenerationProfile.exponential(d / 2))
         model = InterfaceModel.with_power_spectrum(1.0, 4.0, 10, -2.0,
