@@ -165,29 +165,19 @@ def _decay_moments(p: float, d: float) -> tuple[float, float, float]:
     return m0, m1, (2.0 * m1 - d * d * e) / p
 
 
-def _flux(generation, d: float, nu: float, derivatives: bool = True
-          ) -> tuple[float, ...]:
+def _flux(generation, d: float, nu: float
+          ) -> tuple[float, float, float, float]:
     """(i0, F, dF/dnu, d2F/dnu2) with F = sigma**2 w0'(0), i0 = int G - F
-    and nu = 1 / sigma, term by term in G (see the module docstring).
-
-    Without ``derivatives`` it returns (i0, F) alone and skips the moments
-    that only the derivatives read; i0 and F are the same bits either way.
-    """
+    and nu = 1 / sigma, term by term in G (see the module docstring)."""
     decay = math.exp(-nu * d)
     total = f0 = f1 = f2 = 0.0
     for a, mu in ((generation.offset, 0.0),) + tuple(
             (a, 1.0 / ell) for a, ell in generation.terms):
         total += a * _decay_integral(mu, d)
         near = math.exp(-min(mu, nu) * d)
-        if derivatives:
-            m0, m1, m2 = _decay_moments(abs(mu - nu), d)
-            p0, p1, p2 = _decay_moments(mu + nu, d)
-        else:
-            m0 = _decay_integral(abs(mu - nu), d)
-            p0 = _decay_integral(mu + nu, d)
+        m0, m1, m2 = _decay_moments(abs(mu - nu), d)
+        p0, p1, p2 = _decay_moments(mu + nu, d)
         f0 += a * (near * m0 + decay * p0)
-        if not derivatives:
-            continue
         if mu >= nu:
             f1 += a * (near * (m1 - d * m0) - decay * (d * p0 + p1))
             f2 += a * (near * (d * d * m0 - 2.0 * d * m1 + m2)
@@ -198,8 +188,6 @@ def _flux(generation, d: float, nu: float, derivatives: bool = True
     # F = f0 / D with D = 1 + exp(-2 nu d)
     r = decay * decay
     f0 /= 1.0 + r
-    if not derivatives:
-        return total - f0, f0
     f1 = (f1 + 2.0 * d * r * f0) / (1.0 + r)
     f2 = (f2 + 4.0 * d * r * f1 - 4.0 * d * d * r * f0) / (1.0 + r)
     return total - f0, f0, f1, f2
@@ -238,7 +226,7 @@ def flat_pl(device: DeviceConfig) -> float:
     of :func:`~exdil.forward_mapped.solve_mapped_1d`.  Raises
     :class:`~exdil.fd_core.SolverError` on a non-finite value."""
     sigma, d = device.sigma, device.d
-    i0, _ = _flux(device.generation, d, 1.0 / sigma, derivatives=False)
+    i0 = _flux(device.generation, d, 1.0 / sigma)[0]
     _check_finite([i0], sigma, d)
     return i0
 
@@ -249,7 +237,7 @@ def build_basis(device: DeviceConfig, model: iface.InterfaceModel
     _check_period(model, device.L)
     sigma, d = device.sigma, device.d
     nu = 1.0 / sigma
-    i0, flux = _flux(device.generation, d, nu, derivatives=False)
+    i0, flux, _, _ = _flux(device.generation, d, nu)
     slope = flux * nu * nu
     mode_slopes = [d * slope * _mode_slope(math.hypot(nu, kappa), d)[0]
                    for kappa in model.mode_angular_frequencies().tolist()]

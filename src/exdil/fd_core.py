@@ -60,23 +60,20 @@ RESIDUAL_RTOL = 1e-10
 
 _PERMC_SPEC = "MMD_AT_PLUS_A"
 
-# Module attributes bound to a scipy module on first use (see the module
-# docstring).
-_SCIPY = {"sp": "scipy.sparse", "spla": "scipy.sparse.linalg"}
+
+def _load_scipy() -> None:
+    # setdefault keeps a value that an outside caller or another thread
+    # bound first (see the module docstring)
+    globals().setdefault("sp", importlib.import_module("scipy.sparse"))
+    globals().setdefault("spla", importlib.import_module("scipy.sparse.linalg"))
 
 
 def __getattr__(name):
-    # Called only while ``name`` is unbound; setdefault keeps a value that
-    # another thread or an outside caller bound in the meantime.
-    if name in _SCIPY:
-        return globals().setdefault(name, importlib.import_module(_SCIPY[name]))
+    # Called only while ``name`` is unbound.
+    if name in ("sp", "spla"):
+        _load_scipy()
+        return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _load_scipy() -> None:
-    for name in _SCIPY:
-        if name not in globals():
-            __getattr__(name)
 
 
 class SolverError(RuntimeError):

@@ -59,6 +59,7 @@ value bound to it from outside wins over the first load, and
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 
@@ -90,11 +91,18 @@ __all__ = [
 CELLS_1D = 2048
 
 
+def _load_solve_banded() -> None:
+    # setdefault keeps a value that an outside caller or another thread
+    # bound first (see the module docstring)
+    globals().setdefault("solve_banded",
+                         importlib.import_module("scipy.linalg").solve_banded)
+
+
 def __getattr__(name):
-    # Called only while ``name`` is unbound (see the module docstring).
+    # Called only while ``name`` is unbound.
     if name == "solve_banded":
-        from scipy.linalg import solve_banded
-        return globals().setdefault(name, solve_banded)
+        _load_solve_banded()
+        return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -334,8 +342,8 @@ def solve_1d_rhs(device: DeviceConfig, xi: float, cells: int,
     """
     ab, _, _ = _banded_1d(device, xi, cells)
     b = -np.broadcast_to(np.asarray(source, dtype=float), (cells + 1,))[1:]
-    solve = globals().get("solve_banded") or __getattr__("solve_banded")
-    x = solve((1, 1), ab, b)
+    _load_solve_banded()
+    x = solve_banded((1, 1), ab, b)
     if not np.all(np.isfinite(x)):
         raise SolverError("1d solve produced non-finite values")
     r = ab[1] * x - b

@@ -305,7 +305,7 @@ class TestFlatPL:
         (sigma, d) for sigma in (3.1, 5.0, 7.5) for d in (8.2, 10.0, 40.0)])
     def test_is_the_expansions_leading_term(self, sigma, d):
         # one formula: the order-0 value of both expansion paths, bit for
-        # bit, whether or not the flux's sigma-derivatives are computed
+        # bit
         dev = device(sigma=sigma, d=d,
                      gen=GenerationProfile.exponential(d / 2))
         model = InterfaceModel.with_power_spectrum(1.0, 4.0, 10, -2.0,
