@@ -23,9 +23,7 @@ from .forward_mapped import (DeviceConfig, DomainValidityError,
 from .collocation import (MONTE_CARLO, SMOLYAK, TENSOR_GL, CollocationError,
                           ExpectationResult, QuadratureRule, build_rule,
                           expect)
-from .asymptotic import (AsymptoticBasis, PLApproximant, assemble_approximant,
-                         build_basis, expected_pl, sampled_pl)
-from .inverse import (CENTRAL_FD, SENSITIVITY_PDE, AsymptoticForward,
+from .inverse import (SENSITIVITY_PDE, AsymptoticForward,
                       DeviceFamily, EstimationError, EstimationTrace,
                       MappedCollocationForward, NewtonOptions,
                       OneDimensionalForward, PLCurve, newton_estimate,

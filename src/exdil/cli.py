@@ -153,6 +153,7 @@ def _dispatch(command: str, cfg, outdir: Path) -> list[str]:
             family=family,
             K=cfg.value("interface", "modes", int, 10),
             hbar=cfg.value("interface", "hbar", float, 1.0),
+            dist=model.dist,
             sigma0=cfg.value("newton", "sigma0", float, 0.0) or None,
             newton=_newton_options(cfg))
         outputs = []

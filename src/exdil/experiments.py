@@ -24,13 +24,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .asymptotic import (assemble_approximant, build_basis, expected_pl,
-                         flat_pl)
+from .asymptotic import ExpansionModes, expected_pl_with_derivatives, flat_pl
 from .collocation import SMOLYAK, TENSOR_GL, build_rule
 from .fd_core import Grid2D
-from .forward_mapped import (CELLS_1D, GenerationProfile, expected_mapped_pl,
+from .forward_mapped import (GenerationProfile, expected_mapped_pl,
                              solve_mapped_1d, symmetry_folded_rule)
-from .interface import InterfaceModel, UniformDist, moments
+from .interface import InterfaceModel, UniformDist
 from .inverse import (AsymptoticForward, DeviceFamily, EstimationError,
                       EstimationTrace, NewtonOptions, PLCurve, finite_floats,
                       newton_estimate)
@@ -103,36 +102,31 @@ def generate_synthetic_curve(kind: str, sigma_star: float,
                              rule_kind: str = TENSOR_GL,
                              rule_size: int = 3,
                              cells: tuple[int, int] = (128, 128),
-                             cells_1d: int = CELLS_1D,
-                             fixed_epsilon: Optional[float] = None,
-                             seed: Optional[int] = None) -> PLCurve:
+                             fixed_epsilon: Optional[float] = None
+                             ) -> PLCurve:
     """Forward-model data for a prescribed diffusion length.
 
     ``model_2d`` computes E[I] of the mapped solver with the given rule per
     thickness (with ``fixed_epsilon`` set, the roughness amplitude is
-    eps * d_i; otherwise the model's hbar applies to every device); ``seed``
-    seeds a Monte Carlo rule.  ``model_1d`` evaluates the flat-interface
-    model (deterministic; the randomness then lives entirely in the
-    estimator's forward model).  ``cells_1d`` defaults to
-    :data:`~exdil.forward_mapped.CELLS_1D`, the default of
-    :class:`~exdil.inverse.OneDimensionalForward` too, so by default the
-    data and the flat-model provider are the same discrete model; a caller
-    that overrides it must pass the same ``cells`` to the provider.
+    eps * d_i; otherwise the model's hbar applies to every device).
+    ``model_1d`` evaluates the flat-interface model (deterministic; the
+    randomness then lives entirely in the estimator's forward model) at
+    :data:`~exdil.forward_mapped.CELLS_1D` cells, the default of
+    :class:`~exdil.inverse.OneDimensionalForward` too, so the data and the
+    flat-model provider are the same discrete model.
     """
     thicknesses = finite_floats("thicknesses", thicknesses)
     values = []
     if kind == MODEL_1D:
         for d in thicknesses:
-            values.append(solve_mapped_1d(family.device(sigma_star, d),
-                                          cells=cells_1d).pl)
+            values.append(solve_mapped_1d(family.device(sigma_star, d)).pl)
         return PLCurve(thicknesses, tuple(values), provenance="synthetic-1d")
     if kind != MODEL_2D:
         raise ValueError(f"unknown data kind {kind!r}")
     if model is None:
         raise ValueError("model_2d data needs an interface model")
     grid = Grid2D.unit(*cells)
-    rule = build_rule(rule_kind, model.K, rule_size, model.dist.support,
-                      seed=seed)
+    rule = build_rule(rule_kind, model.K, rule_size, model.dist.support)
     for d in thicknesses:
         model_d = model if fixed_epsilon is None else \
             dataclasses.replace(model, hbar=fixed_epsilon * d)
@@ -178,12 +172,12 @@ def convergence_study(*, device, model: InterfaceModel,
                       ref_points: int = 4) -> ConvergenceResult:
     """Expected-PL error of each expansion order against a mapped reference.
 
-    The expansion basis does not depend on eps, so it is built once; the
-    reference solves the mapped model per eps with a tensor Gauss-Legendre
-    rule at the fine grid.
+    The expansion reads the model through its eps-independent
+    :class:`~exdil.asymptotic.ExpansionModes`, taken once; the reference
+    solves the mapped model per eps with a tensor Gauss-Legendre rule at the
+    fine grid.
     """
-    basis = build_basis(device, model)
-    mom = moments(model.dist)
+    modes = ExpansionModes.of(model, device.L)
     ref_grid = Grid2D.unit(*ref_cells)
     rule = build_rule(TENSOR_GL, model.K, ref_points, model.dist.support)
 
@@ -192,9 +186,9 @@ def convergence_study(*, device, model: InterfaceModel,
         model_eps = dataclasses.replace(model, hbar=eps * device.d)
         references.append(expected_mapped_pl(device, model_eps, rule,
                                              ref_grid))
-        approximant = assemble_approximant(basis, epsilon=eps)
         for n in orders:
-            approx[n].append(expected_pl(approximant, mom, n))
+            approx[n].append(
+                expected_pl_with_derivatives(device, modes, eps, n)[0])
 
     errors = {n: tuple(abs(a - r) for a, r in zip(approx[n], references))
               for n in orders}
@@ -324,7 +318,6 @@ def timing_study(*, device, model: InterfaceModel, epsilon: float = 0.0625,
     times are indicative only.
     """
     model_eps = dataclasses.replace(model, hbar=epsilon * device.d)
-    mom = moments(model.dist)
     grid = Grid2D.unit(*sc_cells)
 
     t0 = time.perf_counter()
@@ -333,9 +326,8 @@ def timing_study(*, device, model: InterfaceModel, epsilon: float = 0.0625,
     ref_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    basis = build_basis(device, model_eps)
-    approximant = assemble_approximant(basis, epsilon=epsilon)
-    asym_value = expected_pl(approximant, mom, 2)
+    asym_value = expected_pl_with_derivatives(
+        device, ExpansionModes.of(model, device.L), epsilon, 2)[0]
     asym_seconds = time.perf_counter() - t0
     asym_error = abs(asym_value - reference)
 

@@ -358,11 +358,10 @@ def solve_mapped_1d(device: DeviceConfig, offset: float = 0.0,
                     cells: int = CELLS_1D) -> Solution1D:
     """Flat-interface forward solve; PL = (d - xi) * integral of u dy.
 
-    ``cells`` defaults to :data:`CELLS_1D`, the resolution shared with
-    :class:`exdil.inverse.OneDimensionalForward` and the ``model_1d`` branch
-    of :func:`exdil.experiments.generate_synthetic_curve`.  A caller that
-    overrides it on one side of a fit must pass the same value on the other,
-    or the flat-model data and the flat-model provider differ at O(h**2).
+    ``cells`` defaults to :data:`CELLS_1D`, the resolution of the
+    ``model_1d`` branch of :func:`exdil.experiments.generate_synthetic_curve`
+    and the default of :class:`exdil.inverse.OneDimensionalForward`.  A
+    provider at another resolution differs from those data at O(h**2).
     """
     xi = float(offset)
     if xi >= device.d:

@@ -25,19 +25,15 @@ d2I/dsigma2 are the same thickness-weighted integrals of u1 and u2.  The
 flat and mapped providers solve them.  The expansion provider's expected
 PL is a closed form in sigma, and it differentiates that closed form
 analytically (:func:`exdil.asymptotic.expected_pl_with_derivatives`).
-That is each provider's one derivative path.  Centred differences of
-relative step :data:`FD_STEP_REL` remain only as
-``MappedCollocationForward(deriv=CENTRAL_FD)``, because the ``fit-mapped``
-benchmark workload names that option.
+That is each provider's one derivative path.
 
-The expansion provider, and the mapped collocation provider under
-``SENSITIVITY_PDE``, compute every forward value with its derivatives.  For
-the mapped provider the two sensitivity solves reuse the node's
-factorization.  So a line-search trial yields the derivatives of its own
-point, and once the trial is accepted the next iteration's J' and J'' need
-no new evaluation: a fit costs (iterations + 1) evaluations per thickness.
-Each provider keeps its latest evaluation per thickness, which is all a
-Newton fit can reuse.
+The expansion provider and the mapped collocation provider compute every
+forward value with its derivatives.  For the mapped provider the two
+sensitivity solves reuse the node's factorization.  So a line-search trial
+yields the derivatives of its own point, and once the trial is accepted the
+next iteration's J' and J'' need no new evaluation: a fit costs
+(iterations + 1) evaluations per thickness.  Each provider keeps its latest
+evaluation per thickness, which is all a Newton fit can reuse.
 """
 
 from __future__ import annotations
@@ -59,7 +55,6 @@ from .forward_mapped import (CELLS_1D, DeviceConfig, GenerationProfile,
 
 __all__ = [
     "SENSITIVITY_PDE",
-    "CENTRAL_FD",
     "PLCurve",
     "EstimationTrace",
     "EstimationError",
@@ -75,9 +70,6 @@ __all__ = [
 ]
 
 SENSITIVITY_PDE = "sensitivity_pde"
-CENTRAL_FD = "central_fd"
-
-FD_STEP_REL = 1e-4
 
 
 def finite_floats(name: str, values) -> tuple[float, ...]:
@@ -193,15 +185,6 @@ def sensitivities_1d(device: DeviceConfig, solution: Solution1D
     return u1, u2
 
 
-def _central_derivatives(pl: Callable[[float], float], sigma: float
-                         ) -> tuple[float, float, float]:
-    step = FD_STEP_REL * sigma
-    mid = pl(sigma)     # first, while the cache holds the accepted trial
-    hi = pl(sigma + step)
-    lo = pl(sigma - step)
-    return mid, (hi - lo) / (2.0 * step), (hi - 2.0 * mid + lo) / step ** 2
-
-
 # ---------------------------------------------------------------------------
 # Forward providers: sigma, d -> E[I] (with optional derivatives)
 # ---------------------------------------------------------------------------
@@ -225,8 +208,7 @@ class OneDimensionalForward:
     ``cells`` defaults to :data:`exdil.forward_mapped.CELLS_1D`, as does the
     ``model_1d`` branch of :func:`exdil.experiments.generate_synthetic_curve`,
     so by default flat-model data are reproduced exactly (J(sigma*) = 0).  A
-    caller that overrides ``cells`` here, or ``cells_1d`` there, must pass
-    the same value on the other side.
+    caller that overrides ``cells`` here fits data of another resolution.
     """
 
     family: DeviceFamily
@@ -250,11 +232,12 @@ class OneDimensionalForward:
 class MappedCollocationForward:
     """Expectation of the mapped 2D model over a quadrature rule.
 
-    Under ``SENSITIVITY_PDE`` one evaluation gives (E[I], E[I'], E[I'']),
-    the sensitivities solved on each node's own factorization: ``pl``
-    returns its first component, which is bit for bit E[I] computed alone,
-    and a following ``pl_with_derivatives`` at the same point (an accepted
-    line-search trial) reads it from the cache.
+    One evaluation gives (E[I], E[I'], E[I'']), the sensitivities solved on
+    each node's own factorization: ``pl`` returns its first component,
+    which is bit for bit E[I] computed alone, and a following
+    ``pl_with_derivatives`` at the same point (an accepted line-search
+    trial) reads it from the cache.  ``deriv`` names that derivative path
+    and must be :data:`SENSITIVITY_PDE`.
     """
 
     family: DeviceFamily
@@ -267,24 +250,23 @@ class MappedCollocationForward:
                          compare=False)
 
     def __post_init__(self):
+        if self.deriv != SENSITIVITY_PDE:
+            raise ValueError(f"deriv must be {SENSITIVITY_PDE!r}, "
+                             f"got {self.deriv!r}")
         # folding a folded rule returns it unchanged
         object.__setattr__(self, "_folded", symmetry_folded_rule(
             self.rule, Grid2D.unit(*self.cells)))
 
     def _values(self, sigma: float, d: float):
-        """E[I], or the triple under SENSITIVITY_PDE, through the cache."""
+        """(E[I], E[I'], E[I'']) through the cache."""
         return _latest(self._cache, sigma, d, lambda: expected_mapped_pl(
             self.family.device(sigma, d), self.model, self._folded,
-            Grid2D.unit(*self.cells),
-            derivatives=self.deriv == SENSITIVITY_PDE))
+            Grid2D.unit(*self.cells), derivatives=True))
 
     def pl(self, sigma: float, d: float) -> float:
-        values = self._values(sigma, d)
-        return values if self.deriv == CENTRAL_FD else values[0]
+        return self._values(sigma, d)[0]
 
     def pl_with_derivatives(self, sigma: float, d: float):
-        if self.deriv == CENTRAL_FD:
-            return _central_derivatives(lambda s: self.pl(s, d), sigma)
         return self._values(sigma, d)
 
 

@@ -1,9 +1,10 @@
-"""Expansion coefficients, approximant assembly, and order checks.
+"""Expansion coefficients, the closed form, and order checks.
 
-The closed-form basis of :mod:`exdil.asymptotic` is checked against a
-discrete oracle that converges to it at second order: the expansion on a
-strip grid, one tridiagonal solve in depth per problem.  That oracle in turn
-is checked against the 2D problems it separates, assembled straight from the
+The closed form of :mod:`exdil.asymptotic`, ``expected_pl_with_derivatives``,
+is checked against a discrete oracle that converges to it at second order:
+the expansion on a strip grid, one tridiagonal solve in depth per problem,
+with its coefficients in :class:`Coefficients`.  That oracle in turn is
+checked against the 2D problems it separates, assembled straight from the
 fd core: the full random-datum problems and the per-mode 2D basis.
 """
 
@@ -17,10 +18,8 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from exdil import interface as iface
-from exdil.asymptotic import (ExpansionModes, PLApproximant,
-                              assemble_approximant, build_basis,
-                              expected_pl, expected_pl_with_derivatives,
-                              flat_pl, sampled_pl)
+from exdil.asymptotic import (ExpansionModes, expected_pl_with_derivatives,
+                              flat_pl)
 from exdil.fd_core import (EllipticOperator, Field2D, Grid2D, PdeCoefficients,
                            SolverError, trapezoid_2d)
 from exdil.forward_mapped import (DeviceConfig, GenerationProfile,
@@ -37,6 +36,14 @@ def device(sigma=2.0, d=10.0, L=4.0, gen=None):
 def model_of(dev, K=3, hbar=0.5, a=0.0, b=1.0, lambdas=None):
     return InterfaceModel(hbar, dev.L, K, lambdas or (1.0,) * K,
                           UniformDist(a, b))
+
+
+def closed_form(dev, model, order=2, epsilon=None):
+    """E[I] of the closed form, at eps = hbar / d of ``model`` unless
+    ``epsilon`` is given."""
+    eps = dev.epsilon(model.hbar) if epsilon is None else epsilon
+    return expected_pl_with_derivatives(dev, ExpansionModes.of(model, dev.L),
+                                        eps, order)[0]
 
 
 def strip_grid(dev, nx, nz):
@@ -68,6 +75,36 @@ def solve_depth(dev, cells, source, shift=-1.0, dirichlet=0.0):
     b = -np.broadcast_to(np.asarray(source, dtype=float), (cells + 1,))[1:]
     b[0] -= c * dirichlet
     return np.concatenate(([dirichlet], solve_banded((1, 1), ab, b)))
+
+
+@dataclasses.dataclass(frozen=True)
+class Coefficients:
+    """Expansion coefficients of the oracle: i0, the diagonal entries i2_kk
+    and b_kk (the off-diagonal ones vanish, see :mod:`exdil.asymptotic`), the
+    mode weights lam_k and eps."""
+
+    i0: float
+    i2: np.ndarray
+    boundary: np.ndarray
+    lambdas: np.ndarray
+    epsilon: float
+
+    def _order2(self, weights):
+        return self.epsilon ** 2 * float(weights @ (self.i2 + self.boundary))
+
+    def pathwise(self, sample, order):
+        """I of one coefficient draw (order 1 equals order 0)."""
+        if order < 2:
+            return self.i0
+        c = self.lambdas * np.asarray(sample.thetas)
+        return self.i0 + self._order2(c ** 2)
+
+    def expected(self, second_moment, order):
+        """E[I] at the coefficients' second moment (order 1 equals
+        order 0)."""
+        if order < 2:
+            return self.i0
+        return self.i0 + second_moment * self._order2(self.lambdas ** 2)
 
 
 class DiscreteBasis:
@@ -120,7 +157,7 @@ class DiscreteBasis:
         d2 = dev.d ** 2
         c = (-dev.d * one_sided_dx(self.modes.T, hx)
              + d2 * dev.generation(dev.d) / (2.0 * dev.sigma ** 2))
-        return PLApproximant(
+        return Coefficients(
             i0=float(np.trapezoid(self.w0_profile, dx=hx)),
             i2=0.5 * c * float(np.trapezoid(self.z_mean, dx=hx)),
             boundary=np.full(self.model.K,
@@ -192,19 +229,29 @@ class TestLeadingOrder:
         assert basis.w0.values == pytest.approx(w0.values, abs=1e-12)
 
     def test_strip_integral_closed_form(self):
-        # constant generation: w0 = 1 - cosh((d - x)/sigma) / cosh(d/sigma)
+        # constant generation: w0 = 1 - cosh((d - x)/sigma) / cosh(d/sigma),
+        # so w0'(0) = t / sigma and int q = sigma t with t = tanh(d/sigma);
+        # the order-2 value assembled from them mode by mode, as the module
+        # docstring derives it, is the closed form
         dev = device()
-        basis = build_basis(dev, model_of(dev, K=1))
-        t = math.tanh(dev.d / dev.sigma)
-        assert basis.i0 == pytest.approx(dev.d - dev.sigma * t, rel=1e-14)
-        assert basis.slope == pytest.approx(t / dev.sigma, rel=1e-14)
-        assert basis.q_integral == pytest.approx(dev.sigma * t, rel=1e-14)
+        model = model_of(dev, K=1)
+        sigma, d = dev.sigma, dev.d
+        t = math.tanh(d / sigma)
+        i0 = d - sigma * t
+        assert flat_pl(dev) == pytest.approx(i0, rel=1e-14)
+        slope = t / sigma
+        m = math.hypot(1.0 / sigma, 2.0 * math.pi / dev.L)
+        c = -d * d * slope * m * math.tanh(m * d) + d * d / (2.0 * sigma ** 2)
+        per_mode = 0.5 * c * sigma * t + d * d / 4.0 * slope
+        want = i0 + moments(model.dist).second * per_mode
+        assert closed_form(dev, model, epsilon=1.0) == pytest.approx(
+            want, rel=1e-14)
 
     def test_fine_depth_grid_second_order(self):
         # a depth resolution the 2D basis could not afford: i0 converges to
         # the closed form at second order
         dev = device()
-        exact = build_basis(dev, model_of(dev, K=10)).i0
+        exact = flat_pl(dev)
         errs = {}
         for nx in (2048, 4096):
             basis = DiscreteBasis(dev, model_of(dev, K=10), nx, 64)
@@ -222,14 +269,13 @@ class TestLeadingOrder:
             dev = device(sigma=sigma, gen=gen)
             model = model_of(dev, K=3, hbar=1.0, a=-1.0, b=1.0,
                              lambdas=(1.0, 0.5, 1.0 / 3.0))
-            mom = moments(model.dist)
-            exact = assemble_approximant(build_basis(dev, model))
+            second = moments(model.dist).second
+            exact = (flat_pl(dev), closed_form(dev, model))
             errs = []
             for nx, nz in ((512, 32), (1024, 64)):
                 appr = DiscreteBasis(dev, model, nx, nz).approximant()
-                errs.append((abs(appr.i0 - exact.i0),
-                             abs(expected_pl(appr, mom, 2)
-                                 - expected_pl(exact, mom, 2))))
+                errs.append((abs(appr.i0 - exact[0]),
+                             abs(appr.expected(second, 2) - exact[1])))
             for coarse, fine in zip(*errs):
                 assert math.log2(coarse / fine) == pytest.approx(2.0, abs=0.1)
 
@@ -251,14 +297,13 @@ class TestClosedForm:
         ell = 5.0
         model = InterfaceModel.with_power_spectrum(1.0, 4.0, 10, -1.0,
                                                    UniformDist(-1.0, 1.0))
-        mom = moments(model.dist)
         ks = np.arange(-10, 11)
         values = []
         for k in ks:
             dev = device(sigma=ell * (1.0 + k * 1e-7), d=10.0,
                          gen=GenerationProfile.exponential(ell))
-            appr = assemble_approximant(build_basis(dev, model))
-            values.append((appr.i0, expected_pl(appr, mom, 2)))
+            values.append((closed_form(dev, model, 0),
+                           closed_form(dev, model, 2)))
         for column in np.array(values).T:
             fit = np.polyval(np.polyfit(ks, column, 2), ks)
             assert np.abs(fit / column - 1.0).max() < 1e-13
@@ -272,15 +317,16 @@ class TestClosedForm:
                      gen=GenerationProfile(terms=((1.0, d / 2),), offset=0.1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            appr = assemble_approximant(build_basis(dev, model))
-            value = expected_pl(appr, moments(model.dist), 2)
-        assert np.all(np.isfinite(appr.i2)) and math.isfinite(value)
-        assert 0 < value < d * dev.generation(0.0)
+            values = expected_pl_with_derivatives(
+                dev, ExpansionModes.of(model, dev.L), dev.epsilon(model.hbar),
+                2)
+        assert all(math.isfinite(v) for v in values)
+        assert 0 < values[0] < d * dev.generation(0.0)
 
     def test_non_finite_coefficient_raises_solver_error(self):
         dev = device(sigma=1e-200, gen=GenerationProfile.exponential(5.0))
         with pytest.raises(SolverError, match="non-finite"):
-            build_basis(dev, model_of(dev, K=2))
+            closed_form(dev, model_of(dev, K=2))
 
 
 class TestFlatPL:
@@ -304,15 +350,13 @@ class TestFlatPL:
     @pytest.mark.parametrize("sigma, d", [
         (sigma, d) for sigma in (3.1, 5.0, 7.5) for d in (8.2, 10.0, 40.0)])
     def test_is_the_expansions_leading_term(self, sigma, d):
-        # one formula: the order-0 value of both expansion paths, bit for
-        # bit
+        # one formula: flat_pl is the expansion's order-0 value, bit for bit
         dev = device(sigma=sigma, d=d,
                      gen=GenerationProfile.exponential(d / 2))
         model = InterfaceModel.with_power_spectrum(1.0, 4.0, 10, -2.0,
                                                    UniformDist(-1.0, 1.0))
         modes = ExpansionModes.of(model, dev.L)
         value = flat_pl(dev)
-        assert value.hex() == build_basis(dev, model).i0.hex()
         assert value.hex() == expected_pl_with_derivatives(
             dev, modes, 0.1, 0)[0].hex()
 
@@ -339,10 +383,12 @@ class TestFirstOrder:
         assert three.modes == pytest.approx(3.0 * one.modes, abs=1e-12)
         assert three.w1[1].values == pytest.approx(3.0 * one.w1[1].values,
                                                    abs=1e-12)
-        closed = [build_basis(dev, model_of(dev, K=3))
-                  for dev in (device(), dev3)]
-        assert closed[1].mode_slopes == pytest.approx(
-            3.0 * closed[0].mode_slopes, rel=1e-14)
+        # the closed form, with its sigma-derivatives, is linear in G too
+        closed = [expected_pl_with_derivatives(
+            dev, ExpansionModes.of(model_of(dev, K=3), dev.L), 0.5, 2)
+            for dev in (device(), dev3)]
+        assert closed[1] == pytest.approx(
+            tuple(3.0 * v for v in closed[0]), rel=1e-14)
 
     def test_mode_reconstruction_matches_direct_solve(self):
         # superposing the per-mode outer products equals the 2D solve with
@@ -373,7 +419,7 @@ class TestSecondOrder:
         model = model_of(dev, K=3, a=-1.0, b=1.0)
         theta = sample(model, 11)
         appr = DiscreteBasis(dev, model, 32, 32).approximant(epsilon=1.0)
-        second = sampled_pl(appr, theta, 2) - appr.i0
+        second = appr.pathwise(theta, 2) - appr.i0
 
         grid = strip_grid(dev, 32, 32)
         op = strip_operator(dev, grid)
@@ -434,19 +480,16 @@ class TestAgainst2DBasis:
 class TestApproximant:
     def test_epsilon_zero_all_orders_agree(self):
         dev = device()
-        basis = build_basis(dev, model_of(dev))
-        appr = assemble_approximant(basis, epsilon=0.0)
-        mom = moments(UniformDist(0.0, 1.0))
-        assert expected_pl(appr, mom, 0) == expected_pl(appr, mom, 1) \
-            == expected_pl(appr, mom, 2) == appr.i0
+        model = model_of(dev)
+        assert closed_form(dev, model, 0, epsilon=0.0) \
+            == closed_form(dev, model, 1, epsilon=0.0) \
+            == closed_form(dev, model, 2, epsilon=0.0) == flat_pl(dev)
 
     def test_symmetric_order1_equals_order0_bitwise(self):
         dev = device(gen=GenerationProfile.exponential(5.0))
-        model = model_of(dev, K=4, a=-1.0, b=1.0)
-        basis = build_basis(dev, model)
-        appr = assemble_approximant(basis, epsilon=0.05)
-        mom = moments(model.dist)
-        assert expected_pl(appr, mom, 0) == expected_pl(appr, mom, 1)
+        modes = ExpansionModes.of(model_of(dev, K=4, a=-1.0, b=1.0), dev.L)
+        assert expected_pl_with_derivatives(dev, modes, 0.05, 0) \
+            == expected_pl_with_derivatives(dev, modes, 0.05, 1)
 
     def test_order1_moment_arithmetic(self):
         # i1 vanishes, so order 1 adds nothing even for a nonzero mean: the
@@ -454,15 +497,13 @@ class TestApproximant:
         # leaves i0 unchanged
         dev = device()
         model = model_of(dev, K=1, a=0.0, b=1.0)
-        basis = build_basis(dev, model)
-        appr = assemble_approximant(basis, epsilon=0.1)
+        i0 = flat_pl(dev)
         assert moments(model.dist).mean == 0.5
         _, i1, _ = basis_2d(dev, 1, 16, 16)
-        want = appr.i0 + 0.1 * 0.5 * appr.lambdas[0] * i1[0]
-        assert expected_pl(appr, moments(model.dist), 1) == pytest.approx(
-            want, rel=1e-15)
-        assert expected_pl(appr, moments(model.dist), 1) == appr.i0
-        assert sampled_pl(appr, InterfaceSample((0.7,)), 1) == appr.i0
+        want = i0 + 0.1 * 0.5 * model.lambdas[0] * i1[0]
+        value = closed_form(dev, model, 1, epsilon=0.1)
+        assert value == pytest.approx(want, rel=1e-15)
+        assert value == i0
 
     def test_mode_integrals_vanish(self):
         # 2D strip integrals of w1_k are sine averages, zero to roundoff
@@ -489,18 +530,10 @@ class TestApproximant:
         assert appr.boundary == pytest.approx(np.full(3, want_diag),
                                               rel=1e-10)
 
-    def test_sampled_at_zero_is_i0(self):
-        dev = device()
-        basis = build_basis(dev, model_of(dev, K=2))
-        appr = assemble_approximant(basis, epsilon=0.2)
-        assert sampled_pl(appr, InterfaceSample((0.0, 0.0)), 2) == appr.i0
-
     def test_unsupported_order(self):
         dev = device()
-        basis = build_basis(dev, model_of(dev, K=1))
-        appr = assemble_approximant(basis)
         with pytest.raises(ValueError, match="order"):
-            expected_pl(appr, moments(UniformDist(0, 1)), 3)
+            closed_form(dev, model_of(dev, K=1), 3)
 
 
 class TestOrders:
@@ -519,8 +552,8 @@ class TestOrders:
             m = dataclasses.replace(model, hbar=eps * dev.d)
             pl = solve_mapped_2d(dev, m, th, gridf).pl
             appr = basis.approximant(epsilon=eps)
-            errs0.append(abs(sampled_pl(appr, th, 0) - pl))
-            errs2.append(abs(sampled_pl(appr, th, 2) - pl))
+            errs0.append(abs(appr.pathwise(th, 0) - pl))
+            errs2.append(abs(appr.pathwise(th, 2) - pl))
         slope0 = np.polyfit(np.log(eps_values), np.log(errs0), 1)[0]
         slope2 = np.polyfit(np.log(eps_values), np.log(errs2), 1)[0]
         assert slope0 > 0.8

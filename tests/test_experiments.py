@@ -16,7 +16,7 @@ from exdil.fd_core import Grid2D
 from exdil.forward_mapped import DeviceConfig, GenerationProfile, \
     solve_mapped_1d, symmetry_folded_rule
 from exdil.interface import InterfaceModel, UniformDist
-from exdil.inverse import DeviceFamily, EstimationTrace
+from exdil.inverse import DeviceFamily, EstimationTrace, OneDimensionalForward
 
 FAMILY = DeviceFamily(period=4.0)
 
@@ -43,11 +43,13 @@ class TestSlopeFit:
 
 class TestSyntheticCurves:
     def test_1d_deterministic(self):
+        # the flat data are the flat provider's default discrete model
         curve = generate_synthetic_curve(MODEL_1D, 5.0, (10.0, 20.0),
-                                         family=FAMILY, cells_1d=256)
+                                         family=FAMILY)
         dev = FAMILY.device(5.0, 10.0)
-        assert curve.values[0] == pytest.approx(
-            solve_mapped_1d(dev, 0.0, 256).pl)
+        assert curve.values[0] == solve_mapped_1d(dev).pl
+        assert curve.values == tuple(OneDimensionalForward(FAMILY).pl(5.0, d)
+                                     for d in (10.0, 20.0))
         assert curve.provenance == "synthetic-1d"
 
     def test_vanishing_roughness_matches_deterministic(self):
@@ -62,7 +64,7 @@ class TestSyntheticCurves:
     def test_monotone_in_thickness(self):
         curve = generate_synthetic_curve(MODEL_1D, 5.0,
                                          tuple(10.0 * i for i in range(1, 11)),
-                                         family=FAMILY, cells_1d=256)
+                                         family=FAMILY)
         vals = curve.values
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
@@ -412,6 +414,26 @@ class TestValidationStudy:
             assert curve.thicknesses == thicknesses
             assert [v.hex() for v in curve.values] == [
                 flat_pl(FAMILY.device(4.9, d)).hex() for d in thicknesses]
+
+    def test_cli_validate_reads_the_coefficient_law(self, tmp_path):
+        # the expansion reads the law through its second moment: U(0, 3)
+        # has 3, U(0, 1) (the default) and U(-1, 1) both have 1/3
+        def run(law):
+            path = tmp_path / "run.cfg"
+            out = tmp_path / f"out{len(law)}"
+            path.write_text(f"[run]\nkind = validate\noutput = {out}\n\n"
+                            f"[interface]\nmodes = 3\n{law}\n"
+                            "[validate]\nsigma_star = 5.0\nbetas = -2, -1\n"
+                            "thicknesses = 10, 20, 30\n")
+            assert cli.main(["validate", "--config", str(path)]) == 0
+            # every line but the leading config hash
+            return [(out / name).read_text().splitlines()[1:] for name in
+                    ("validate_summary.csv", "validate_beta-2.csv",
+                     "validate_beta-1.csv")]
+
+        default = run("")
+        assert run("a = -1\nb = 1\n") == default
+        assert run("a = 0\nb = 3\n")[0] != default[0]
 
     def test_cli_error_grows_as_beta_rises(self, tmp_path):
         # the paper's trend: the flat data agree less with the rough model

@@ -17,8 +17,7 @@ from exdil.forward_mapped import (DeviceConfig, GenerationProfile,
                                   solve_mapped_1d, solve_mapped_2d,
                                   symmetry_folded_rule)
 from exdil.interface import InterfaceModel, UniformDist, sample
-from exdil.inverse import (CENTRAL_FD, AsymptoticForward,
-                           DeviceFamily,
+from exdil.inverse import (SENSITIVITY_PDE, AsymptoticForward, DeviceFamily,
                            EstimationError, EstimationTrace,
                            MappedCollocationForward, NewtonOptions,
                            OneDimensionalForward, PLCurve, newton_estimate,
@@ -221,6 +220,17 @@ class TestCollocationProvider:
                     for _ in range(2))
                 assert plain.pl(sigma, d) == \
                     deriv.pl_with_derivatives(sigma, d)[0]
+
+    @pytest.mark.parametrize("deriv", ["central_fd", "", None])
+    def test_deriv_other_than_sensitivity_pde_raises(self, deriv):
+        rule = build_rule(TENSOR_GL, 1, 2, (0.0, 1.0))
+        model = InterfaceModel(0.3, 4.0, 1, (1.0,), UniformDist(0, 1))
+        with pytest.raises(ValueError, match="deriv"):
+            MappedCollocationForward(FAMILY, model, rule, cells=(8, 8),
+                                     deriv=deriv)
+        assert MappedCollocationForward(
+            FAMILY, model, rule, cells=(8, 8),
+            deriv=SENSITIVITY_PDE).deriv == SENSITIVITY_PDE
 
     def test_fixed_epsilon_scales_amplitude(self):
         # The expansion provider of the estimate study: with fixed_epsilon
@@ -447,9 +457,9 @@ class TestProviderCopies:
         finer = dataclasses.replace(prov, cells=(24, 24))
         fresh = MappedCollocationForward(FAMILY, model, rule, cells=(24, 24))
         assert finer.pl(6.0, 30.0) == fresh.pl(6.0, 30.0) != first
-        fd = dataclasses.replace(prov, deriv=CENTRAL_FD)
-        assert fd.pl(6.0, 30.0) == MappedCollocationForward(
-            FAMILY, model, rule, cells=(16, 16), deriv=CENTRAL_FD).pl(6.0, 30.0)
+        # the sensitivity solves are the one derivative path
+        with pytest.raises(ValueError, match="deriv"):
+            dataclasses.replace(prov, deriv="central_fd")
 
     def test_asymptotic_copy_with_other_order(self):
         model = InterfaceModel(0.5, 4.0, 2, (1.0, 0.5), UniformDist(0, 1))
