@@ -11,8 +11,7 @@ misfit.
 __version__ = "0.1.0"
 
 from .interface import (InterfaceModel, InterfaceSample, ThetaMoments,
-                        UniformDist, evaluate, evaluate_dz, evaluate_dzz,
-                        moments, sample)
+                        UniformDist, check_period, moments, profile, sample)
 from .fd_core import (EllipticOperator, Field2D, Grid2D, PdeCoefficients,
                       SolverError, trapezoid_2d)
 from .forward_mapped import (DeviceConfig, DomainValidityError,

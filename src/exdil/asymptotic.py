@@ -104,8 +104,6 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import interface as iface
 from .fd_core import SolverError
 from .forward_mapped import DeviceConfig
@@ -195,12 +193,6 @@ def _check_leading(i0: float) -> None:
         raise ValueError(f"leading PL term must be positive, got {i0}")
 
 
-def _check_period(model: iface.InterfaceModel, period: float) -> None:
-    if not np.isclose(model.L, period, rtol=1e-12):
-        raise ValueError(
-            f"interface period {model.L} does not match device period {period}")
-
-
 def _check_order(order: int) -> None:
     if order not in (0, 1, 2):
         raise ValueError(
@@ -235,7 +227,7 @@ class ExpansionModes:
            ) -> "ExpansionModes":
         """The constants of ``model`` on devices of period ``period``, which
         must be the model's own."""
-        _check_period(model, period)
+        iface.check_period(model, period)
         weights = tuple(lam * lam for lam in model.lambdas)
         return cls(kappas=tuple(model.mode_angular_frequencies().tolist()),
                    weights=weights, weight_sum=math.fsum(weights),

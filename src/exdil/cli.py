@@ -52,13 +52,14 @@ def main(argv=None) -> int:
     outdir = Path(args.output) if args.output else cfg.output
     try:
         outputs = _dispatch(args.command, cfg, outdir)
-    except (KeyError, ValueError, configparser.Error) as exc:
-        print(f"exdil: bad config: {exc}", file=sys.stderr)
-        return 2
+    # DomainValidityError subclasses ValueError: this clause must come first
     except (SolverError, DomainValidityError, EstimationError,
             CollocationError) as exc:
         print(f"exdil: numerical failure: {exc}", file=sys.stderr)
         return 3
+    except (KeyError, ValueError, configparser.Error) as exc:
+        print(f"exdil: bad config: {exc}", file=sys.stderr)
+        return 2
     exp.write_manifest(outdir, cfg, outputs)
     return 0
 

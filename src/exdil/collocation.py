@@ -169,7 +169,8 @@ def build_rule(kind: str, dim: int, size: int, support=(-1.0, 1.0),
     """Build a quadrature rule over [a, b]^dim.
 
     ``size`` means points per dimension for ``tensor_gl``, the sparse level
-    for ``smolyak``, and the sample count for ``monte_carlo``.
+    for ``smolyak``, and the sample count for ``monte_carlo``, which needs
+    an integer ``seed`` so that its nodes are reproducible.
     """
     if dim < 1:
         raise ValueError("dimension must be >= 1")
@@ -191,6 +192,8 @@ def build_rule(kind: str, dim: int, size: int, support=(-1.0, 1.0),
         desc = (f"smolyak(level={size}, dim={dim}, support=({a:g},{b:g}), "
                 f"Q={weights.size})")
     elif kind == MONTE_CARLO:
+        if seed is None:
+            raise ValueError("a monte_carlo rule needs a seed")
         rng = np.random.default_rng(seed)
         nodes = rng.uniform(a, b, size=(size, dim))
         weights = np.full(size, 1.0 / size)

@@ -72,7 +72,6 @@ class SlopeFit:
     xs: tuple[float, ...]
     errors: tuple[float, ...]
     slope: float
-    intercept: float
     residual: float
 
 
@@ -84,11 +83,11 @@ def fit_slope(xs: Sequence[float], errors: Sequence[float]) -> SlopeFit:
     if any(e <= 0 for e in errors) or any(x <= 0 for x in xs):
         raise ValueError("slope fits need positive abscissae and errors")
     lx, le = np.log(xs), np.log(errors)
-    coeffs, res = np.polyfit(lx, le, 1), 0.0
+    coeffs = np.polyfit(lx, le, 1)
     fitted = np.polyval(coeffs, lx)
     res = float(np.sqrt(np.mean((fitted - le) ** 2)))
     return SlopeFit(xs=xs, errors=errors, slope=float(coeffs[0]),
-                    intercept=float(coeffs[1]), residual=res)
+                    residual=res)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +281,7 @@ def _run_newton(provider, curve, sigma0, newton, sigma_star) -> EstimationTrace:
                                sigma_exact=sigma_star)
     except EstimationError as err:
         # Keep the partial trace; studies report it alongside the rest.
-        trace = err.trace
-        return trace
+        return err.trace
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +418,10 @@ def family_from_config(cfg: RunConfig) -> DeviceFamily:
         gen = GenerationProfile.constant(
             cfg.value("generation", "value", float, 1.0))
         return DeviceFamily(period=period, generation=gen)
-    if kind == "exponential" and cfg.parser.has_option("generation", "decay"):
+    if kind != "exponential":
+        raise ValueError("[generation] kind must be exponential or constant, "
+                         f"got {kind!r}")
+    if cfg.parser.has_option("generation", "decay"):
         gen = GenerationProfile.exponential(
             cfg.value("generation", "decay", float),
             cfg.value("generation", "amplitude", float, 1.0))

@@ -47,8 +47,9 @@ two matched nodes are two descriptions of one mirrored device.  The folded
 values equal the unfolded ones to rounding (1e-14 relative).
 
 For a flat interface h = xi the problem drops to one dimension; the solver
-for that case shares the conventions (and its matrix is reused by the
-sensitivity solves in :mod:`exdil.inverse`).  Its banded solver,
+for that case shares the conventions, and each of its solves, the
+sensitivity solves of :mod:`exdil.inverse` included, builds and factors
+the tridiagonal matrix afresh.  Its banded solver,
 ``scipy.linalg.solve_banded``, is imported at the first 1D solve, as
 :mod:`exdil.fd_core` imports its sparse modules at the first operator, so
 importing the package loads no scipy.  Until then the module attribute
@@ -175,13 +176,15 @@ class DeviceConfig:
 
 @dataclass
 class MappedSolution:
-    """Unit-square solution of one interface realization plus its PL value."""
+    """Unit-square solution of one interface realization plus its PL value,
+    with what its sensitivity solves reuse."""
 
     field: Field2D
     pl: float
     device: DeviceConfig
-    profile: np.ndarray          # interface heights per z column
-    operator: EllipticOperator   # kept for sensitivity solves
+    source: np.ndarray           # generation G on the grid nodes
+    weight: np.ndarray           # z-weight d - h of the PL, per z column
+    operator: EllipticOperator
 
     def __post_init__(self):
         if not self.pl > 0:
@@ -190,10 +193,12 @@ class MappedSolution:
 
 @dataclass
 class Solution1D:
-    """Flat-interface solution on the unit interval."""
+    """Flat-interface solution on the unit interval, with the generation
+    its sensitivity solves reuse."""
 
     y: np.ndarray
     values: np.ndarray
+    source: np.ndarray           # generation G on the nodes
     pl: float
     xi: float
 
@@ -236,21 +241,16 @@ def solve_mapped_profile(device: DeviceConfig, grid: Grid2D, h, hp, hpp
     op = EllipticOperator(grid, coeffs)
     field = op.solve_field(source, 0.0)
     pl = trapezoid_2d(field, z_weight=dmh)
-    return MappedSolution(field=field, pl=pl, device=device, profile=h,
-                          operator=op)
+    return MappedSolution(field=field, pl=pl, device=device, source=source,
+                          weight=dmh, operator=op)
 
 
 def solve_mapped_2d(device: DeviceConfig, model: iface.InterfaceModel,
                     sample: iface.InterfaceSample, grid: Grid2D
                     ) -> MappedSolution:
     """Solve one realization of the sine-series interface."""
-    if not np.isclose(model.L, device.L, rtol=1e-12):
-        raise ValueError(
-            f"interface period {model.L} does not match device period {device.L}")
-    z_phys = device.L * grid.z
-    h = iface.evaluate(model, sample, z_phys)
-    hp = iface.evaluate_dz(model, sample, z_phys)
-    hpp = iface.evaluate_dzz(model, sample, z_phys)
+    iface.check_period(model, device.L)
+    h, hp, hpp = iface.profile(model, sample, device.L * grid.z)
     return solve_mapped_profile(device, grid, h, hp, hpp)
 
 
@@ -258,12 +258,9 @@ def sensitivities_mapped(solution: MappedSolution) -> tuple[Field2D, Field2D]:
     """Solve the sigma-sensitivity problems of a mapped solution (see
     :mod:`exdil.inverse`) on its own factorization; returns u1 and u2, whose
     thickness-weighted integrals are dI/dsigma and d2I/dsigma2."""
-    device, grid = solution.device, solution.field.grid
     op = solution.operator
-    sigma = device.sigma
-    dmh = device.d - solution.profile
-    g = device.generation((1.0 - grid.y)[:, None] * dmh[None, :])
-    resid = solution.field.values - g
+    sigma = solution.device.sigma
+    resid = solution.field.values - solution.source
     u1 = op.solve_field((2.0 / sigma) * resid, 0.0)
     u2 = op.solve_field(-(6.0 / sigma ** 2) * resid + (4.0 / sigma) * u1.values,
                         0.0)
@@ -304,9 +301,8 @@ def expected_mapped_pl(device: DeviceConfig, model: iface.InterfaceModel,
         if not derivatives:
             return sol.pl
         u1, u2 = sensitivities_mapped(sol)
-        weight = device.d - sol.profile
-        return (sol.pl, trapezoid_2d(u1, z_weight=weight),
-                trapezoid_2d(u2, z_weight=weight))
+        return (sol.pl, trapezoid_2d(u1, z_weight=sol.weight),
+                trapezoid_2d(u2, z_weight=sol.weight))
 
     value = expect(symmetry_folded_rule(rule, grid), node).value
     return tuple(float(v) for v in value) if derivatives else value
@@ -327,7 +323,7 @@ def _banded_1d(device: DeviceConfig, xi: float, cells: int):
     ab[1, :] = -2.0 * c - 1.0          # diagonal
     ab[2, :-1] = c                     # subdiagonal
     ab[2, n - 2] = 2.0 * c             # Neumann fold on the last row
-    return ab, hy, width
+    return ab
 
 
 def solve_1d_rhs(device: DeviceConfig, xi: float, cells: int,
@@ -340,7 +336,7 @@ def solve_1d_rhs(device: DeviceConfig, xi: float, cells: int,
     The residual is checked as in :mod:`exdil.fd_core`: rows normalized by
     the diagonal, relative tolerance ``RESIDUAL_RTOL``.
     """
-    ab, _, _ = _banded_1d(device, xi, cells)
+    ab = _banded_1d(device, xi, cells)
     b = -np.broadcast_to(np.asarray(source, dtype=float), (cells + 1,))[1:]
     _load_solve_banded()
     x = solve_banded((1, 1), ab, b)
@@ -366,9 +362,10 @@ def solve_mapped_1d(device: DeviceConfig, offset: float = 0.0,
     xi = float(offset)
     if xi >= device.d:
         raise DomainValidityError(f"offset {xi} is not below the top surface")
-    _, hy, width = _banded_1d(device, xi, cells)
+    width = device.d - xi
+    hy = 1.0 / cells
     y = np.arange(cells + 1) * hy
     g = device.generation((1.0 - y) * width)
     u = solve_1d_rhs(device, xi, cells, g)
     pl = width * float(np.trapezoid(u, dx=hy))
-    return Solution1D(y=y, values=u, pl=pl, xi=xi)
+    return Solution1D(y=y, values=u, source=g, pl=pl, xi=xi)

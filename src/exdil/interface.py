@@ -26,9 +26,8 @@ __all__ = [
     "ThetaMoments",
     "InterfaceModel",
     "InterfaceSample",
-    "evaluate",
-    "evaluate_dz",
-    "evaluate_dzz",
+    "profile",
+    "check_period",
     "sample",
     "moments",
 ]
@@ -127,54 +126,41 @@ class InterfaceSample:
         return np.asarray(self.thetas, dtype=float)
 
 
-def _mode_weights(model: InterfaceModel, sample: InterfaceSample) -> np.ndarray:
+def profile(model: InterfaceModel, sample: InterfaceSample, z):
+    """Interface height h(z), slope h'(z) (dimensionless) and curvature
+    h''(z) (unit 1/length) for one coefficient draw, from one phase table.
+
+    ``z`` may be a scalar or an ndarray; each returned value matches its
+    shape.
+    """
     thetas = sample.as_array()
     if thetas.shape != (model.K,):
         raise ValueError(
             f"sample has {thetas.size} coefficients, model has {model.K} modes")
-    return model.hbar * np.asarray(model.lambdas) * thetas
-
-
-def evaluate(model: InterfaceModel, sample: InterfaceSample, z):
-    """Interface height h(z) for one coefficient draw.
-
-    ``z`` may be a scalar or an ndarray; the return matches its shape.
-    """
-    w = _mode_weights(model, sample)
-    zz = np.asarray(z, dtype=float)
-    phases = np.multiply.outer(zz, model.mode_angular_frequencies())
-    out = np.sin(phases) @ w
-    return float(out) if zz.ndim == 0 else out
-
-
-def evaluate_dz(model: InterfaceModel, sample: InterfaceSample, z):
-    """Slope h'(z), dimensionless; term-by-term derivative of the series."""
-    w = _mode_weights(model, sample)
+    w = model.hbar * np.asarray(model.lambdas) * thetas
     freq = model.mode_angular_frequencies()
     zz = np.asarray(z, dtype=float)
-    out = np.cos(np.multiply.outer(zz, freq)) @ (w * freq)
-    return float(out) if zz.ndim == 0 else out
+    phases = np.multiply.outer(zz, freq)
+    sines = np.sin(phases)
+    out = (sines @ w, np.cos(phases) @ (w * freq),
+           -sines @ (w * freq * freq))
+    return tuple(float(v) for v in out) if zz.ndim == 0 else out
 
 
-def evaluate_dzz(model: InterfaceModel, sample: InterfaceSample, z):
-    """Curvature h''(z), unit 1/length."""
-    w = _mode_weights(model, sample)
-    freq = model.mode_angular_frequencies()
-    zz = np.asarray(z, dtype=float)
-    out = -np.sin(np.multiply.outer(zz, freq)) @ (w * freq * freq)
-    return float(out) if zz.ndim == 0 else out
+def check_period(model: InterfaceModel, period: float) -> None:
+    """Raise ValueError unless ``period``, a device's, is the model's own
+    period up to rounding: ``np.isclose`` at rtol 1e-12 and its default
+    atol 1e-8."""
+    if not np.isclose(model.L, period, rtol=1e-12):
+        raise ValueError(
+            f"interface period {model.L} does not match device period {period}")
 
 
-def sample(model: InterfaceModel, rng_seed) -> InterfaceSample:
-    """Draw one i.i.d. coefficient vector; deterministic for a given seed.
-
-    ``rng_seed`` may be an integer seed or a ``numpy.random.Generator``
-    (callers that need streams pass spawned generators explicitly; there is
-    no hidden global state).
-    """
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) \
-        else np.random.default_rng(rng_seed)
-    thetas = rng.uniform(model.dist.a, model.dist.b, size=model.K)
+def sample(model: InterfaceModel, seed: int) -> InterfaceSample:
+    """Draw one i.i.d. coefficient vector; deterministic for a given
+    integer seed."""
+    thetas = np.random.default_rng(seed).uniform(model.dist.a, model.dist.b,
+                                                 size=model.K)
     return InterfaceSample(tuple(thetas))
 
 

@@ -51,7 +51,7 @@ from .collocation import QuadratureRule
 from .fd_core import Grid2D
 from .forward_mapped import (CELLS_1D, DeviceConfig, GenerationProfile,
                              Solution1D, expected_mapped_pl, solve_1d_rhs,
-                             solve_mapped_1d, symmetry_folded_rule)
+                             solve_mapped_1d)
 
 __all__ = [
     "SENSITIVITY_PDE",
@@ -136,19 +136,20 @@ class EstimationError(RuntimeError):
         self.trace = trace
 
 
+# Armijo constant and halving budget of the line search
+ARMIJO_C = 1e-4
+MAX_HALVINGS = 20
+
+
 @dataclass(frozen=True)
 class NewtonOptions:
     tol: float = 1e-4
     max_iter: int = 50
-    armijo_c: float = 1e-4
-    max_halvings: int = 20
 
     def __post_init__(self):
-        if not (0 < self.tol < math.inf and self.max_iter >= 1
-                and self.max_halvings >= 1 and 0 < self.armijo_c < 1):
-            raise ValueError(
-                "Newton options need 0 < tol < inf, max_iter >= 1, "
-                f"max_halvings >= 1 and 0 < armijo_c < 1; got {self!r}")
+        if not (0 < self.tol < math.inf and self.max_iter >= 1):
+            raise ValueError("Newton options need 0 < tol < inf and "
+                             f"max_iter >= 1; got {self!r}")
 
 
 @dataclass(frozen=True)
@@ -177,8 +178,7 @@ def sensitivities_1d(device: DeviceConfig, solution: Solution1D
     """Flat-interface sensitivity solves on the solution's grid and offset."""
     sigma, xi = device.sigma, solution.xi
     cells = solution.y.size - 1
-    g = device.generation((1.0 - solution.y) * (device.d - xi))
-    resid = solution.values - g
+    resid = solution.values - solution.source
     u1 = solve_1d_rhs(device, xi, cells, (2.0 / sigma) * resid)
     u2 = solve_1d_rhs(device, xi, cells,
                       -(6.0 / sigma ** 2) * resid + (4.0 / sigma) * u1)
@@ -245,7 +245,6 @@ class MappedCollocationForward:
     rule: QuadratureRule
     cells: tuple[int, int] = (64, 64)
     deriv: str = SENSITIVITY_PDE
-    _folded: QuadratureRule = field(init=False, repr=False, compare=False)
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -253,14 +252,11 @@ class MappedCollocationForward:
         if self.deriv != SENSITIVITY_PDE:
             raise ValueError(f"deriv must be {SENSITIVITY_PDE!r}, "
                              f"got {self.deriv!r}")
-        # folding a folded rule returns it unchanged
-        object.__setattr__(self, "_folded", symmetry_folded_rule(
-            self.rule, Grid2D.unit(*self.cells)))
 
     def _values(self, sigma: float, d: float):
         """(E[I], E[I'], E[I'']) through the cache."""
         return _latest(self._cache, sigma, d, lambda: expected_mapped_pl(
-            self.family.device(sigma, d), self.model, self._folded,
+            self.family.device(sigma, d), self.model, self.rule,
             Grid2D.unit(*self.cells), derivatives=True))
 
     def pl(self, sigma: float, d: float) -> float:
@@ -378,7 +374,7 @@ def newton_estimate(provider, curve: PLCurve, sigma0: float | None = None,
         alpha = 1.0
         accepted = False
         candidate, j_cand = sigma, j_curr
-        for _ in range(opts.max_halvings):
+        for _ in range(MAX_HALVINGS):
             candidate = sigma + alpha * step
             if candidate <= 0:
                 warnings.warn(
@@ -386,7 +382,7 @@ def newton_estimate(provider, curve: PLCurve, sigma0: float | None = None,
                     f"{0.5 * sigma:.4g}", stacklevel=2)
                 candidate = 0.5 * sigma
             j_cand = objective(provider, curve, candidate)
-            if j_cand <= j_curr - opts.armijo_c * alpha * predicted:
+            if j_cand <= j_curr - ARMIJO_C * alpha * predicted:
                 accepted = True
                 break
             if alpha == 1.0 and abs(candidate - sigma) < opts.tol:

@@ -573,7 +573,7 @@ class TestOrders:
         for eps in eps_values:
             m = dataclasses.replace(model, hbar=eps * dev.d)
             sol = solve_mapped_2d(dev, m, th, gridf)
-            h = iface.evaluate(m, th, L * gridf.z)
+            h = iface.profile(m, th, L * gridf.z)[0]
             v1 = (basis.w0.values
                   + eps * model.lambdas[0] * th.thetas[0] * basis.w1[0].values)
             worst = 0.0

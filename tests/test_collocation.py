@@ -53,6 +53,11 @@ class TestBuildRule:
         r2 = build_rule(MONTE_CARLO, 3, 50, (-1, 1), seed=42)
         assert np.array_equal(r1.nodes, r2.nodes)
 
+    def test_monte_carlo_needs_a_seed(self):
+        # unseeded draws would differ from call to call
+        with pytest.raises(ValueError, match="seed"):
+            build_rule(MONTE_CARLO, 3, 50, (-1, 1))
+
 
 class TestExactness:
     @given(st.integers(0, 7), st.integers(0, 7))

@@ -207,6 +207,32 @@ class TestConfigAndCli:
         assert "numerical failure" in err
         assert "Traceback" not in err
 
+    def test_forward_domain_failure_exits_3(self, tmp_path, capsys):
+        # the interface of the one sample reaches the top surface; the
+        # error is a ValueError too, but a numerical failure, not a config
+        # error
+        path = tmp_path / "run.cfg"
+        path.write_text(CONFIG.format(out=tmp_path / "out")
+                        .replace("d = 10.0", "d = 0.5")
+                        .replace("hbar = 1.0", "hbar = 2.0")
+                        .replace("reference = 32", "reference = 16"))
+        assert cli.main(["forward", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "top surface" in err
+        assert "Traceback" not in err
+
+    def test_unknown_generation_kind_exits_2(self, tmp_path, capsys):
+        # an unknown kind used to fall back to the decay-factor default
+        path = tmp_path / "run.cfg"
+        path.write_text(CONFIG.format(out=tmp_path / "out")
+                        .replace("kind = exponential", "kind = gaussian")
+                        .replace("reference = 32", "reference = 16"))
+        assert cli.main(["forward", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "bad config" in err and "[generation] kind" in err
+        assert "exponential" in err and "constant" in err
+        assert not (tmp_path / "out" / "forward.csv").exists()
+
     def test_quadrature_node_failure_under_fold_exits_3(self, tmp_path,
                                                          capsys):
         # a symmetric law folds the rule; the invalid nodes still get solved

@@ -15,7 +15,7 @@ from exdil.forward_mapped import (DeviceConfig, DomainValidityError,
                                   solve_mapped_2d, solve_mapped_profile,
                                   symmetry_folded_rule)
 from exdil.interface import InterfaceModel, InterfaceSample, UniformDist, \
-    evaluate, sample
+    profile, sample
 
 
 def closed_form_pl(sigma, d):
@@ -95,6 +95,13 @@ class TestSolve1D:
         with pytest.raises(DomainValidityError):
             solve_mapped_1d(flat_device(), 11.0)
 
+    def test_solution_keeps_its_source(self):
+        # the sensitivity solves read G on the nodes from the solution
+        dev = DeviceConfig(5.0, 10.0, 4.0, GenerationProfile.exponential(5.0))
+        sol = solve_mapped_1d(dev, 1.5, 64)
+        assert np.array_equal(sol.source,
+                              dev.generation((1.0 - sol.y) * (dev.d - 1.5)))
+
     def test_residual_check_rejects_bad_solution(self, monkeypatch):
         # one entry off by 1e-6 fails the relative-residual check the 2D
         # path applies as well
@@ -151,6 +158,21 @@ class TestSolve2D:
                 for n in (48, 96, 192)]
         assert mins[0] > -1e-3
         assert mins[-1] > mins[0]
+
+    def test_solution_keeps_source_and_weight(self):
+        # the sensitivity solves and the PL weight read these from the
+        # solution: G on the mapped nodes and d - h per column
+        dev = DeviceConfig(5.0, 10.0, 4.0, GenerationProfile.exponential(5.0))
+        model = InterfaceModel(1.0, 4.0, 3, (1.0, 0.5, 0.25),
+                               UniformDist(-1, 1))
+        theta = sample(model, 4)
+        grid = Grid2D.unit(12, 10)
+        sol = solve_mapped_2d(dev, model, theta, grid)
+        weight = dev.d - profile(model, theta, dev.L * grid.z)[0]
+        assert np.array_equal(sol.weight, weight)
+        assert np.array_equal(sol.source, dev.generation(
+            (1.0 - grid.y)[:, None] * weight[None, :]))
+        assert sol.pl == trapezoid_2d(sol.field, z_weight=weight)
 
     def test_interface_above_film_rejected(self):
         dev = flat_device(d=1.0)
@@ -236,7 +258,7 @@ class TestSymmetryFold:
             sol = solve_mapped_2d(dev, model, InterfaceSample(tuple(thetas)),
                                   grid)
             u1, u2 = sensitivities_mapped(sol)
-            weight = dev.d - sol.profile
+            weight = dev.d - iface_heights(model, thetas, grid)
             return (sol.pl, trapezoid_2d(u1, z_weight=weight),
                     trapezoid_2d(u2, z_weight=weight))
 
@@ -257,16 +279,16 @@ class TestSymmetryFold:
         grid = Grid2D.unit(8, 8)
         folded = symmetry_folded_rule(rule, grid)
         assert folded.node_count < rule.node_count
-        heights = [iface_max(model, t, grid) for t in rule.nodes]
+        heights = [iface_heights(model, t, grid).max() for t in rule.nodes]
         assert min(heights) < dev.d <= max(heights)
         with pytest.raises(CollocationError, match="node") as err:
             expected_mapped_pl(dev, model, rule, grid)
         assert isinstance(err.value.__cause__, DomainValidityError)
 
 
-def iface_max(model, thetas, grid):
-    return evaluate(model, InterfaceSample(tuple(thetas)),
-                    model.L * grid.z).max()
+def iface_heights(model, thetas, grid):
+    return profile(model, InterfaceSample(tuple(thetas)),
+                   model.L * grid.z)[0]
 
 
 class TestDeviceConfig:

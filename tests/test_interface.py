@@ -1,4 +1,5 @@
-"""Interface model: series evaluation, derivatives, sampling."""
+"""Interface model: series evaluation, derivatives, period check,
+sampling."""
 
 import math
 
@@ -8,12 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exdil.interface import (InterfaceModel, InterfaceSample, UniformDist,
-                             evaluate, evaluate_dz, evaluate_dzz, moments,
-                             sample)
+                             check_period, moments, profile, sample)
 
 
 def model_of(hbar=1.0, L=1.0, K=1, lambdas=None, a=-1.0, b=1.0):
     return InterfaceModel(hbar, L, K, lambdas or (1.0,) * K, UniformDist(a, b))
+
+
+def evaluate(model, s, z):
+    """Height h(z) alone."""
+    return profile(model, s, z)[0]
 
 
 class TestEvaluate:
@@ -65,13 +70,13 @@ class TestEvaluate:
 class TestDerivatives:
     def test_slope_at_origin(self):
         m = model_of()
-        assert evaluate_dz(m, InterfaceSample((1.0,)), 0.0) == pytest.approx(
+        assert profile(m, InterfaceSample((1.0,)), 0.0)[1] == pytest.approx(
             2 * math.pi)
 
     def test_curvature_at_quarter(self):
         # sin(2 pi z) has zero curvature where it crosses zero
         m = model_of()
-        assert evaluate_dzz(m, InterfaceSample((1.0,)), 0.5) == pytest.approx(
+        assert profile(m, InterfaceSample((1.0,)), 0.5)[2] == pytest.approx(
             0.0, abs=1e-12)
 
     def test_two_mode_slope(self):
@@ -79,10 +84,10 @@ class TestDerivatives:
         s = InterfaceSample((1.0, -1.0))
         expected = 2.0 * (2 * math.pi * math.cos(0.0)
                           - 0.5 * 4 * math.pi * math.cos(0.0))
-        assert evaluate_dz(m, s, 0.0) == pytest.approx(expected, rel=1e-14)
+        assert profile(m, s, 0.0)[1] == pytest.approx(expected, rel=1e-14)
 
-    @pytest.mark.parametrize("deriv,order", [(evaluate_dz, 1), (evaluate_dzz, 2)])
-    def test_matches_finite_differences(self, deriv, order):
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_matches_finite_differences(self, order):
         m = model_of(hbar=1.3, L=2.0, K=3, lambdas=(1.0, 0.7, 0.2))
         s = sample(m, 3)
         z = 0.31
@@ -94,7 +99,7 @@ class TestDerivatives:
             else:
                 fd = (evaluate(m, s, z + delta) - 2 * evaluate(m, s, z)
                       + evaluate(m, s, z - delta)) / delta ** 2
-            errs.append(abs(fd - deriv(m, s, z)))
+            errs.append(abs(fd - profile(m, s, z)[order]))
         slope = np.polyfit(np.log(deltas), np.log(errs), 1)[0]
         assert 1.8 < slope < 2.2
 
@@ -113,8 +118,7 @@ class TestSampling:
 
     def test_positive_mean(self):
         m = model_of(K=1, a=0.0, b=1.0)
-        rng = np.random.default_rng(5)
-        draws = np.array([sample(m, rng).thetas[0] for _ in range(20000)])
+        draws = np.array([sample(m, s).thetas[0] for s in range(20000)])
         se = np.std(draws) / np.sqrt(draws.size)
         assert abs(np.mean(draws) - 0.5) < 3 * se
 
@@ -122,6 +126,18 @@ class TestSampling:
         m = model_of(K=8, lambdas=(1.0,) * 8, a=0.25, b=0.75)
         s = sample(m, 1)
         assert all(0.25 <= t <= 0.75 for t in s.thetas)
+
+
+class TestCheckPeriod:
+    def test_accepts_the_period_within_tolerance(self):
+        m = model_of(L=4.0)
+        check_period(m, 4.0)
+        check_period(m, 4.0 + 1e-9)
+
+    @pytest.mark.parametrize("period", [2.0, 4.0 + 1e-6])
+    def test_rejects_another_period(self, period):
+        with pytest.raises(ValueError, match="does not match"):
+            check_period(model_of(L=4.0), period)
 
 
 class TestMoments:
