@@ -81,8 +81,13 @@ the coefficients' second moment, the order-2 expected photoluminescence is
                                         + (Lam G(d) / 4 - F T / 2) h(nu)),
 
 and orders 0 and 1 are int G - F.  So sigma enters only through the three
-scalars F, h(nu) and T, and :func:`expected_pl_with_derivatives`
-differentiates them by hand.  It works in nu and converts at the end,
+scalars F, h(nu) and T, and :func:`closed_form` differentiates them by
+hand.  It takes ready-made the factors that depend on d alone (G's terms,
+int G, G(d) and eps: a :class:`Film`) and on sigma alone (nu, and m_k,
+dm_k/dnu and m_k**3 of every mode: a :class:`ModeTable`), so a caller that
+evaluates many (sigma, d) pairs builds each once;
+:func:`expected_pl_with_derivatives` builds both for one device.  It works
+in nu and converts at the end,
 d/dsigma = -nu**2 d/dnu and d2/dsigma2 = nu**4 d2/dnu2 + 2 nu**3 d/dnu.
 With dm_k/dnu = nu / m_k and d2m_k/dnu2 = kappa_k**2 / m_k**3,
 
@@ -111,6 +116,9 @@ from .forward_mapped import DeviceConfig
 __all__ = [
     "flat_pl",
     "ExpansionModes",
+    "Film",
+    "ModeTable",
+    "closed_form",
     "expected_pl_with_derivatives",
 ]
 
@@ -144,15 +152,28 @@ def _decay_moments(p: float, d: float) -> tuple[float, float, float]:
     return m0, m1, (2.0 * m1 - d * d * e) / p
 
 
-def _flux(generation, d: float, nu: float
+def _source_terms(generation, d: float
+                  ) -> tuple[tuple[tuple[float, float], ...], float]:
+    """The terms (a, mu = 1 / ell) of G, the offset as the term with
+    mu = 0 unless it is zero, and int_0^d G: what the flux reads of the
+    generation at thickness d.  A zero offset would add only zeros."""
+    terms = tuple((a, 1.0 / ell) for a, ell in generation.terms)
+    if generation.offset != 0.0:
+        terms = ((generation.offset, 0.0),) + terms
+    total = 0.0
+    for a, mu in terms:
+        total += a * _decay_integral(mu, d)
+    return terms, total
+
+
+def _flux(terms, total: float, d: float, nu: float
           ) -> tuple[float, float, float, float]:
     """(i0, F, dF/dnu, d2F/dnu2) with F = sigma**2 w0'(0), i0 = int G - F
-    and nu = 1 / sigma, term by term in G (see the module docstring)."""
+    and nu = 1 / sigma, term by term in G (see the module docstring), from
+    the :func:`_source_terms` ``terms`` and ``total`` = int G."""
     decay = math.exp(-nu * d)
-    total = f0 = f1 = f2 = 0.0
-    for a, mu in ((generation.offset, 0.0),) + tuple(
-            (a, 1.0 / ell) for a, ell in generation.terms):
-        total += a * _decay_integral(mu, d)
+    f0 = f1 = f2 = 0.0
+    for a, mu in terms:
         near = math.exp(-min(mu, nu) * d)
         m0, m1, m2 = _decay_moments(abs(mu - nu), d)
         p0, p1, p2 = _decay_moments(mu + nu, d)
@@ -183,7 +204,7 @@ def _mode_slope(m: float, d: float) -> tuple[float, float, float]:
 def _check_finite(values, sigma: float, d: float) -> None:
     # the closed forms run on Python floats: an overflow arrives here as
     # inf, not as a numpy warning
-    if not all(math.isfinite(v) for v in values):
+    if not all(map(math.isfinite, values)):
         raise SolverError(f"non-finite expansion coefficient at "
                           f"sigma = {sigma!r}, d = {d!r}")
 
@@ -206,7 +227,7 @@ def flat_pl(device: DeviceConfig) -> float:
     of :func:`~exdil.forward_mapped.solve_mapped_1d`.  Raises
     :class:`~exdil.fd_core.SolverError` on a non-finite value."""
     sigma, d = device.sigma, device.d
-    i0 = _flux(device.generation, d, 1.0 / sigma)[0]
+    i0 = _flux(*_source_terms(device.generation, d), d, 1.0 / sigma)[0]
     _check_finite([i0], sigma, d)
     return i0
 
@@ -234,45 +255,96 @@ class ExpansionModes:
                    second_moment=iface.moments(model.dist).second)
 
 
-def expected_pl_with_derivatives(device: DeviceConfig, modes: ExpansionModes,
-                                 epsilon: float, order: int
-                                 ) -> tuple[float, float, float]:
-    """(E[I], dE[I]/dsigma, d2E[I]/dsigma2) at the given expansion order, in
-    closed form, differentiated by hand through F, int q and the mode sum T
-    (see the module docstring).  The one route to the expansion's expected
-    photoluminescence: the fits and the convergence and timing studies all
-    read it.  Raises :class:`~exdil.fd_core.SolverError` on a non-finite
-    value."""
+@dataclass(frozen=True)
+class Film:
+    """The factors of the closed form that vary with the thickness alone:
+    d, the generation's terms and int_0^d G (see :func:`_source_terms`),
+    G(d) and the roughness size eps."""
+
+    d: float
+    terms: tuple[tuple[float, float], ...]
+    total: float
+    top: float
+    epsilon: float
+
+    @classmethod
+    def of(cls, device: DeviceConfig, epsilon: float) -> "Film":
+        d, generation = device.d, device.generation
+        terms, total = _source_terms(generation, d)
+        return cls(d=d, terms=terms, total=total, top=generation(d),
+                   epsilon=epsilon)
+
+
+@dataclass(frozen=True)
+class ModeTable:
+    """The factors of the closed form that vary with sigma alone: nu and,
+    per mode, (lam_k**2, m_k, dm_k/dnu = nu / m_k, kappa_k, m_k**3)."""
+
+    sigma: float
+    nu: float
+    modes: ExpansionModes
+    rows: tuple[tuple[float, float, float, float, float], ...]
+
+    @classmethod
+    def of(cls, modes: ExpansionModes, sigma: float) -> "ModeTable":
+        """Raises ValueError unless 0 < sigma < inf."""
+        if not 0 < sigma < math.inf:
+            raise ValueError(f"sigma must be finite and positive, got {sigma}")
+        nu = 1.0 / sigma
+        rows = []
+        for kappa, weight in zip(modes.kappas, modes.weights):
+            m = math.hypot(nu, kappa)
+            rows.append((weight, m, nu / m, kappa, m * m * m))
+        return cls(sigma=sigma, nu=nu, modes=modes, rows=tuple(rows))
+
+
+def closed_form(film: Film, table: ModeTable, order: int
+                ) -> tuple[float, float, float]:
+    """(E[I], dE[I]/dsigma, d2E[I]/dsigma2) at the given expansion order
+    from the thickness's and sigma's factors: what remains per (sigma, d)
+    is the flux and the tanh and exp of each mode.  Raises
+    :class:`~exdil.fd_core.SolverError` on a non-finite value."""
     _check_order(order)
-    sigma, d = device.sigma, device.d
-    nu = 1.0 / sigma
-    i0, f0, f1, f2 = _flux(device.generation, d, nu)
+    d, nu = film.d, table.nu
+    i0, f0, f1, f2 = _flux(film.terms, film.total, d, nu)
     # derivatives in nu until the last line
     e0, e1, e2 = i0, -f1, -f2
     if order == 2:
+        modes = table.modes
         t0 = t1 = t2 = 0.0
-        for kappa, weight in zip(modes.kappas, modes.weights):
-            m = math.hypot(nu, kappa)
+        for weight, m, dm, kappa, m3 in table.rows:
             h0, h1, h2 = _mode_slope(m, d)
-            dm = nu / m
             t0 += weight * h0
             t1 += weight * h1 * dm
-            t2 += weight * (h2 * dm * dm + h1 * kappa * kappa / (m * m * m))
+            t2 += weight * (h2 * dm * dm + h1 * kappa * kappa / m3)
         q0, q1, q2 = _mode_slope(nu, d)           # nu**2 int q
         lam = 0.25 * modes.weight_sum
-        w0 = lam * device.generation(d) - 0.5 * f0 * t0
+        w0 = lam * film.top - 0.5 * f0 * t0
         w1 = -0.5 * (f1 * t0 + f0 * t1)
         w2 = -0.5 * (f2 * t0 + 2.0 * f1 * t1 + f0 * t2)
-        scale = epsilon * epsilon * modes.second_moment * d * d
+        scale = film.epsilon * film.epsilon * modes.second_moment * d * d
         e0 += scale * (lam * nu * nu * f0 + w0 * q0)
         e1 += scale * (lam * (2.0 * nu * f0 + nu * nu * f1)
                        + w1 * q0 + w0 * q1)
         e2 += scale * (lam * (2.0 * f0 + 4.0 * nu * f1 + nu * nu * f2)
                        + w2 * q0 + 2.0 * w1 * q1 + w0 * q2)
     values = (e0, -nu * nu * e1, nu * nu * (nu * nu * e2 + 2.0 * nu * e1))
-    _check_finite(values, sigma, d)
+    _check_finite(values, table.sigma, d)
     _check_leading(i0)
     return values
+
+
+def expected_pl_with_derivatives(device: DeviceConfig, modes: ExpansionModes,
+                                 epsilon: float, order: int
+                                 ) -> tuple[float, float, float]:
+    """(E[I], dE[I]/dsigma, d2E[I]/dsigma2) of one device at the given
+    expansion order: the :func:`closed_form` of the device's :class:`Film`
+    and :class:`ModeTable`.  The convergence and timing studies read it;
+    the fits' :class:`~exdil.inverse.AsymptoticForward` keeps the two
+    factors between evaluations and calls :func:`closed_form` itself.
+    Raises :class:`~exdil.fd_core.SolverError` on a non-finite value."""
+    return closed_form(Film.of(device, epsilon),
+                       ModeTable.of(modes, device.sigma), order)
 
 
 # build_basis -> assemble_approximant -> expected_pl is the call chain of the

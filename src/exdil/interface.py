@@ -149,9 +149,9 @@ def profile(model: InterfaceModel, sample: InterfaceSample, z):
 
 def check_period(model: InterfaceModel, period: float) -> None:
     """Raise ValueError unless ``period``, a device's, is the model's own
-    period up to rounding: ``np.isclose`` at rtol 1e-12 and its default
-    atol 1e-8."""
-    if not np.isclose(model.L, period, rtol=1e-12):
+    period up to rounding: within 1e-12 of the model's period, relative,
+    with no absolute slack."""
+    if not abs(model.L - period) <= 1e-12 * model.L:
         raise ValueError(
             f"interface period {model.L} does not match device period {period}")
 

@@ -24,7 +24,7 @@ with u's homogeneous boundary conditions, after which dI/dsigma and
 d2I/dsigma2 are the same thickness-weighted integrals of u1 and u2.  The
 flat and mapped providers solve them.  The expansion provider's expected
 PL is a closed form in sigma, and it differentiates that closed form
-analytically (:func:`exdil.asymptotic.expected_pl_with_derivatives`).
+analytically (:func:`exdil.asymptotic.closed_form`).
 That is each provider's one derivative path.
 
 The expansion provider and the mapped collocation provider compute every
@@ -33,7 +33,12 @@ sensitivity solves reuse the node's factorization.  So a line-search trial
 yields the derivatives of its own point, and once the trial is accepted the
 next iteration's J' and J'' need no new evaluation: a fit costs
 (iterations + 1) evaluations per thickness.  Each provider keeps its latest
-evaluation per thickness, which is all a Newton fit can reuse.
+evaluation per thickness, which is all a Newton fit can reuse of its values.
+The expansion provider also keeps the factors of its closed form that an
+evaluation shares with others: those of each thickness (generation terms,
+G(d) and eps), computed once per fit, and the mode table of the latest
+sigma, computed once per Newton iterate.  Only the flux and the tanh and
+exp terms of the modes are computed per (sigma, d).
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import interface as iface
-from .asymptotic import ExpansionModes, expected_pl_with_derivatives
+from .asymptotic import ExpansionModes, Film, ModeTable, closed_form
 from .collocation import QuadratureRule
 from .fd_core import Grid2D
 from .forward_mapped import (CELLS_1D, DeviceConfig, GenerationProfile,
@@ -270,6 +275,17 @@ class MappedCollocationForward:
 class AsymptoticForward:
     """Expansion-based expected photoluminescence (order 0, 1 or 2) with
     its analytic sigma-derivatives, from
+    :func:`exdil.asymptotic.closed_form`.
+
+    Each factor of the closed form is computed at the level where it
+    varies.  The interface's :class:`~exdil.asymptotic.ExpansionModes` are
+    taken once per provider.  A thickness's
+    :class:`~exdil.asymptotic.Film` (generation terms and int G, G(d) and
+    eps) is built the first time the thickness is seen and kept: once per
+    fit.  The :class:`~exdil.asymptotic.ModeTable` of the latest sigma (m_k,
+    dm_k/dnu and m_k**3 of every mode) is shared by every thickness: once
+    per Newton iterate.  Only the flux and the tanh and exp of each mode are
+    computed per (sigma, d).  The values are bit for bit those of
     :func:`exdil.asymptotic.expected_pl_with_derivatives`.
 
     Every evaluation gives (E[I], E[I'], E[I'']): ``pl`` returns its first
@@ -284,6 +300,10 @@ class AsymptoticForward:
     order: int = 2
     fixed_epsilon: Optional[float] = None
     _modes: ExpansionModes = field(init=False, repr=False, compare=False)
+    _films: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -295,23 +315,40 @@ class AsymptoticForward:
         return self.pl_with_derivatives(sigma, d)[0]
 
     def pl_with_derivatives(self, sigma: float, d: float):
-        def evaluate():
+        return _latest(self._cache, sigma, d, lambda: closed_form(
+            self._film(sigma, d), self._table(sigma), self.order))
+
+    def _film(self, sigma: float, d: float) -> Film:
+        """The thickness's factors, built from its first device."""
+        film = self._films.get(d)
+        if film is None:
             device = self.family.device(sigma, d)
             eps = self.fixed_epsilon if self.fixed_epsilon is not None \
                 else device.epsilon(self.model.hbar)
-            return expected_pl_with_derivatives(device, self._modes, eps,
-                                                self.order)
-        return _latest(self._cache, sigma, d, evaluate)
+            film = self._films[d] = Film.of(device, eps)
+        return film
+
+    def _table(self, sigma: float) -> ModeTable:
+        """The mode table of the latest sigma."""
+        table = self._tables.get(sigma)
+        if table is None:
+            self._tables.clear()
+            table = self._tables[sigma] = ModeTable.of(self._modes, sigma)
+        return table
 
 
 # ---------------------------------------------------------------------------
 # Objective and Newton iteration
 # ---------------------------------------------------------------------------
 
+def _check_sigma(sigma: float) -> None:
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+
+
 def objective(provider, curve: PLCurve, sigma: float) -> float:
     """Mean-square misfit J(sigma)."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    _check_sigma(sigma)
     res = [provider.pl(sigma, d) - val for d, val in curve.pairs()]
     return float(np.mean(np.square(res)))
 
@@ -324,8 +361,7 @@ def objective_with_derivatives(provider, curve: PLCurve, sigma: float
     bit for a provider whose ``pl`` is the first component of its
     ``pl_with_derivatives``.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    _check_sigma(sigma)
     res = []
     j1 = j2 = 0.0
     n = len(curve)

@@ -329,6 +329,70 @@ class TestClosedForm:
             closed_form(dev, model_of(dev, K=2))
 
 
+# expected_pl_with_derivatives as float hex, recorded before the closed form
+# took its factors per thickness and per sigma (the provider's caches):
+# (generation, sigma, d, order, eps) -> (E[I], dE/dsigma, d2E/dsigma2).
+# "exponential" decays over d / 2, so sigma = 5, d = 10 is the resonance
+# ell = sigma, the series branch of the flux moments; "offset_two_terms" is
+# 0.3 + exp(-s / 5) + 0.5 exp(-s / 2), on the resonance at sigma = 5 too.
+PINNED_BITS = {
+    ("exponential", 5.0, 10.0, 0, 0.05): (
+        "0x1.5585c72074cd9p+1", "-0x1.9c4c76698de5ap-2",
+        "0x1.42e976d54b304p-5"),
+    ("exponential", 5.0, 10.0, 2, 0.05): (
+        "0x1.4e0c29ef55effp+1", "-0x1.9da22c9f3d003p-2",
+        "0x1.5ee4e2f3537d3p-5"),
+    ("exponential", 5.0, 10.0, 2, 0.25): (
+        "0x1.354adaa8e251ep+0", "-0x1.bdab41a7a77dcp-2",
+        "0x1.ff3b82e20d578p-4"),
+    ("exponential", 2.0, 17.6, 0, 0.05): (
+        "0x1.d0920df1cdb72p+2", "-0x1.ce916062c5f06p-3",
+        "-0x1.025178e7fab64p-4"),
+    ("exponential", 2.0, 17.6, 2, 0.05): (
+        "0x1.cac6977652ab3p+2", "-0x1.f7251c4a55564p-3",
+        "-0x1.ff3171dda7000p-5"),
+    ("exponential", 2.0, 17.6, 2, 0.25): (
+        "0x1.3fb37be2c98d2p+2", "-0x1.713fae7ff1b8ap-1",
+        "-0x1.7c8d73264cd90p-5"),
+    ("offset_two_terms", 5.0, 10.0, 0, 0.05): (
+        "0x1.3a3e3e455b081p+2", "-0x1.7f72659ed3f61p-1",
+        "0x1.4324f7f56324ep-4"),
+    ("offset_two_terms", 5.0, 10.0, 2, 0.05): (
+        "0x1.329d5de40b98cp+2", "-0x1.7f79e358f2d5bp-1",
+        "0x1.5ab148dff3168p-4"),
+    ("offset_two_terms", 5.0, 10.0, 2, 0.25): (
+        "0x1.ee21531264a2cp+0", "-0x1.802daccbd7cbcp-1",
+        "0x1.c7ec6f6eb8debp-3"),
+    ("offset_two_terms", 2.0, 17.6, 0, 0.05): (
+        "0x1.4dd389fb4c4fcp+3", "-0x1.8918de7eb5635p-2",
+        "-0x1.bb751de5e5e70p-5"),
+    ("offset_two_terms", 2.0, 17.6, 2, 0.05): (
+        "0x1.48215d3b9b9fdp+3", "-0x1.9ff19eedc4fa5p-2",
+        "-0x1.932a9c21c0ee0p-5"),
+    ("offset_two_terms", 2.0, 17.6, 2, 0.25): (
+        "0x1.7eda56861643ap+2", "-0x1.e221d4ab9d90cp-1",
+        "0x1.19e8c720db318p-4"),
+}
+
+PINNED_GENERATIONS = {
+    "exponential": lambda d: GenerationProfile.exponential(0.5 * d),
+    "offset_two_terms": lambda d: GenerationProfile(((1.0, 5.0), (0.5, 2.0)),
+                                                    offset=0.3),
+}
+
+
+class TestPinnedBits:
+    @pytest.mark.parametrize("key", list(PINNED_BITS))
+    def test_closed_form_keeps_its_bits(self, key):
+        generation, sigma, d, order, eps = key
+        model = InterfaceModel.with_power_spectrum(1.0, 4.0, 10, -1.0,
+                                                   UniformDist(-1.0, 1.0))
+        dev = DeviceConfig(sigma, d, 4.0, PINNED_GENERATIONS[generation](d))
+        values = expected_pl_with_derivatives(
+            dev, ExpansionModes.of(model, 4.0), eps, order)
+        assert tuple(v.hex() for v in values) == PINNED_BITS[key]
+
+
 class TestFlatPL:
     @pytest.mark.parametrize("sigma, gen", [
         (5.0, GenerationProfile.exponential(5.0)),

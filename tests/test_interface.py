@@ -132,12 +132,18 @@ class TestCheckPeriod:
     def test_accepts_the_period_within_tolerance(self):
         m = model_of(L=4.0)
         check_period(m, 4.0)
-        check_period(m, 4.0 + 1e-9)
+        check_period(m, 4.0 * (1.0 + 1e-13))
 
-    @pytest.mark.parametrize("period", [2.0, 4.0 + 1e-6])
+    @pytest.mark.parametrize("period", [2.0, 4.0 + 1e-6, 4.0 + 1e-9,
+                                        math.inf, math.nan])
     def test_rejects_another_period(self, period):
         with pytest.raises(ValueError, match="does not match"):
             check_period(model_of(L=4.0), period)
+
+    def test_tolerance_is_relative_for_small_periods(self):
+        # an absolute slack of 1e-8 would match any two periods this small
+        with pytest.raises(ValueError, match="does not match"):
+            check_period(model_of(L=1e-9), 1.5e-9)
 
 
 class TestMoments:

@@ -2,13 +2,15 @@
 
 import dataclasses
 import math
+import random
 import warnings
 
 import numpy as np
 import pytest
 
 from exdil import fd_core, inverse
-from exdil.asymptotic import expected_pl_with_derivatives
+from exdil.asymptotic import (ExpansionModes, closed_form,
+                              expected_pl_with_derivatives)
 from exdil.collocation import TENSOR_GL, QuadratureRule, build_rule
 from exdil.experiments import MODEL_2D, generate_synthetic_curve, write_csv
 from exdil.fd_core import Grid2D
@@ -105,6 +107,24 @@ class TestObjective:
         prov = OneDimensionalForward(FAMILY)
         with pytest.raises(ValueError):
             objective(prov, curve_1d, 0.0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    @pytest.mark.parametrize("function", [objective,
+                                          objective_with_derivatives])
+    @pytest.mark.parametrize("kind", ["expansion", "mapped"])
+    def test_non_finite_sigma(self, curve_1d, kind, function, sigma):
+        # rejected by the objective itself, before the provider sees it
+        if kind == "expansion":
+            prov = expansion_provider(-1.0)
+        else:
+            model = InterfaceModel(0.3, 4.0, 2, (1.0, 0.5),
+                                   UniformDist(-1, 1))
+            prov = MappedCollocationForward(
+                FAMILY, model, build_rule(TENSOR_GL, 2, 2, (-1.0, 1.0)),
+                cells=(16, 16))
+        with pytest.raises(ValueError,
+                           match="sigma must be finite and positive, got"):
+            function(prov, curve_1d, sigma)
 
 
 class TestSensitivities1D:
@@ -260,6 +280,19 @@ def richardson_derivatives(pl, sigma, rel_step=1e-2):
     return tuple((4.0 * n - w) / 3.0 for w, n in zip(wide, narrow))
 
 
+@pytest.fixture
+def closed_form_calls(monkeypatch):
+    """One entry per closed-form evaluation of an expansion provider."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return closed_form(*args, **kwargs)
+
+    monkeypatch.setattr(inverse, "closed_form", counting)
+    return calls
+
+
 def expansion_provider(beta, order=2, fixed_epsilon=None, K=10):
     model = InterfaceModel.with_power_spectrum(1.0, 4.0, K, beta,
                                                UniformDist(-1.0, 1.0))
@@ -324,7 +357,32 @@ class TestAsymptoticProvider:
             assert objective(plain, curve_1d, sigma) == \
                 objective_with_derivatives(deriv, curve_1d, sigma)[0]
 
-    def test_one_evaluation_per_newton_point(self, monkeypatch):
+    @pytest.mark.parametrize("order", [0, 2])
+    @pytest.mark.parametrize("fixed_epsilon", [None, 0.05])
+    @pytest.mark.parametrize("family", [FAMILY, DeviceFamily(
+        4.0, GenerationProfile(((1.0, 5.0), (0.5, 2.0)), offset=0.3))])
+    def test_shuffled_calls_match_one_device_calls(self, family,
+                                                   fixed_epsilon, order):
+        # the provider's per-thickness and per-sigma factors give the bits
+        # of the one-device closed form, in whatever order they are asked
+        model = InterfaceModel.with_power_spectrum(1.0, 4.0, 10, -1.0,
+                                                   UniformDist(-1.0, 1.0))
+        modes = ExpansionModes.of(model, 4.0)
+        prov = AsymptoticForward(family, model, order=order,
+                                 fixed_epsilon=fixed_epsilon)
+        points = [(s, d) for s in (3.1, 5.0, 6.2)
+                  for d in (10.0, 12.5, 30.5)] * 2
+        random.Random(7).shuffle(points)
+        for n, (sigma, d) in enumerate(points):
+            dev = family.device(sigma, d)
+            eps = fixed_epsilon or dev.epsilon(model.hbar)
+            want = expected_pl_with_derivatives(dev, modes, eps, order)
+            if n % 2:
+                assert prov.pl(sigma, d).hex() == want[0].hex()
+            got = prov.pl_with_derivatives(sigma, d)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_one_evaluation_per_newton_point(self, closed_form_calls):
         # the fit-expansion benchmark inputs of seed 1: each iterate is
         # evaluated once, with its derivatives, plus the start point
         rng = np.random.default_rng(1)
@@ -333,13 +391,7 @@ class TestAsymptoticProvider:
                             for s in (10.0, 17.5, 25.0, 32.5, 40.0))
         curve = generate_synthetic_curve("model_1d", sigma_star, thicknesses,
                                          family=FAMILY)
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(None)
-            return expected_pl_with_derivatives(*args, **kwargs)
-
-        monkeypatch.setattr(inverse, "expected_pl_with_derivatives", counting)
+        calls = closed_form_calls
         for beta in (-2.0, -1.0):
             calls.clear()
             trace = newton_estimate(expansion_provider(beta), curve,
@@ -469,15 +521,21 @@ class TestProviderCopies:
         assert zeroth.pl(6.0, 30.0) == AsymptoticForward(
             FAMILY, model, order=0).pl(6.0, 30.0) != second
 
-    def test_cache_keeps_latest_sigma_per_thickness(self):
+    def test_cache_keeps_latest_sigma_per_thickness(self, closed_form_calls):
+        calls = closed_form_calls
         model = InterfaceModel(0.5, 4.0, 2, (1.0, 0.5), UniformDist(0, 1))
         prov = AsymptoticForward(FAMILY, model)
         for s in (5.0, 6.0):
             for d in (20.0, 30.0):
                 prov.pl(s, d)
+        assert len(calls) == 4
         fresh = AsymptoticForward(FAMILY, model)
-        assert prov._cache == {d: (6.0, fresh.pl_with_derivatives(6.0, d))
-                               for d in (20.0, 30.0)}
+        for d in (20.0, 30.0):
+            assert prov.pl_with_derivatives(6.0, d) == \
+                fresh.pl_with_derivatives(6.0, d)
+        assert len(calls) == 6          # prov's two reads were cache hits
+        prov.pl(5.0, 20.0)              # an earlier sigma is not kept
+        assert len(calls) == 7
 
 
 class TestNewtonOptions:
