@@ -10,8 +10,8 @@ misfit.
 
 __version__ = "0.1.0"
 
-from .interface import (InterfaceModel, InterfaceSample, ThetaMoments,
-                        UniformDist, check_period, moments, profile, sample)
+from .interface import (InterfaceModel, InterfaceSample, UniformDist,
+                        check_period, moments, profile, sample)
 from .fd_core import (EllipticOperator, Field2D, Grid2D, PdeCoefficients,
                       SolverError, trapezoid_2d)
 from .forward_mapped import (DeviceConfig, DomainValidityError,
@@ -22,11 +22,11 @@ from .forward_mapped import (DeviceConfig, DomainValidityError,
 from .collocation import (MONTE_CARLO, SMOLYAK, TENSOR_GL, CollocationError,
                           ExpectationResult, QuadratureRule, build_rule,
                           expect)
-from .inverse import (SENSITIVITY_PDE, AsymptoticForward,
-                      DeviceFamily, EstimationError, EstimationTrace,
-                      MappedCollocationForward, NewtonOptions,
-                      OneDimensionalForward, PLCurve, newton_estimate,
-                      objective, objective_with_derivatives, sensitivities_1d)
+from .inverse import (SENSITIVITY_PDE, AsymptoticForward, DeviceFamily,
+                      EstimationTrace, MappedCollocationForward,
+                      NewtonOptions, OneDimensionalForward, PLCurve,
+                      newton_estimate, objective, objective_with_derivatives,
+                      sensitivities_1d)
 from .experiments import (ConvergenceResult, SlopeFit, TimingResult,
                           ValidationResult, convergence_study,
                           estimation_study, fit_slope,

@@ -252,7 +252,7 @@ class ExpansionModes:
         weights = tuple(lam * lam for lam in model.lambdas)
         return cls(kappas=tuple(model.mode_angular_frequencies().tolist()),
                    weights=weights, weight_sum=math.fsum(weights),
-                   second_moment=iface.moments(model.dist).second)
+                   second_moment=iface.moments(model.dist))
 
 
 @dataclass(frozen=True)
@@ -363,10 +363,9 @@ def assemble_approximant(basis):
     return basis
 
 
-def expected_pl(approximant, moments: iface.ThetaMoments, order: int
-                ) -> float:
-    """E[I] of :func:`expected_pl_with_derivatives` at the second moment
-    of ``moments``."""
+def expected_pl(approximant, second_moment: float, order: int) -> float:
+    """E[I] of :func:`expected_pl_with_derivatives` at the coefficients'
+    ``second_moment``."""
     device, modes, epsilon = approximant
-    modes = dataclasses.replace(modes, second_moment=moments.second)
+    modes = dataclasses.replace(modes, second_moment=second_moment)
     return expected_pl_with_derivatives(device, modes, epsilon, order)[0]

@@ -19,7 +19,7 @@ from .fd_core import Grid2D, SolverError
 from .forward_mapped import (DomainValidityError, expected_mapped_pl,
                              solve_mapped_2d)
 from .interface import sample as draw_sample
-from .inverse import EstimationError, NewtonOptions
+from .inverse import NewtonOptions
 
 
 def _add_common(sub):
@@ -53,8 +53,7 @@ def main(argv=None) -> int:
     try:
         outputs = _dispatch(args.command, cfg, outdir)
     # DomainValidityError subclasses ValueError: this clause must come first
-    except (SolverError, DomainValidityError, EstimationError,
-            CollocationError) as exc:
+    except (SolverError, DomainValidityError, CollocationError) as exc:
         print(f"exdil: numerical failure: {exc}", file=sys.stderr)
         return 3
     except (KeyError, ValueError, configparser.Error) as exc:

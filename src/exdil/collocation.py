@@ -66,7 +66,6 @@ class CollocationError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    kind: str
     dim: int
     nodes: np.ndarray     # (Q, dim)
     weights: np.ndarray   # (Q,)
@@ -200,7 +199,7 @@ def build_rule(kind: str, dim: int, size: int, support=(-1.0, 1.0),
         desc = f"monte_carlo(q={size}, dim={dim}, seed={seed})"
     else:
         raise ValueError(f"unknown rule kind {kind!r}")
-    return QuadratureRule(kind=kind, dim=dim, nodes=nodes, weights=weights,
+    return QuadratureRule(dim=dim, nodes=nodes, weights=weights,
                           descriptor=desc)
 
 
@@ -266,7 +265,7 @@ def fold(rule: QuadratureRule, flips) -> QuadratureRule:
     for qi, r in enumerate(rep):
         weight[r] += float(rule.weights[qi])
     return QuadratureRule(
-        kind=rule.kind, dim=rule.dim, nodes=rule.nodes[kept],
+        dim=rule.dim, nodes=rule.nodes[kept],
         weights=np.array([weight[r] for r in kept]),
         descriptor=f"{rule.descriptor} folded to {len(kept)} orbits")
 

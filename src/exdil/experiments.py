@@ -30,9 +30,8 @@ from .fd_core import Grid2D
 from .forward_mapped import (GenerationProfile, expected_mapped_pl,
                              solve_mapped_1d, symmetry_folded_rule)
 from .interface import InterfaceModel, UniformDist
-from .inverse import (AsymptoticForward, DeviceFamily, EstimationError,
-                      EstimationTrace, NewtonOptions, PLCurve, finite_floats,
-                      newton_estimate)
+from .inverse import (AsymptoticForward, DeviceFamily, EstimationTrace,
+                      NewtonOptions, PLCurve, finite_floats, newton_estimate)
 
 __all__ = [
     "SlopeFit",
@@ -119,7 +118,7 @@ def generate_synthetic_curve(kind: str, sigma_star: float,
     if kind == MODEL_1D:
         for d in thicknesses:
             values.append(solve_mapped_1d(family.device(sigma_star, d)).pl)
-        return PLCurve(thicknesses, tuple(values), provenance="synthetic-1d")
+        return PLCurve(thicknesses, tuple(values))
     if kind != MODEL_2D:
         raise ValueError(f"unknown data kind {kind!r}")
     if model is None:
@@ -131,7 +130,7 @@ def generate_synthetic_curve(kind: str, sigma_star: float,
             dataclasses.replace(model, hbar=fixed_epsilon * d)
         values.append(expected_mapped_pl(family.device(sigma_star, d),
                                          model_d, rule, grid))
-    return PLCurve(thicknesses, tuple(values), provenance="synthetic-2d")
+    return PLCurve(thicknesses, tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +173,13 @@ def convergence_study(*, device, model: InterfaceModel,
     The expansion reads the model through its eps-independent
     :class:`~exdil.asymptotic.ExpansionModes`, taken once; the reference
     solves the mapped model per eps with a tensor Gauss-Legendre rule at the
-    fine grid.
+    fine grid.  The slope fits need at least three eps values, each finite
+    and positive: other ``eps_values`` raise ValueError before any solve.
     """
+    if len(eps_values) < 3 or not all(0 < eps < np.inf for eps in eps_values):
+        raise ValueError("the convergence study needs at least three eps "
+                         f"values, each finite and positive; got "
+                         f"{list(eps_values)}")
     modes = ExpansionModes.of(model, device.L)
     ref_grid = Grid2D.unit(*ref_cells)
     rule = build_rule(TENSOR_GL, model.K, ref_points, model.dist.support)
@@ -225,7 +229,8 @@ def estimation_study(*, sigma_star: float, eps_values: Sequence[float],
             rule_size=data_points, cells=data_cells, fixed_epsilon=eps)
         provider = AsymptoticForward(family=family, model=model, order=order,
                                      fixed_epsilon=eps)
-        traces[eps] = _run_newton(provider, curve, sigma0, newton, sigma_star)
+        traces[eps] = newton_estimate(provider, curve, sigma0=sigma0,
+                                      options=newton, sigma_exact=sigma_star)
     return traces
 
 
@@ -259,29 +264,20 @@ def validation_study(*, sigma_star: float, betas: Sequence[float],
     """
     thicknesses = finite_floats("thicknesses", thicknesses)
     data = PLCurve(thicknesses, tuple(
-        flat_pl(family.device(sigma_star, d)) for d in thicknesses),
-        provenance="flat-closed-form")
+        flat_pl(family.device(sigma_star, d)) for d in thicknesses))
     traces, finals, within = {}, {}, {}
     for beta in betas:
         model = InterfaceModel.with_power_spectrum(hbar, family.period, K,
                                                    beta, dist)
         provider = AsymptoticForward(family=family, model=model, order=order)
-        trace = _run_newton(provider, data, sigma0, newton, sigma_star)
+        trace = newton_estimate(provider, data, sigma0=sigma0,
+                                options=newton, sigma_exact=sigma_star)
         traces[beta] = trace
         # final_sigma falls back to sigma0 when no step was accepted
         finals[beta] = abs(sigma_star - trace.final_sigma) / abs(sigma_star)
         within[beta] = finals[beta] < 0.01
     return ValidationResult(traces=traces, final_errors=finals,
                             within_one_percent=within)
-
-
-def _run_newton(provider, curve, sigma0, newton, sigma_star) -> EstimationTrace:
-    try:
-        return newton_estimate(provider, curve, sigma0=sigma0, options=newton,
-                               sigma_exact=sigma_star)
-    except EstimationError as err:
-        # Keep the partial trace; studies report it alongside the rest.
-        return err.trace
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +350,12 @@ def timing_study(*, device, model: InterfaceModel, epsilon: float = 0.0625,
 
 @dataclass
 class RunConfig:
-    """Parsed run configuration plus the raw text it came from."""
+    """Parsed run configuration and the hash of the text it came from."""
 
     kind: str
     seed: int
     output: Path
     parser: configparser.ConfigParser
-    text: str
     sha: str
 
     def floats(self, section: str, key: str, default=None) -> list[float]:
@@ -393,7 +388,7 @@ def load_config(path) -> RunConfig:
     seed = parser.getint("run", "seed", fallback=0)
     output = Path(parser.get("run", "output", fallback="out"))
     return RunConfig(kind=kind, seed=seed, output=output, parser=parser,
-                     text=text, sha=config_hash(text))
+                     sha=config_hash(text))
 
 
 def interface_from_config(cfg: RunConfig) -> InterfaceModel:

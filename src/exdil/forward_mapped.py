@@ -245,11 +245,21 @@ def solve_mapped_profile(device: DeviceConfig, grid: Grid2D, h, hp, hpp
                           weight=dmh, operator=op)
 
 
+def _check_z_resolution(model: iface.InterfaceModel, grid: Grid2D) -> None:
+    """Raise ValueError unless nz > 2K: at nz = 2K the top mode is sampled
+    at its zeros, and below that the modes alias."""
+    if not grid.nz > 2 * model.K:
+        raise ValueError(f"a {model.K}-mode interface needs more than "
+                         f"{2 * model.K} z intervals, got {grid.nz}")
+
+
 def solve_mapped_2d(device: DeviceConfig, model: iface.InterfaceModel,
                     sample: iface.InterfaceSample, grid: Grid2D
                     ) -> MappedSolution:
-    """Solve one realization of the sine-series interface."""
+    """Solve one realization of the sine-series interface.  Raises
+    ValueError unless the grid resolves every mode in z (nz > 2K)."""
     iface.check_period(model, device.L)
+    _check_z_resolution(model, grid)
     h, hp, hpp = iface.profile(model, sample, device.L * grid.z)
     return solve_mapped_profile(device, grid, h, hp, hpp)
 
@@ -294,7 +304,11 @@ def expected_mapped_pl(device: DeviceConfig, model: iface.InterfaceModel,
     E[d2I/dsigma2]), the derivatives from :func:`sensitivities_mapped` on
     each node's factorization.  Every component is reduced by the same
     weighted sum, so E[I] is bit for bit the value returned without them.
+    A grid that does not resolve every mode in z raises ValueError before
+    the first node, as :func:`solve_mapped_2d` would at each.
     """
+    _check_z_resolution(model, grid)
+
     def node(thetas):
         sol = solve_mapped_2d(device, model,
                               iface.InterfaceSample(tuple(thetas)), grid)

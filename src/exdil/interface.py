@@ -23,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "UniformDist",
-    "ThetaMoments",
     "InterfaceModel",
     "InterfaceSample",
     "profile",
@@ -49,19 +48,6 @@ class UniformDist:
     @property
     def support(self) -> tuple[float, float]:
         return (self.a, self.b)
-
-
-@dataclass(frozen=True)
-class ThetaMoments:
-    """First and second moments of the coefficient family.
-
-    ``cross`` is E[theta_j theta_k] for j != k, which equals mean**2 by
-    independence.
-    """
-
-    mean: float
-    second: float
-    cross: float
 
 
 @dataclass(frozen=True)
@@ -164,9 +150,8 @@ def sample(model: InterfaceModel, seed: int) -> InterfaceSample:
     return InterfaceSample(tuple(thetas))
 
 
-def moments(dist: UniformDist) -> ThetaMoments:
-    """Closed-form moments of Uniform(a, b)."""
+def moments(dist: UniformDist) -> float:
+    """E[theta**2] = (a**2 + a b + b**2) / 3 of Uniform(a, b): the one
+    moment of the law that the expansion reads (:mod:`exdil.asymptotic`)."""
     a, b = dist.a, dist.b
-    mean = 0.5 * (a + b)
-    second = (a * a + a * b + b * b) / 3.0
-    return ThetaMoments(mean=mean, second=second, cross=mean * mean)
+    return (a * a + a * b + b * b) / 3.0

@@ -10,7 +10,9 @@ by a damped Newton iteration
     sigma_n = sigma_{n-1} - alpha_n J'(sigma_{n-1}) / J''(sigma_{n-1}),
 
 with a backtracking line search (Armijo decrease, halving from alpha = 1)
-and the stopping rule |sigma_n - sigma_{n-1}| < tol.
+and the stopping rule |sigma_n - sigma_{n-1}| < tol.  Every fit returns its
+iterate history with one of three stop reasons: ``step_tolerance``,
+``line_search_exhausted`` or ``max_iterations``.
 
 J' and J'' need the sigma-derivatives of the forward values.  For the PDE
 providers these come from the sensitivity problems obtained by
@@ -62,7 +64,6 @@ __all__ = [
     "SENSITIVITY_PDE",
     "PLCurve",
     "EstimationTrace",
-    "EstimationError",
     "NewtonOptions",
     "DeviceFamily",
     "OneDimensionalForward",
@@ -92,7 +93,6 @@ class PLCurve:
 
     thicknesses: tuple[float, ...]
     values: tuple[float, ...]
-    provenance: str = "external"
 
     def __post_init__(self):
         d = finite_floats("thicknesses", self.thicknesses)
@@ -131,14 +131,6 @@ class EstimationTrace:
     @property
     def iterations(self) -> int:
         return len(self.sigmas)
-
-
-class EstimationError(RuntimeError):
-    """Newton failed to satisfy the stopping rule; carries the trace."""
-
-    def __init__(self, message: str, trace: EstimationTrace):
-        super().__init__(message)
-        self.trace = trace
 
 
 # Armijo constant and halving budget of the line search
@@ -384,10 +376,10 @@ def newton_estimate(provider, curve: PLCurve, sigma0: float | None = None,
     to half the current one, and stops when |sigma_n - sigma_{n-1}| < tol.
     A full Newton step already below tol that fails the Armijo test is not
     halved: the current iterate is recorded again (alpha 0) and the
-    iteration stops there on ``step_tolerance``.
-    Raises :class:`EstimationError` carrying the trace when the iteration
-    budget runs out first; an exhausted line search ends the iteration at
-    the current point (the misfit cannot be decreased further).
+    iteration stops there on ``step_tolerance``.  Returns the trace, with
+    ``reason`` ``step_tolerance``, ``line_search_exhausted`` (no trial
+    decreased the misfit: the fit ends at the current point) or
+    ``max_iterations`` (``options.max_iter`` steps taken first).
     """
     opts = options or NewtonOptions()
     sigma = 0.25 * max(curve.thicknesses) if sigma0 is None else float(sigma0)
@@ -444,6 +436,4 @@ def newton_estimate(provider, curve: PLCurve, sigma0: float | None = None,
             return trace
 
     trace.reason = "max_iterations"
-    raise EstimationError(
-        f"no convergence within {opts.max_iter} iterations "
-        f"(last sigma {sigma:.6g})", trace)
+    return trace

@@ -89,7 +89,7 @@ def test_adapter_reads_the_second_moment():
         asymptotic.build_basis(device, model))
     wider = interface.moments(interface.UniformDist(0.0, 3.0))
     modes = dataclasses.replace(asymptotic.ExpansionModes.of(model, 4.0),
-                                second_moment=wider.second)
+                                second_moment=wider)
     assert asymptotic.expected_pl(approx, wider, 2) \
         == asymptotic.expected_pl_with_derivatives(
             device, modes, device.epsilon(model.hbar), 2)[0] \

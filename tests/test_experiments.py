@@ -50,7 +50,6 @@ class TestSyntheticCurves:
         assert curve.values[0] == solve_mapped_1d(dev).pl
         assert curve.values == tuple(OneDimensionalForward(FAMILY).pl(5.0, d)
                                      for d in (10.0, 20.0))
-        assert curve.provenance == "synthetic-1d"
 
     def test_vanishing_roughness_matches_deterministic(self):
         model = InterfaceModel(1e-9, 4.0, 2, (1.0, 0.5), UniformDist(-1, 1))
@@ -206,6 +205,32 @@ class TestConfigAndCli:
         err = capsys.readouterr().err
         assert "numerical failure" in err
         assert "Traceback" not in err
+
+    def test_unresolved_modes_exit_2(self, tmp_path, capsys):
+        # five modes need more than 10 z intervals: the grid is rejected
+        # before the first node, not reported as a node failure
+        path = tmp_path / "run.cfg"
+        path.write_text(CONFIG.format(out=tmp_path / "out")
+                        .replace("modes = 1", "modes = 5")
+                        .replace("lambdas = 1.0", "lambdas = 1, 1, 1, 1, 1")
+                        .replace("reference = 32", "reference = 8"))
+        assert cli.main(["expect", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "bad config" in err and "z intervals" in err
+
+    @pytest.mark.parametrize("eps", ["0.25, 0.125", "0.25, 0.125, 0",
+                                     "0.25, -0.125, 0.0625"])
+    def test_converge_checks_eps_before_solving(self, tmp_path, capsys,
+                                                monkeypatch, eps):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a mapped solve ran before the eps check")
+
+        monkeypatch.setattr(experiments, "expected_mapped_pl", no_solve)
+        path = tmp_path / "run.cfg"
+        path.write_text(CONFIG.format(out=tmp_path / "out")
+                        .replace("eps = 0.25, 0.125, 0.0625", f"eps = {eps}"))
+        assert cli.main(["converge", "--config", str(path)]) == 2
+        assert "at least three eps values" in capsys.readouterr().err
 
     def test_forward_domain_failure_exits_3(self, tmp_path, capsys):
         # the interface of the one sample reaches the top surface; the
@@ -422,6 +447,23 @@ class TestValidationStudy:
         assert rows[2:] == ["-2,0.5,0,0"]
         assert (out / "validate_beta-2.csv").read_text().splitlines()[2:] \
             == []
+
+    def test_cli_validate_stops_on_max_iterations(self, tmp_path):
+        # a fit that runs out of iterations returns its trace, which the
+        # study reports like any other
+        path = tmp_path / "run.cfg"
+        out = tmp_path / "out"
+        path.write_text(CONFIG.format(out=out)
+                        + "\n[validate]\nsigma_star = 5.0\nbetas = -2, -1\n"
+                        "thicknesses = 10, 20, 30\n\n[newton]\nsigma0 = 7.5\n"
+                        "max_iter = 1\n")
+        assert cli.main(["validate", "--config", str(path)]) == 0
+        for beta in ("-2", "-1"):
+            rows = (out / f"validate_beta{beta}.csv").read_text() \
+                .splitlines()[2:]
+            assert len(rows) == 1 and rows[0].startswith("1,")
+        rows = (out / "validate_summary.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[3] for row in rows] == ["1", "1"]
 
     def test_data_are_the_flat_closed_form(self, monkeypatch):
         seen = []

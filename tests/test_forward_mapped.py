@@ -135,6 +135,19 @@ class TestSolve2D:
         sol1 = solve_mapped_1d(dev, xi, 48)
         assert sol2.pl == pytest.approx(sol1.pl, rel=1e-8)
 
+    @pytest.mark.parametrize("nz", [8, 16, 20])
+    def test_unresolved_modes_rejected(self, nz):
+        # at nz = 2K = 20 the top mode is sampled at its zeros, so the solve
+        # would see a flat interface; below that the modes alias
+        dev = DeviceConfig(5.0, 10.0, 4.0, GenerationProfile.exponential(5.0))
+        model = InterfaceModel(0.5, 4.0, 10, (1.0,) * 10, UniformDist(-1, 1))
+        theta = InterfaceSample((0.0,) * 9 + (1.0,))
+        with pytest.raises(ValueError, match="more than 20 z intervals"):
+            solve_mapped_2d(dev, model, theta, Grid2D.unit(16, nz))
+        flat = solve_mapped_1d(dev, 0.0, 16).pl
+        assert solve_mapped_2d(dev, model, theta,
+                               Grid2D.unit(16, 21)).pl != flat
+
     def test_positivity(self):
         # roughness in the measurement regime (eps ~ 0.025); the positivity
         # guarantee of the continuum problem carries over discretely there
