@@ -164,10 +164,10 @@ def _dispatch(command: str, cfg, outdir: Path) -> list[str]:
             outputs.append(name)
             rows.append([f"{beta:g}", f"{result.final_errors[beta]:.17g}",
                          int(result.within_one_percent[beta]),
-                         trace.iterations])
+                         trace.iterations, trace.reason])
         exp.write_csv(outdir / "validate_summary.csv",
-                      ["beta", "final_rel_error", "within_1pct", "iterations"],
-                      rows, cfg.sha)
+                      ["beta", "final_rel_error", "within_1pct", "iterations",
+                       "reason"], rows, cfg.sha)
         return outputs + ["validate_summary.csv"]
 
     if command == "timing":

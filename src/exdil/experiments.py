@@ -31,7 +31,8 @@ from .forward_mapped import (GenerationProfile, expected_mapped_pl,
                              solve_mapped_1d, symmetry_folded_rule)
 from .interface import InterfaceModel, UniformDist
 from .inverse import (AsymptoticForward, DeviceFamily, EstimationTrace,
-                      NewtonOptions, PLCurve, finite_floats, newton_estimate)
+                      NewtonOptions, PLCurve, finite_floats,
+                      increasing_floats, newton_estimate)
 
 __all__ = [
     "SlopeFit",
@@ -68,8 +69,6 @@ EPS_SWEEP = tuple(2.0 ** -i for i in range(2, 8))
 class SlopeFit:
     """Least-squares slope of log(error) against log(x)."""
 
-    xs: tuple[float, ...]
-    errors: tuple[float, ...]
     slope: float
     residual: float
 
@@ -85,8 +84,7 @@ def fit_slope(xs: Sequence[float], errors: Sequence[float]) -> SlopeFit:
     coeffs = np.polyfit(lx, le, 1)
     fitted = np.polyval(coeffs, lx)
     res = float(np.sqrt(np.mean((fitted - le) ** 2)))
-    return SlopeFit(xs=xs, errors=errors, slope=float(coeffs[0]),
-                    residual=res)
+    return SlopeFit(slope=float(coeffs[0]), residual=res)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +218,15 @@ def estimation_study(*, sigma_star: float, eps_values: Sequence[float],
     Each eps is fixed across the curve (the roughness amplitude scales with
     thickness), matching how the data was generated.  The default data
     grid resolves the interface-mode boundary layers (width set by the
-    period) across the whole thickness range.
+    period) across the whole thickness range.  At least one eps, each
+    finite and nonnegative, and strictly increasing thicknesses are
+    required: other values raise ValueError before any solve.
     """
+    if not eps_values or not all(0 <= eps < np.inf for eps in eps_values):
+        raise ValueError("the estimation study needs at least one eps "
+                         "value, each finite and nonnegative; got "
+                         f"{list(eps_values)}")
+    thicknesses = increasing_floats("thicknesses", thicknesses)
     traces = {}
     for eps in eps_values:
         curve = generate_synthetic_curve(
@@ -293,7 +298,6 @@ class TimingResult:
     sc_nodes: int
     sc_error: float
     ref_seconds: float
-    reference: float
     speedup: float
 
 
@@ -341,7 +345,7 @@ def timing_study(*, device, model: InterfaceModel, epsilon: float = 0.0625,
         asym_seconds=asym_seconds, asym_error=asym_error,
         sc_seconds=sc_seconds, sc_level=sc_level,
         sc_nodes=sc_nodes, sc_error=sc_error, ref_seconds=ref_seconds,
-        reference=reference, speedup=sc_seconds / asym_seconds)
+        speedup=sc_seconds / asym_seconds)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Structured-grid finite differences shared by every solver in the package.
 
 Grids are tensor products over a rectangle.  The first coordinate (called y
-here, the film-depth coordinate in the physical solvers) carries a Dirichlet
-condition on its first row and a reflecting homogeneous Neumann condition on
-its last row; the second coordinate z is periodic.  Everything is built from
-the centred second-order difference quotients
+here, the film-depth coordinate in the physical solvers) carries u = 0 on
+its first row, the quenching interface, and a reflecting homogeneous
+Neumann condition on its last row; the second coordinate z is periodic.
+Everything is built from the centred second-order difference quotients
 
     D+D-y u = (u[i+1,j] - 2 u[i,j] + u[i-1,j]) / hy**2
     D0y   u = (u[i+1,j] - u[i-1,j]) / (2 hy)
@@ -180,8 +180,8 @@ def _stencil_pattern(ny: int, nz: int) -> _StencilPattern:
     base = (I - 1) * nz + J
     # Ghost fold: the top row's northern neighbours reflect onto row ny-1.
     up = np.where(I < ny, I + 1, ny - 1)
-    # Southern neighbours of row 1 are Dirichlet nodes and move to the
-    # right-hand side (EllipticOperator.rhs), so only rows 2..ny have them.
+    # Southern neighbours of row 1 lie on the first row, where u = 0, so
+    # only rows 2..ny have them.
     cols = (base, (I - 1) * nz + jp, (I - 1) * nz + jm,
             (up - 1) * nz + J, (up - 1) * nz + jp, (up - 1) * nz + jm,
             ((I - 2) * nz + J)[1:], ((I - 2) * nz + jp)[1:],
@@ -208,7 +208,7 @@ def _stencil_pattern(ny: int, nz: int) -> _StencilPattern:
 
 class EllipticOperator:
     """Stencil matrix for fixed coefficients, reusable across right-hand
-    sides and Dirichlet data.
+    sides; the solution is 0 on the first row.
 
     The matrix depends only on the coefficients, so it is assembled and
     factorized once; :meth:`solve_field` then costs two triangular solves.
@@ -253,38 +253,16 @@ class EllipticOperator:
         n = ny * nz
         self._matrix = sp.csc_matrix((data, pattern.indices, pattern.indptr),
                                      shape=(n, n))
-        self._bottom_s = A[0] - E[0]
-        self._bottom_c = C[0]
         self._lu = None
 
     @property
     def matrix(self) -> sp.csc_matrix:
         return self._matrix
 
-    def _dirichlet_column(self, dirichlet) -> np.ndarray:
-        nz = self.grid.nz
-        uD = np.asarray(dirichlet, dtype=float)
-        if uD.ndim == 0:
-            uD = np.full(nz, float(uD))
-        elif uD.shape == (nz + 1,):
-            uD = uD[:nz]
-        elif uD.shape != (nz,):
-            raise ValueError(
-                f"dirichlet data must be scalar or have {nz} (or {nz + 1}) "
-                f"entries, got shape {uD.shape}")
-        return uD
-
-    def rhs(self, source, dirichlet=0.0) -> np.ndarray:
-        """Right-hand side for  L u + source = 0  with the given bottom-row
-        Dirichlet values."""
-        ny, nz = self.grid.ny, self.grid.nz
-        src = _broadcast(source, self.grid.shape)[1:, :nz]
-        b = (-src).reshape(ny, nz).copy()
-        uD = self._dirichlet_column(dirichlet)
-        b[0] -= self._bottom_s * uD
-        b[0] -= -self._bottom_c * np.roll(uD, -1)   # south-east entry
-        b[0] -= self._bottom_c * np.roll(uD, 1)     # south-west entry
-        return b.ravel() / self._row_scale
+    def rhs(self, source) -> np.ndarray:
+        """Right-hand side of  L u + source = 0."""
+        src = _broadcast(source, self.grid.shape)[1:, :self.grid.nz]
+        return -src.ravel() / self._row_scale
 
     def factorize(self):
         # spla is looked up at call time, so a stand-in bound from outside
@@ -319,14 +297,12 @@ class EllipticOperator:
         check_residual(r, b)
         return x
 
-    def solve_field(self, source, dirichlet=0.0) -> Field2D:
-        """Solve  L u + source = 0  and reattach the Dirichlet row and the
+    def solve_field(self, source) -> Field2D:
+        """Solve  L u + source = 0  and reattach the zero first row and the
         aliased periodic column."""
         ny, nz = self.grid.ny, self.grid.nz
-        uD = self._dirichlet_column(dirichlet)
-        x = self.solve_vector(self.rhs(source, uD))
-        values = np.empty(self.grid.shape)
-        values[0, :nz] = uD
+        x = self.solve_vector(self.rhs(source))
+        values = np.zeros(self.grid.shape)
         values[1:, :nz] = x.reshape(ny, nz)
         values[:, nz] = values[:, 0]
         return Field2D(self.grid, values)

@@ -49,18 +49,14 @@ values equal the unfolded ones to rounding (1e-14 relative).
 For a flat interface h = xi the problem drops to one dimension; the solver
 for that case shares the conventions, and each of its solves, the
 sensitivity solves of :mod:`exdil.inverse` included, builds and factors
-the tridiagonal matrix afresh.  Its banded solver,
-``scipy.linalg.solve_banded``, is imported at the first 1D solve, as
+the tridiagonal matrix afresh.  :func:`solve_1d_rhs` imports its banded
+solver, ``scipy.linalg.solve_banded``, when it is called, as
 :mod:`exdil.fd_core` imports its sparse modules at the first operator, so
-importing the package loads no scipy.  Until then the module attribute
-``solve_banded`` resolves through the module ``__getattr__`` (PEP 562); a
-value bound to it from outside wins over the first load, and
-:func:`solve_1d_rhs` looks it up at call time.
+importing the package loads no scipy.
 """
 
 from __future__ import annotations
 
-import importlib
 import math
 from dataclasses import dataclass
 
@@ -90,21 +86,6 @@ __all__ = [
 # data and the flat-model forward provider both take their default from
 # here, so that by default they are one discrete model.
 CELLS_1D = 2048
-
-
-def _load_solve_banded() -> None:
-    # setdefault keeps a value that an outside caller or another thread
-    # bound first (see the module docstring)
-    globals().setdefault("solve_banded",
-                         importlib.import_module("scipy.linalg").solve_banded)
-
-
-def __getattr__(name):
-    # Called only while ``name`` is unbound.
-    if name == "solve_banded":
-        _load_solve_banded()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class DomainValidityError(ValueError):
@@ -239,7 +220,7 @@ def solve_mapped_profile(device: DeviceConfig, grid: Grid2D, h, hp, hpp
     source = device.generation(one_my * dmh_r)
 
     op = EllipticOperator(grid, coeffs)
-    field = op.solve_field(source, 0.0)
+    field = op.solve_field(source)
     pl = trapezoid_2d(field, z_weight=dmh)
     return MappedSolution(field=field, pl=pl, device=device, source=source,
                           weight=dmh, operator=op)
@@ -271,9 +252,9 @@ def sensitivities_mapped(solution: MappedSolution) -> tuple[Field2D, Field2D]:
     op = solution.operator
     sigma = solution.device.sigma
     resid = solution.field.values - solution.source
-    u1 = op.solve_field((2.0 / sigma) * resid, 0.0)
-    u2 = op.solve_field(-(6.0 / sigma ** 2) * resid + (4.0 / sigma) * u1.values,
-                        0.0)
+    u1 = op.solve_field((2.0 / sigma) * resid)
+    u2 = op.solve_field(-(6.0 / sigma ** 2) * resid
+                        + (4.0 / sigma) * u1.values)
     return u1, u2
 
 
@@ -350,9 +331,10 @@ def solve_1d_rhs(device: DeviceConfig, xi: float, cells: int,
     The residual is checked as in :mod:`exdil.fd_core`: rows normalized by
     the diagonal, relative tolerance ``RESIDUAL_RTOL``.
     """
+    from scipy.linalg import solve_banded
+
     ab = _banded_1d(device, xi, cells)
     b = -np.broadcast_to(np.asarray(source, dtype=float), (cells + 1,))[1:]
-    _load_solve_banded()
     x = solve_banded((1, 1), ab, b)
     if not np.all(np.isfinite(x)):
         raise SolverError("1d solve produced non-finite values")

@@ -87,6 +87,15 @@ def finite_floats(name: str, values) -> tuple[float, ...]:
     return out
 
 
+def increasing_floats(name: str, values) -> tuple[float, ...]:
+    """:func:`finite_floats`, and ValueError naming ``name`` unless the
+    values are strictly increasing."""
+    out = finite_floats(name, values)
+    if any(b <= a for a, b in zip(out, out[1:])):
+        raise ValueError(f"{name} must be strictly increasing, got {out}")
+    return out
+
+
 @dataclass(frozen=True)
 class PLCurve:
     """Thickness series with (expected) photoluminescence values."""
@@ -95,12 +104,10 @@ class PLCurve:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        d = finite_floats("thicknesses", self.thicknesses)
+        d = increasing_floats("thicknesses", self.thicknesses)
         vals = finite_floats("photoluminescence values", self.values)
         if len(d) != len(vals) or not d:
             raise ValueError("thicknesses and values must pair up (nonempty)")
-        if any(b <= a for a, b in zip(d, d[1:])):
-            raise ValueError("thicknesses must be strictly increasing")
         if any(v <= 0 for v in vals):
             raise ValueError("photoluminescence values must be positive")
         object.__setattr__(self, "thicknesses", d)

@@ -232,6 +232,33 @@ class TestConfigAndCli:
         assert cli.main(["converge", "--config", str(path)]) == 2
         assert "at least three eps values" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("eps = 0.1, 0.05", "eps = 0.1, -0.05", "eps value"),
+        ("eps = 0.1, 0.05", "eps = 0.1, nan", "eps value"),
+        ("eps = 0.1, 0.05", "eps =", "eps value"),
+        ("thicknesses = 10, 20, 30", "thicknesses = 30, 20, 10",
+         "thicknesses must be strictly increasing"),
+    ], ids=["negative-eps", "nan-eps", "no-eps", "decreasing-thicknesses"])
+    def test_estimate_checks_config_before_solving(self, tmp_path, capsys,
+                                                   monkeypatch, old, new,
+                                                   message):
+        calls = []
+
+        def counting_solve(*args, **kwargs):
+            calls.append(None)
+            return 1.0
+
+        monkeypatch.setattr(experiments, "expected_mapped_pl", counting_solve)
+        path = tmp_path / "run.cfg"
+        estimate = ("[estimate]\nsigma_star = 5.0\neps = 0.1, 0.05\n"
+                    "thicknesses = 10, 20, 30\n")
+        path.write_text(CONFIG.format(out=tmp_path / "out")
+                        .replace("reference = 32", "data_x = 32\ndata_z = 16")
+                        + "\n" + estimate.replace(old, new))
+        assert cli.main(["estimate", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert calls == []
+
     def test_forward_domain_failure_exits_3(self, tmp_path, capsys):
         # the interface of the one sample reaches the top surface; the
         # error is a ValueError too, but a numerical failure, not a config
@@ -327,6 +354,10 @@ class TestConfigAndCli:
                      "validate_summary.csv", "validate_beta-2.csv"):
             rows = (out / name).read_text().splitlines()[2:]
             assert rows, name
+            if name == "validate_summary.csv":
+                # the trailing stop reason is the one text column
+                assert all(row.endswith(",step_tolerance") for row in rows)
+                rows = [row.rsplit(",", 1)[0] for row in rows]
             fields = [v for row in rows for v in row.split(",")[1:] if v]
             assert all(np.isfinite(float(v)) for v in fields), name
 
@@ -340,8 +371,7 @@ class TestConfigAndCli:
             seen.update(kwargs)
             return experiments.TimingResult(
                 asym_seconds=1.0, asym_error=0.0, sc_seconds=1.0, sc_level=1,
-                sc_nodes=1, sc_error=0.0, ref_seconds=1.0, reference=1.0,
-                speedup=1.0)
+                sc_nodes=1, sc_error=0.0, ref_seconds=1.0, speedup=1.0)
 
         monkeypatch.setattr(experiments, "timing_study",
                             recording_timing_study)
@@ -368,14 +398,43 @@ class TestConfigAndCli:
         assert sorted(manifest["outputs"]) == ["convergence.csv", "slopes.csv"]
 
     def test_replay_byte_identical(self, tmp_path):
+        # every command, run twice from one config, writes the same bytes;
+        # the one exception is timing.csv's wall-time column
         path = tmp_path / "run.cfg"
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        path.write_text(CONFIG.format(out=out1))
-        assert cli.main(["converge", "--config", str(path)]) == 0
-        assert cli.main(["converge", "--config", str(path),
-                         "--output", str(out2)]) == 0
-        for name in ("convergence.csv", "slopes.csv"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        path.write_text(
+            CONFIG.format(out=tmp_path / "out")
+            .replace("seed = 7", "seed = 7\ndump_field = 1")
+            .replace("reference = 32", "reference = 16\ndata_x = 16\n"
+                     "data_z = 16")
+            .replace("kind = tensor_gl\nsize = 2",
+                     "kind = monte_carlo\nsize = 4\ndata_size = 2")
+            + "\n[estimate]\nsigma_star = 5.0\neps = 0.1, 0.05\n"
+            "thicknesses = 10, 20, 30\n"
+            "\n[validate]\nsigma_star = 5.0\nbetas = -2, -1\n"
+            "thicknesses = 10, 20, 30\n")
+
+        def without_seconds(data):
+            rows = [row.split(",") for row in data.decode().splitlines()]
+            return [row[:1] + row[2:] for row in rows]
+
+        for command, expected in (("forward", "field.csv"),
+                                  ("expect", "expect.csv"),
+                                  ("converge", "slopes.csv"),
+                                  ("estimate", "estimate_eps0.05.csv"),
+                                  ("validate", "validate_summary.csv"),
+                                  ("timing", "timing.csv")):
+            runs = [tmp_path / run / command for run in ("a", "b")]
+            for out in runs:
+                assert cli.main([command, "--config", str(path),
+                                 "--output", str(out)]) == 0, command
+            names = sorted(p.name for p in runs[0].iterdir())
+            assert expected in names and "manifest.json" in names, command
+            assert names == sorted(p.name for p in runs[1].iterdir())
+            for name in names:
+                a, b = ((out / name).read_bytes() for out in runs)
+                if name == "timing.csv":
+                    a, b = without_seconds(a), without_seconds(b)
+                assert a == b, name
 
     def test_forward_and_expect(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -444,7 +503,8 @@ class TestValidationStudy:
                         "thicknesses = 10, 20\n\n[newton]\nsigma0 = 7.5\n")
         assert cli.main(["validate", "--config", str(path)]) == 0
         rows = (out / "validate_summary.csv").read_text().splitlines()
-        assert rows[2:] == ["-2,0.5,0,0"]
+        assert rows[1:] == ["beta,final_rel_error,within_1pct,iterations,reason",
+                            "-2,0.5,0,0,line_search_exhausted"]
         assert (out / "validate_beta-2.csv").read_text().splitlines()[2:] \
             == []
 
@@ -463,7 +523,8 @@ class TestValidationStudy:
                 .splitlines()[2:]
             assert len(rows) == 1 and rows[0].startswith("1,")
         rows = (out / "validate_summary.csv").read_text().splitlines()[2:]
-        assert [row.split(",")[3] for row in rows] == ["1", "1"]
+        assert [row.split(",")[3:] for row in rows] == [
+            ["1", "max_iterations"]] * 2
 
     def test_data_are_the_flat_closed_form(self, monkeypatch):
         seen = []

@@ -127,7 +127,7 @@ def screened_coeffs(sig2=1.0, cyz=0.0, cy=0.0):
 
 
 def manufactured(grid, sig2=0.8, cyz=0.25, cy=0.4):
-    """u* satisfying the bottom Dirichlet / top Neumann / periodic contract,
+    """u* satisfying the zero bottom row / top Neumann / periodic contract,
     with the matching source derived analytically."""
     Y, Z = np.meshgrid(grid.y, grid.z, indexing="ij")
     u = np.sin(np.pi * Y / 2) * (2.0 + np.cos(2 * np.pi * Z))
@@ -136,8 +136,7 @@ def manufactured(grid, sig2=0.8, cyz=0.25, cy=0.4):
     u_zz = -(2 * np.pi) ** 2 * np.sin(np.pi * Y / 2) * np.cos(2 * np.pi * Z)
     u_yz = -(np.pi / 2) * np.cos(np.pi * Y / 2) * 2 * np.pi * np.sin(2 * np.pi * Z)
     source = -(sig2 * u_yy + sig2 * u_zz + cyz * u_yz + cy * u_y - u)
-    dirichlet = u[0, :]
-    return u, source, dirichlet
+    return u, source
 
 
 def coo_matrix_oracle(grid, coeffs):
@@ -212,9 +211,9 @@ class TestAssembleSolve:
         # bad solves are repaired by the second refinement sweep, three are
         # not, and the residual check must see the difference
         g = Grid2D.unit(16, 16)
-        _, source, dirichlet = manufactured(g)
+        _, source = manufactured(g)
         exact = EllipticOperator(g, screened_coeffs(0.8, 0.25, 0.4))
-        b = exact.rhs(source, dirichlet)
+        b = exact.rhs(source)
         expected = exact.solve_vector(b)
         splu = fd_core.spla.splu
 
@@ -243,16 +242,16 @@ class TestAssembleSolve:
     def test_zero_source_zero_solution(self):
         g = Grid2D.unit(8, 8)
         op = EllipticOperator(g, screened_coeffs())
-        x = op.solve_vector(op.rhs(0.0, 0.0))
+        x = op.solve_vector(op.rhs(0.0))
         assert np.abs(x).max() < 1e-14
 
     def test_manufactured_convergence(self):
         errs, hs = [], []
         for n in (16, 32, 64):
             g = Grid2D.unit(n, n)
-            u, source, dirichlet = manufactured(g)
+            u, source = manufactured(g)
             op = EllipticOperator(g, screened_coeffs(0.8, 0.25, 0.4))
-            got = op.solve_field(source, dirichlet)
+            got = op.solve_field(source)
             errs.append(np.abs(got.values - u).max())
             hs.append(g.hy)
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
@@ -260,9 +259,9 @@ class TestAssembleSolve:
 
     def test_matches_dense_lu_oracle(self):
         g = Grid2D.unit(8, 8)
-        _, source, dirichlet = manufactured(g)
+        _, source = manufactured(g)
         op = EllipticOperator(g, screened_coeffs(0.8, 0.25, 0.4))
-        b = op.rhs(source, dirichlet)
+        b = op.rhs(source)
         dense = np.linalg.solve(op.matrix.toarray(), b)
         assert op.solve_vector(b) == pytest.approx(dense, abs=1e-10)
 
@@ -282,7 +281,6 @@ class TestAssembleSolve:
         for (i, j) in [(2, 3), (5, 7), (g.ny - 1, 1)]:
             idx = (i - 1) * g.nz + j
             row_action = matrix[idx] @ u_flat * row_scale
-            # the i=1 row has no Dirichlet contribution here (boundary is 0)
             q = stencil_values(f, i, j)
             expected = (0.8 * q["dpdmy"] + 0.8 * q["dpdmz"]
                         + 0.25 * q["d0yd0z"] + 0.4 * q["d0y"] - vals[i, j])
@@ -296,36 +294,36 @@ class TestAssembleSolve:
         src_profile = np.concatenate([src_profile, src_profile[:1]])
         source = np.broadcast_to(src_profile, g.shape)
         op = EllipticOperator(g, screened_coeffs())
-        base = op.solve_field(source, 0.0).values
+        base = op.solve_field(source).values
 
         rolled = np.concatenate([np.roll(src_profile[:-1], 3),
                                  [np.roll(src_profile[:-1], 3)[0]]])
         got = EllipticOperator(g, screened_coeffs()).solve_field(
-            np.broadcast_to(rolled, g.shape), 0.0).values
+            np.broadcast_to(rolled, g.shape)).values
         assert got[:, :g.nz] == pytest.approx(np.roll(base[:, :g.nz], 3, axis=1),
                                               abs=1e-12)
 
     def test_deterministic(self):
         g = Grid2D.unit(16, 16)
-        _, source, dirichlet = manufactured(g)
+        _, source = manufactured(g)
         op1 = EllipticOperator(g, screened_coeffs(0.8, 0.25, 0.4))
         op2 = EllipticOperator(g, screened_coeffs(0.8, 0.25, 0.4))
-        a = op1.solve_field(source, dirichlet).values
-        b = op2.solve_field(source, dirichlet).values
+        a = op1.solve_field(source).values
+        b = op2.solve_field(source).values
         assert np.array_equal(a, b)
 
     def test_nonnegative_source_nonnegative_solution(self):
         g = Grid2D.unit(16, 16)
         Y, Z = np.meshgrid(g.y, g.z, indexing="ij")
         op = EllipticOperator(g, screened_coeffs())
-        got = op.solve_field(1.0 + 0.5 * np.sin(2 * np.pi * Z), 0.0)
+        got = op.solve_field(1.0 + 0.5 * np.sin(2 * np.pi * Z))
         assert got.values.min() >= -1e-10
 
     def test_singular_detected(self):
         g = Grid2D.unit(4, 4)
         op = EllipticOperator(g, PdeCoefficients(cyy=0.0, czz=0.0))
         with pytest.raises(SolverError):
-            op.solve_field(1.0, 0.0)
+            op.solve_field(1.0)
 
 
 class TestGridAndField:
@@ -364,8 +362,8 @@ class TestGridAndField:
 
     def test_solution_field_roundtrip(self):
         g = Grid2D.unit(8, 8)
-        u, source, dirichlet = manufactured(g)
+        _, source = manufactured(g)
         f = EllipticOperator(g, screened_coeffs(0.8, 0.25, 0.4)).solve_field(
-            source, dirichlet)
-        assert f.values[0, :] == pytest.approx(np.append(dirichlet[:8], dirichlet[0]))
+            source)
+        assert np.array_equal(f.values[0, :], np.zeros(g.nz + 1))
         assert f.values[:, -1] == pytest.approx(f.values[:, 0])
