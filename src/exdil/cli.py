@@ -128,9 +128,14 @@ def _dispatch(command: str, cfg, outdir: Path) -> list[str]:
         return result.write(outdir, cfg.sha)
 
     if command == "estimate":
+        sigma_star = cfg.value("estimate", "sigma_star", float)
+        eps_values = cfg.floats("estimate", "eps")
+        names = [f"estimate_eps{eps:g}.csv" for eps in eps_values]
+        if len(set(names)) < len(names):
+            raise ValueError(f"[estimate] eps values {eps_values} must write "
+                             f"distinct files, got {names}")
         traces = exp.estimation_study(
-            sigma_star=cfg.value("estimate", "sigma_star", float),
-            eps_values=cfg.floats("estimate", "eps"),
+            sigma_star=sigma_star, eps_values=eps_values,
             thicknesses=cfg.floats("estimate", "thicknesses"),
             model=model, family=family,
             data_cells=(cfg.value("grid", "data_x", int, 256),
@@ -138,12 +143,16 @@ def _dispatch(command: str, cfg, outdir: Path) -> list[str]:
             data_points=cfg.value("rule", "data_size", int, 3),
             sigma0=cfg.value("newton", "sigma0", float, 0.0) or None,
             newton=_newton_options(cfg))
-        outputs = []
-        for eps, trace in traces.items():
-            name = f"estimate_eps{eps:g}.csv"
+        rows = []
+        for name, (eps, trace) in zip(names, traces.items()):
             _write_trace(outdir / name, trace, cfg.sha)
-            outputs.append(name)
-        return outputs
+            rows.append([f"{eps:g}",
+                         f"{trace.final_rel_error(sigma_star):.17g}",
+                         trace.iterations, trace.reason])
+        exp.write_csv(outdir / "estimate_summary.csv",
+                      ["eps", "final_rel_error", "iterations", "reason"], rows,
+                      cfg.sha)
+        return names + ["estimate_summary.csv"]
 
     if command == "validate":
         result = exp.validation_study(

@@ -32,7 +32,7 @@ from .forward_mapped import (GenerationProfile, expected_mapped_pl,
 from .interface import InterfaceModel, UniformDist
 from .inverse import (AsymptoticForward, DeviceFamily, EstimationTrace,
                       NewtonOptions, PLCurve, finite_floats,
-                      increasing_floats, newton_estimate)
+                      increasing_floats, newton_estimate, positive_float)
 
 __all__ = [
     "SlopeFit",
@@ -219,14 +219,18 @@ def estimation_study(*, sigma_star: float, eps_values: Sequence[float],
     thickness), matching how the data was generated.  The default data
     grid resolves the interface-mode boundary layers (width set by the
     period) across the whole thickness range.  At least one eps, each
-    finite and nonnegative, and strictly increasing thicknesses are
-    required: other values raise ValueError before any solve.
+    finite, nonnegative and distinct, strictly increasing thicknesses and a
+    finite positive ``sigma0`` (or None) are required: other values raise
+    ValueError before any solve.
     """
-    if not eps_values or not all(0 <= eps < np.inf for eps in eps_values):
+    if not eps_values or not all(0 <= eps < np.inf for eps in eps_values) \
+            or len(set(eps_values)) < len(eps_values):
         raise ValueError("the estimation study needs at least one eps "
-                         "value, each finite and nonnegative; got "
+                         "value, each finite, nonnegative and distinct; got "
                          f"{list(eps_values)}")
     thicknesses = increasing_floats("thicknesses", thicknesses)
+    if sigma0 is not None:
+        positive_float("sigma0", sigma0)
     traces = {}
     for eps in eps_values:
         curve = generate_synthetic_curve(
@@ -265,9 +269,13 @@ def validation_study(*, sigma_star: float, betas: Sequence[float],
     rough-interface model with lambda_k = k**beta.  Agreement degrades as
     beta grows towards zero (short correlation lengths), which is the point
     of the comparison.  ``est_cells`` and ``x_cells_per_length`` are
-    accepted and ignored: the expansion has no grid.
+    accepted and ignored: the expansion has no grid.  ``sigma0`` must be
+    None or finite and positive: other values raise ValueError before any
+    solve.
     """
     thicknesses = finite_floats("thicknesses", thicknesses)
+    if sigma0 is not None:
+        positive_float("sigma0", sigma0)
     data = PLCurve(thicknesses, tuple(
         flat_pl(family.device(sigma_star, d)) for d in thicknesses))
     traces, finals, within = {}, {}, {}
@@ -279,7 +287,7 @@ def validation_study(*, sigma_star: float, betas: Sequence[float],
                                 options=newton, sigma_exact=sigma_star)
         traces[beta] = trace
         # final_sigma falls back to sigma0 when no step was accepted
-        finals[beta] = abs(sigma_star - trace.final_sigma) / abs(sigma_star)
+        finals[beta] = trace.final_rel_error(sigma_star)
         within[beta] = finals[beta] < 0.01
     return ValidationResult(traces=traces, final_errors=finals,
                             within_one_percent=within)

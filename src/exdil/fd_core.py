@@ -12,8 +12,11 @@ Everything is built from the centred second-order difference quotients
 
 and their z analogues.  The Neumann row is closed with a ghost row: the
 centred boundary derivative D0y u = 0 identifies the ghost values with the
-row below, which folds the ghost entries back onto that row and cancels the
-D0y and mixed-derivative contributions there exactly.  The periodic
+row below, so the top row's northern stencil weights are added to its
+southern ones.  That cancels the D0y and mixed-derivative contributions
+there exactly.  The cancelled mixed-derivative slots stay in the matrix as
+explicit zeros (C + (-C) = +0.0): the sparsity structure fixes SuperLU's
+fill-reducing ordering, and with it every bit of the factors.  The periodic
 direction keeps a single copy of the seam column (the last column aliases
 the first) so the assembled system has full rank; the duplicate column is
 reconstructed on output.  Unknowns are therefore the ny*nz node values with
@@ -159,48 +162,38 @@ class _StencilPattern:
     """CSC structure of the stencil matrix of one grid shape.
 
     The nine stencil emits of :class:`EllipticOperator`, concatenated,
-    give one value per entry; ``data = values[first]`` fills every slot,
-    and ``data[pair_slots] += values[second]`` adds the other entry of
-    each duplicate pair that the top row's ghost fold makes.  Every slot
-    holds one entry or two, so the sum does not depend on their order.
+    give one value per matrix slot, and ``data = values[order]`` fills the
+    matrix: the ghost fold has already added the top row's northern weights
+    to its southern ones, so no two emits share a slot.  The top row's
+    mixed-derivative slots hold the fold's +0.0 and stay in the pattern:
+    dropping them would change SuperLU's ordering.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
-    first: np.ndarray
-    pair_slots: np.ndarray
-    second: np.ndarray
+    order: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
 def _stencil_pattern(ny: int, nz: int) -> _StencilPattern:
-    I, J = np.meshgrid(np.arange(1, ny + 1), np.arange(nz), indexing="ij")
-    jp = (J + 1) % nz
-    jm = (J - 1) % nz
-    base = (I - 1) * nz + J
-    # Ghost fold: the top row's northern neighbours reflect onto row ny-1.
-    up = np.where(I < ny, I + 1, ny - 1)
-    # Southern neighbours of row 1 lie on the first row, where u = 0, so
-    # only rows 2..ny have them.
-    cols = (base, (I - 1) * nz + jp, (I - 1) * nz + jm,
-            (up - 1) * nz + J, (up - 1) * nz + jp, (up - 1) * nz + jm,
-            ((I - 2) * nz + J)[1:], ((I - 2) * nz + jp)[1:],
-            ((I - 2) * nz + jm)[1:])
-    row = np.concatenate([base.ravel()] * 6 + [base[1:].ravel()] * 3)
+    I, J = np.meshgrid(np.arange(ny), np.arange(nz), indexing="ij")
+    base = I * nz + J
+    # A node and its z neighbours; its y neighbours lie a row (nz) away.
+    # The top row has no northern emits (the ghost fold moved them onto its
+    # southern ones), and row 1 has no southern ones: they lie on the first
+    # row, where u = 0.
+    level = (base, I * nz + (J + 1) % nz, I * nz + (J - 1) % nz)
+    cols = (level + tuple(c[:-1] + nz for c in level)
+            + tuple(c[1:] - nz for c in level))
+    row = np.concatenate([base.ravel()] * 3 + [base[:-1].ravel()] * 3
+                         + [base[1:].ravel()] * 3)
     col = np.concatenate([c.ravel() for c in cols])
     n = ny * nz
-    key = col * n + row
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    new = np.ones(key.size, dtype=bool)
-    new[1:] = key[1:] != key[:-1]
-    slot = np.cumsum(new) - 1
-    first = order[new]
+    order = np.argsort(col * n + row)
     indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(col[first], minlength=n), out=indptr[1:])
-    pattern = _StencilPattern(
-        indptr=indptr, indices=row[first].astype(np.int32), first=first,
-        pair_slots=slot[~new], second=order[~new])
+    np.cumsum(np.bincount(col, minlength=n), out=indptr[1:])
+    pattern = _StencilPattern(indptr=indptr,
+                              indices=row[order].astype(np.int32), order=order)
     for array in vars(pattern).values():
         array.flags.writeable = False
     return pattern
@@ -242,17 +235,20 @@ class EllipticOperator:
         self._row_scale = np.where(magnitude > 0, magnitude, 1.0)
         scale = (1.0 / self._row_scale).reshape(ny, nz)
         # The emits in the order of _stencil_pattern, each equation scaled
-        # before the ghost fold sums its duplicate pairs.
-        north = (diag, B, B, A + E, C, -C)
-        south = ((A - E)[1:], -C[1:], C[1:])
-        values = np.concatenate([(v * scale).ravel() for v in north]
-                                + [(v * scale[1:]).ravel() for v in south])
+        # before the ghost fold adds the top row's northern weights to its
+        # southern ones.
+        north = [v * scale for v in (A + E, C, -C)]
+        south = [v * scale for v in (A - E, -C, C)]
+        for n_w, s_w in zip(north, south):
+            s_w[-1] += n_w[-1]
+        values = np.concatenate([(v * scale).ravel() for v in (diag, B, B)]
+                                + [v[:-1].ravel() for v in north]
+                                + [v[1:].ravel() for v in south])
         pattern = _stencil_pattern(ny, nz)
-        data = values[pattern.first]
-        data[pattern.pair_slots] += values[pattern.second]
         n = ny * nz
-        self._matrix = sp.csc_matrix((data, pattern.indices, pattern.indptr),
-                                     shape=(n, n))
+        self._matrix = sp.csc_matrix(
+            (values[pattern.order], pattern.indices, pattern.indptr),
+            shape=(n, n))
         self._lu = None
 
     @property

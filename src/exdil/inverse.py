@@ -87,6 +87,15 @@ def finite_floats(name: str, values) -> tuple[float, ...]:
     return out
 
 
+def positive_float(name: str, value) -> float:
+    """``value`` as a float; raises ValueError naming ``name`` unless it is
+    finite and positive."""
+    value = float(value)
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    return value
+
+
 def increasing_floats(name: str, values) -> tuple[float, ...]:
     """:func:`finite_floats`, and ValueError naming ``name`` unless the
     values are strictly increasing."""
@@ -138,6 +147,10 @@ class EstimationTrace:
     @property
     def iterations(self) -> int:
         return len(self.sigmas)
+
+    def final_rel_error(self, sigma_exact: float) -> float:
+        """Relative error of :attr:`final_sigma` against ``sigma_exact``."""
+        return abs(sigma_exact - self.final_sigma) / abs(sigma_exact)
 
 
 # Armijo constant and halving budget of the line search
@@ -340,27 +353,27 @@ class AsymptoticForward:
 # Objective and Newton iteration
 # ---------------------------------------------------------------------------
 
-def _check_sigma(sigma: float) -> None:
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+def _mean_square(res: list[float]) -> float:
+    """J from the residuals: the one reduction of both objectives."""
+    return float(np.mean(np.square(res)))
 
 
 def objective(provider, curve: PLCurve, sigma: float) -> float:
     """Mean-square misfit J(sigma)."""
-    _check_sigma(sigma)
-    res = [provider.pl(sigma, d) - val for d, val in curve.pairs()]
-    return float(np.mean(np.square(res)))
+    positive_float("sigma", sigma)
+    return _mean_square([provider.pl(sigma, d) - val
+                         for d, val in curve.pairs()])
 
 
 def objective_with_derivatives(provider, curve: PLCurve, sigma: float
                                ) -> tuple[float, float, float]:
     """J, J' and J'' assembled from per-device forward derivatives.
 
-    J is reduced exactly as in :func:`objective`, so the two agree bit for
-    bit for a provider whose ``pl`` is the first component of its
-    ``pl_with_derivatives``.
+    J is reduced by the same helper as in :func:`objective`, so the two
+    agree bit for bit for a provider whose ``pl`` is the first component of
+    its ``pl_with_derivatives``.
     """
-    _check_sigma(sigma)
+    positive_float("sigma", sigma)
     res = []
     j1 = j2 = 0.0
     n = len(curve)
@@ -370,7 +383,7 @@ def objective_with_derivatives(provider, curve: PLCurve, sigma: float
         res.append(r)
         j1 += 2.0 * r * dpl / n
         j2 += 2.0 * (dpl * dpl + r * d2pl) / n
-    return float(np.mean(np.square(res))), j1, j2
+    return _mean_square(res), j1, j2
 
 
 def newton_estimate(provider, curve: PLCurve, sigma0: float | None = None,
@@ -389,9 +402,8 @@ def newton_estimate(provider, curve: PLCurve, sigma0: float | None = None,
     ``max_iterations`` (``options.max_iter`` steps taken first).
     """
     opts = options or NewtonOptions()
-    sigma = 0.25 * max(curve.thicknesses) if sigma0 is None else float(sigma0)
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"sigma0 must be finite and positive, got {sigma}")
+    sigma = positive_float("sigma0", 0.25 * max(curve.thicknesses)
+                           if sigma0 is None else sigma0)
     trace = EstimationTrace(sigma0=sigma,
                             rel_errors=None if sigma_exact is None else [])
 

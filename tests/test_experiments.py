@@ -9,7 +9,7 @@ from exdil import cli, experiments
 from exdil.asymptotic import flat_pl
 from exdil.collocation import SMOLYAK, build_rule
 from exdil.experiments import (MODEL_1D, MODEL_2D, config_hash,
-                               convergence_study, fit_slope,
+                               convergence_study, estimation_study, fit_slope,
                                generate_synthetic_curve, load_config,
                                timing_study, validation_study)
 from exdil.fd_core import Grid2D
@@ -238,7 +238,14 @@ class TestConfigAndCli:
         ("eps = 0.1, 0.05", "eps =", "eps value"),
         ("thicknesses = 10, 20, 30", "thicknesses = 30, 20, 10",
          "thicknesses must be strictly increasing"),
-    ], ids=["negative-eps", "nan-eps", "no-eps", "decreasing-thicknesses"])
+        ("eps = 0.1, 0.05", "eps = 0.1, 0.1", "[estimate] eps"),
+        # distinct values that print alike would write one file
+        ("eps = 0.1, 0.05", "eps = 0.1, 0.1000001", "[estimate] eps"),
+        ("thicknesses = 10, 20, 30",
+         "thicknesses = 10, 20, 30\n\n[newton]\nsigma0 = -1",
+         "sigma0 must be finite and positive"),
+    ], ids=["negative-eps", "nan-eps", "no-eps", "decreasing-thicknesses",
+            "repeated-eps", "colliding-eps-names", "negative-sigma0"])
     def test_estimate_checks_config_before_solving(self, tmp_path, capsys,
                                                    monkeypatch, old, new,
                                                    message):
@@ -257,6 +264,37 @@ class TestConfigAndCli:
                         + "\n" + estimate.replace(old, new))
         assert cli.main(["estimate", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
+        assert calls == []
+
+    def test_estimation_study_rejects_repeated_eps(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "expected_mapped_pl",
+                            lambda *args, **kwargs: calls.append(None))
+        model = InterfaceModel(1.0, 4.0, 1, (1.0,), UniformDist(0.0, 1.0))
+        with pytest.raises(ValueError, match="distinct"):
+            estimation_study(sigma_star=5.0, eps_values=(0.1, 0.05, 0.1),
+                             thicknesses=(10.0, 20.0), model=model,
+                             family=FAMILY)
+        assert calls == []
+
+    @pytest.mark.parametrize("sigma0", ["-1", "inf"])
+    def test_validate_checks_sigma0_before_solving(self, tmp_path, capsys,
+                                                   monkeypatch, sigma0):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return 1.0
+
+        monkeypatch.setattr(experiments, "flat_pl", counting)
+        monkeypatch.setattr(experiments, "newton_estimate", counting)
+        path = tmp_path / "run.cfg"
+        path.write_text(CONFIG.format(out=tmp_path / "out")
+                        + "\n[validate]\nsigma_star = 5.0\nbetas = -2\n"
+                        "thicknesses = 10, 20\n\n[newton]\n"
+                        f"sigma0 = {sigma0}\n")
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        assert "sigma0 must be finite and positive" in capsys.readouterr().err
         assert calls == []
 
     def test_forward_domain_failure_exits_3(self, tmp_path, capsys):
@@ -466,7 +504,8 @@ class TestConfigAndCli:
             assert cli.main([command, "--config", str(path)]) == 0
         names = sorted(p.name for p in out.glob("*.csv"))
         assert names == ["convergence.csv", "estimate_eps0.05.csv",
-                         "estimate_eps0.1.csv", "expect.csv", "field.csv",
+                         "estimate_eps0.1.csv", "estimate_summary.csv",
+                         "expect.csv", "field.csv",
                          "forward.csv", "slopes.csv", "validate_beta-1.csv",
                          "validate_beta-2.csv", "validate_summary.csv"]
         head = f"# config_hash={config_hash(text)}\n".encode()
@@ -475,6 +514,36 @@ class TestConfigAndCli:
             assert data.startswith(head), name
             assert b"\r" not in data, name
             assert data.endswith(b"\n"), name
+
+
+class TestEstimationStudy:
+    def test_cli_estimate_summary_reports_the_stop_reason(self, tmp_path):
+        # a fit cut by max_iter reports it in estimate_summary.csv, one row
+        # per eps in the config's order
+        path = tmp_path / "run.cfg"
+        out = tmp_path / "out"
+        path.write_text(CONFIG.format(out=out)
+                        .replace("reference = 32", "data_x = 16\ndata_z = 16")
+                        .replace("size = 2", "size = 2\ndata_size = 2")
+                        + "\n[estimate]\nsigma_star = 5.0\neps = 0.1, 0.05\n"
+                        "thicknesses = 10, 20, 30\n\n[newton]\nsigma0 = 7.5\n"
+                        "max_iter = 1\n")
+        assert cli.main(["estimate", "--config", str(path)]) == 0
+        rows = (out / "estimate_summary.csv").read_text().splitlines()[1:]
+        assert rows[0] == "eps,final_rel_error,iterations,reason"
+        fields = [row.split(",") for row in rows[1:]]
+        assert [row[:1] + row[2:] for row in fields] == [
+            ["0.1", "1", "max_iterations"], ["0.05", "1", "max_iterations"]]
+        for row in fields:
+            trace = (out / f"estimate_eps{row[0]}.csv").read_text() \
+                .splitlines()[2:]
+            assert len(trace) == 1
+            # the summary's error is the trace's last rel_error
+            assert row[1] == trace[0].split(",")[4]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == ["estimate_eps0.05.csv",
+                                       "estimate_eps0.1.csv",
+                                       "estimate_summary.csv"]
 
 
 def exhausted_newton(provider, curve, sigma0=None, options=None,
