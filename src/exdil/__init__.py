@@ -31,4 +31,4 @@ from .experiments import (ConvergenceResult, SlopeFit, TimingResult,
                           ValidationResult, convergence_study,
                           estimation_study, fit_slope,
                           generate_synthetic_curve, timing_study,
-                          validation_study, write_csv)
+                          validation_study)

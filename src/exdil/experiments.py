@@ -1,34 +1,25 @@
-"""Reproduction harness: synthetic data, studies, CSV/manifest emission.
+"""Reproduction harness, studies only: synthetic data and the studies.
 
-Studies are plain functions with explicit keyword arguments so they are
-usable as a library; the CLI layer in :mod:`exdil.cli` maps a flat
-key=value config file onto them.  Every CSV, here and in the CLI, is
-written by :func:`write_csv`: the config hash in a leading comment line,
-then rows ending in a bare LF.  A run directory also gets a
-``manifest.json`` recording the hash, seed, library versions and output
-names, so a run can be replayed and compared byte for byte (timing files
-excepted — wall times are not reproducible).
+Studies are plain functions with explicit keyword arguments that return
+values, so they are usable as a library.  They read no config file and
+write no file: :mod:`exdil.cli` maps a run's config onto them and writes
+their results.
 """
 
 from __future__ import annotations
 
-import configparser
 import dataclasses
-import hashlib
-import json
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import __version__
 from .asymptotic import ExpansionModes, expected_pl_with_derivatives, flat_pl
 from .collocation import SMOLYAK, TENSOR_GL, build_rule
 from .fd_core import Grid2D
-from .forward_mapped import (GenerationProfile, expected_mapped_pl,
-                             solve_mapped_1d, symmetry_folded_rule)
+from .forward_mapped import (expected_mapped_pl, solve_mapped_1d,
+                             symmetry_folded_rule)
 from .interface import InterfaceModel, UniformDist
 from .inverse import (AsymptoticForward, DeviceFamily, EstimationTrace,
                       NewtonOptions, PLCurve, finite_floats,
@@ -45,11 +36,6 @@ __all__ = [
     "ConvergenceResult",
     "ValidationResult",
     "TimingResult",
-    "RunConfig",
-    "load_config",
-    "config_hash",
-    "write_csv",
-    "write_manifest",
     "MODEL_2D",
     "MODEL_1D",
 ]
@@ -143,23 +129,6 @@ class ConvergenceResult:
     errors: dict[int, tuple[float, ...]]
     fits: dict[int, SlopeFit]
 
-    def write(self, outdir: Path, conf_hash: str) -> list[str]:
-        rows = []
-        for i, eps in enumerate(self.eps_values):
-            row = [f"{eps:.17g}", f"{self.references[i]:.17g}"]
-            for n in sorted(self.approximations):
-                row += [f"{self.approximations[n][i]:.17g}",
-                        f"{self.errors[n][i]:.17g}"]
-            rows.append(row)
-        header = ["eps", "reference"]
-        for n in sorted(self.approximations):
-            header += [f"ei{n}", f"err{n}"]
-        write_csv(outdir / "convergence.csv", header, rows, conf_hash)
-        write_csv(outdir / "slopes.csv", ["order", "slope", "residual"],
-                  [[str(n), f"{f.slope:.17g}", f"{f.residual:.17g}"]
-                   for n, f in sorted(self.fits.items())], conf_hash)
-        return ["convergence.csv", "slopes.csv"]
-
 
 def convergence_study(*, device, model: InterfaceModel,
                       eps_values: Sequence[float] = EPS_SWEEP,
@@ -246,8 +215,6 @@ def estimation_study(*, sigma_star: float, eps_values: Sequence[float],
 @dataclass
 class ValidationResult:
     traces: dict[float, EstimationTrace]
-    final_errors: dict[float, float]
-    within_one_percent: dict[float, bool]
 
 
 def validation_study(*, sigma_star: float, betas: Sequence[float],
@@ -269,28 +236,26 @@ def validation_study(*, sigma_star: float, betas: Sequence[float],
     rough-interface model with lambda_k = k**beta.  Agreement degrades as
     beta grows towards zero (short correlation lengths), which is the point
     of the comparison.  ``est_cells`` and ``x_cells_per_length`` are
-    accepted and ignored: the expansion has no grid.  ``sigma0`` must be
-    None or finite and positive: other values raise ValueError before any
-    solve.
+    accepted and ignored: the expansion has no grid.  The betas must be
+    distinct and ``sigma0`` None or finite and positive: other values raise
+    ValueError before any solve.
     """
+    if len(set(betas)) < len(betas):
+        raise ValueError("the validation study needs distinct beta values; "
+                         f"got {list(betas)}")
     thicknesses = finite_floats("thicknesses", thicknesses)
     if sigma0 is not None:
         positive_float("sigma0", sigma0)
     data = PLCurve(thicknesses, tuple(
         flat_pl(family.device(sigma_star, d)) for d in thicknesses))
-    traces, finals, within = {}, {}, {}
+    traces = {}
     for beta in betas:
         model = InterfaceModel.with_power_spectrum(hbar, family.period, K,
                                                    beta, dist)
         provider = AsymptoticForward(family=family, model=model, order=order)
-        trace = newton_estimate(provider, data, sigma0=sigma0,
-                                options=newton, sigma_exact=sigma_star)
-        traces[beta] = trace
-        # final_sigma falls back to sigma0 when no step was accepted
-        finals[beta] = trace.final_rel_error(sigma_star)
-        within[beta] = finals[beta] < 0.01
-    return ValidationResult(traces=traces, final_errors=finals,
-                            within_one_percent=within)
+        traces[beta] = newton_estimate(provider, data, sigma0=sigma0,
+                                       options=newton, sigma_exact=sigma_star)
+    return ValidationResult(traces=traces)
 
 
 # ---------------------------------------------------------------------------
@@ -354,119 +319,3 @@ def timing_study(*, device, model: InterfaceModel, epsilon: float = 0.0625,
         sc_seconds=sc_seconds, sc_level=sc_level,
         sc_nodes=sc_nodes, sc_error=sc_error, ref_seconds=ref_seconds,
         speedup=sc_seconds / asym_seconds)
-
-
-# ---------------------------------------------------------------------------
-# Config files, CSV and manifest plumbing
-# ---------------------------------------------------------------------------
-
-@dataclass
-class RunConfig:
-    """Parsed run configuration and the hash of the text it came from."""
-
-    kind: str
-    seed: int
-    output: Path
-    parser: configparser.ConfigParser
-    sha: str
-
-    def floats(self, section: str, key: str, default=None) -> list[float]:
-        if not self.parser.has_option(section, key):
-            if default is None:
-                raise KeyError(f"missing config key [{section}] {key}")
-            return list(default)
-        raw = self.parser.get(section, key)
-        return [float(tok) for tok in raw.replace(",", " ").split()]
-
-    def value(self, section: str, key: str, cast=str, default=None):
-        if not self.parser.has_option(section, key):
-            if default is None:
-                raise KeyError(f"missing config key [{section}] {key}")
-            return default
-        return cast(self.parser.get(section, key))
-
-
-def config_hash(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-def load_config(path) -> RunConfig:
-    text = Path(path).read_text()
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    parser.read_string(text)
-    if not parser.has_section("run"):
-        raise ValueError("config needs a [run] section")
-    kind = parser.get("run", "kind")
-    seed = parser.getint("run", "seed", fallback=0)
-    output = Path(parser.get("run", "output", fallback="out"))
-    return RunConfig(kind=kind, seed=seed, output=output, parser=parser,
-                     sha=config_hash(text))
-
-
-def interface_from_config(cfg: RunConfig) -> InterfaceModel:
-    sec = "interface"
-    K = cfg.value(sec, "modes", int, 5)
-    hbar = cfg.value(sec, "hbar", float, 1.0)
-    L = cfg.value("device", "period", float, 4.0)
-    a = cfg.value(sec, "a", float, 0.0)
-    b = cfg.value(sec, "b", float, 1.0)
-    dist = UniformDist(a, b)
-    if cfg.parser.has_option(sec, "beta"):
-        return InterfaceModel.with_power_spectrum(
-            hbar, L, K, cfg.value(sec, "beta", float), dist)
-    lambdas = cfg.floats(sec, "lambdas", default=[1.0] * K)
-    return InterfaceModel(hbar, L, K, tuple(lambdas), dist)
-
-
-def family_from_config(cfg: RunConfig) -> DeviceFamily:
-    period = cfg.value("device", "period", float, 4.0)
-    kind = cfg.value("generation", "kind", str, "exponential")
-    if kind == "constant":
-        gen = GenerationProfile.constant(
-            cfg.value("generation", "value", float, 1.0))
-        return DeviceFamily(period=period, generation=gen)
-    if kind != "exponential":
-        raise ValueError("[generation] kind must be exponential or constant, "
-                         f"got {kind!r}")
-    if cfg.parser.has_option("generation", "decay"):
-        gen = GenerationProfile.exponential(
-            cfg.value("generation", "decay", float),
-            cfg.value("generation", "amplitude", float, 1.0))
-        return DeviceFamily(period=period, generation=gen)
-    return DeviceFamily(period=period,
-                        decay_factor=cfg.value("generation", "decay_factor",
-                                               float, 0.5))
-
-
-def write_csv(path: Path, header: list[str], rows, conf_hash: str) -> None:
-    """Write ``# config_hash=<hash>``, the header and the rows, each line
-    ending in a bare LF on every platform; fields are joined by commas
-    unquoted."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# config_hash={conf_hash}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
-
-
-def write_manifest(outdir: Path, cfg: RunConfig, outputs: list[str]) -> None:
-    # scipy's version from its installed metadata: importing scipy for it
-    # would load the package in runs that never use it
-    from importlib.metadata import version
-
-    outdir.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "config_hash": cfg.sha,
-        "kind": cfg.kind,
-        "seed": cfg.seed,
-        "outputs": sorted(outputs),
-        "versions": {
-            "exdil": __version__,
-            "numpy": np.__version__,
-            "scipy": version("scipy"),
-        },
-    }
-    with open(outdir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -8,10 +8,11 @@ import pytest
 from exdil import cli, experiments
 from exdil.asymptotic import flat_pl
 from exdil.collocation import SMOLYAK, build_rule
-from exdil.experiments import (MODEL_1D, MODEL_2D, config_hash,
-                               convergence_study, estimation_study, fit_slope,
-                               generate_synthetic_curve, load_config,
-                               timing_study, validation_study)
+from exdil.cli import config_hash, load_config
+from exdil.experiments import (MODEL_1D, MODEL_2D, convergence_study,
+                               estimation_study, fit_slope,
+                               generate_synthetic_curve, timing_study,
+                               validation_study)
 from exdil.fd_core import Grid2D
 from exdil.forward_mapped import DeviceConfig, GenerationProfile, \
     solve_mapped_1d, symmetry_folded_rule
@@ -91,13 +92,6 @@ class TestConvergenceStudy:
         assert len(res.references) == 3
         assert set(res.fits) == {0, 1, 2}
         assert all(len(v) == 3 for v in res.errors.values())
-
-    def test_csv_emission(self, tmp_path):
-        res = tiny_convergence()
-        outputs = res.write(tmp_path, "cafe")
-        assert sorted(outputs) == ["convergence.csv", "slopes.csv"]
-        text = (tmp_path / "slopes.csv").read_text()
-        assert text.startswith("# config_hash=cafe")
 
 
 CONFIG = """
@@ -244,8 +238,13 @@ class TestConfigAndCli:
         ("thicknesses = 10, 20, 30",
          "thicknesses = 10, 20, 30\n\n[newton]\nsigma0 = -1",
          "sigma0 must be finite and positive"),
+        # 0 is no start, not "the default start"
+        ("thicknesses = 10, 20, 30",
+         "thicknesses = 10, 20, 30\n\n[newton]\nsigma0 = 0",
+         "sigma0 must be finite and positive"),
     ], ids=["negative-eps", "nan-eps", "no-eps", "decreasing-thicknesses",
-            "repeated-eps", "colliding-eps-names", "negative-sigma0"])
+            "repeated-eps", "colliding-eps-names", "negative-sigma0",
+            "zero-sigma0"])
     def test_estimate_checks_config_before_solving(self, tmp_path, capsys,
                                                    monkeypatch, old, new,
                                                    message):
@@ -277,7 +276,7 @@ class TestConfigAndCli:
                              family=FAMILY)
         assert calls == []
 
-    @pytest.mark.parametrize("sigma0", ["-1", "inf"])
+    @pytest.mark.parametrize("sigma0", ["-1", "inf", "0"])
     def test_validate_checks_sigma0_before_solving(self, tmp_path, capsys,
                                                    monkeypatch, sigma0):
         calls = []
@@ -296,6 +295,62 @@ class TestConfigAndCli:
         assert cli.main(["validate", "--config", str(path)]) == 2
         assert "sigma0 must be finite and positive" in capsys.readouterr().err
         assert calls == []
+
+    # distinct values that print alike would write one file
+    @pytest.mark.parametrize("betas", ["-2, -2", "-2, -2.0000001"],
+                             ids=["repeated", "colliding-names"])
+    def test_validate_checks_betas_before_solving(self, tmp_path, capsys,
+                                                  monkeypatch, betas):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return 1.0
+
+        monkeypatch.setattr(experiments, "flat_pl", counting)
+        monkeypatch.setattr(experiments, "newton_estimate", counting)
+        path = tmp_path / "run.cfg"
+        path.write_text(CONFIG.format(out=tmp_path / "out")
+                        + f"\n[validate]\nsigma_star = 5.0\nbetas = {betas}\n"
+                        "thicknesses = 10, 20\n")
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        assert "[validate] betas" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("command", ["estimate", "validate"])
+    def test_missing_required_key_exits_2(self, tmp_path, capsys, command):
+        # sigma_star has no default; [newton] sigma0 may be absent
+        path = tmp_path / "run.cfg"
+        path.write_text(CONFIG.format(out=tmp_path / "out")
+                        + f"\n[{command}]\neps = 0.1\nbetas = -2\n"
+                        "thicknesses = 10, 20\n")
+        assert cli.main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"missing config key [{command}] sigma_star" in err
+
+    def test_validation_study_rejects_repeated_beta(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "flat_pl",
+                            lambda *args, **kwargs: calls.append(None))
+        with pytest.raises(ValueError, match="distinct"):
+            validation_study(sigma_star=5.0, betas=(-2.0, -1.0, -2.0),
+                             thicknesses=(10.0, 20.0), family=FAMILY)
+        assert calls == []
+
+    def test_output_path_that_is_a_file_exits_2(self, tmp_path, capsys,
+                                                monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran before the output check")
+
+        monkeypatch.setattr(cli, "solve_mapped_2d", no_solve)
+        path = tmp_path / "run.cfg"
+        path.write_text(CONFIG.format(out=tmp_path / "out"))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert cli.main(["forward", "--config", str(path),
+                         "--output", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert "bad output directory" in err and "Traceback" not in err
 
     def test_forward_domain_failure_exits_3(self, tmp_path, capsys):
         # the interface of the one sample reaches the top surface; the
@@ -468,6 +523,10 @@ class TestConfigAndCli:
             names = sorted(p.name for p in runs[0].iterdir())
             assert expected in names and "manifest.json" in names, command
             assert names == sorted(p.name for p in runs[1].iterdir())
+            # the manifest lists every file written, and only those
+            manifest = json.loads((runs[0] / "manifest.json").read_text())
+            assert manifest["outputs"] == [n for n in names
+                                           if n != "manifest.json"], command
             for name in names:
                 a, b = ((out / name).read_bytes() for out in runs)
                 if name == "timing.csv":
@@ -560,8 +619,7 @@ class TestValidationStudy:
                                thicknesses=(10.0, 20.0), family=FAMILY, K=3,
                                sigma0=7.5)
         assert res.traces[-2.0].iterations == 0
-        assert res.final_errors == {-2.0: 0.5}
-        assert res.within_one_percent == {-2.0: False}
+        assert res.traces[-2.0].final_rel_error(5.0) == 0.5
 
     def test_cli_validate_with_empty_trace(self, tmp_path, monkeypatch):
         monkeypatch.setattr(experiments, "newton_estimate", exhausted_newton)

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from exdil import fd_core
-from exdil.experiments import write_csv
+from exdil.cli import write_csv
 from exdil.fd_core import (EllipticOperator, Field2D, Grid2D, PdeCoefficients,
                            SolverError, trapezoid_2d)
 

@@ -12,7 +12,8 @@ from exdil import fd_core, inverse
 from exdil.asymptotic import (ExpansionModes, closed_form,
                               expected_pl_with_derivatives)
 from exdil.collocation import TENSOR_GL, QuadratureRule, build_rule
-from exdil.experiments import MODEL_2D, generate_synthetic_curve, write_csv
+from exdil.cli import write_csv
+from exdil.experiments import MODEL_2D, generate_synthetic_curve
 from exdil.fd_core import Grid2D
 from exdil.forward_mapped import (DeviceConfig, GenerationProfile,
                                   expected_mapped_pl, sensitivities_mapped,
