@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import hashlib
 import json
 import sys
@@ -192,9 +193,23 @@ def main(argv=None) -> int:
     except (KeyError, ValueError, configparser.Error) as exc:
         print(f"exdil: bad config: {exc}", file=sys.stderr)
         return 2
-    for name, (header, rows) in tables.items():
-        write_csv(outdir / name, header, rows, cfg.sha)
-    write_manifest(outdir, cfg, list(tables))
+    # A directory holds a manifest that lists every CSV this run wrote, or
+    # no manifest and none of them: a stale manifest goes first, and a
+    # failed write takes back every file this run opened.
+    opened = []
+    try:
+        (outdir / "manifest.json").unlink(missing_ok=True)
+        for name, (header, rows) in tables.items():
+            opened.append(outdir / name)
+            write_csv(outdir / name, header, rows, cfg.sha)
+        opened.append(outdir / "manifest.json")
+        write_manifest(outdir, cfg, list(tables))
+    except OSError as exc:
+        for path in opened:
+            with contextlib.suppress(OSError):
+                path.unlink(missing_ok=True)
+        print(f"exdil: bad output directory: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -28,6 +28,15 @@ is markedly faster than the default ordering on this nearly symmetric
 pattern).  One :class:`EllipticOperator` can solve many right-hand sides
 against a single factorization, which the sensitivity solvers rely on.
 
+SuperLU also gets a supernode relaxation of 1 and a panel width of 1, in
+place of scipy's 10 and 20, which are sized for larger supernodes than a
+nine-point stencil makes.  The ordering, the pivots and the fill of L + U
+are the same either way; only rounding moves (solutions agree to 1e-13
+relative).  On mapped operators (2 vCPUs of a shared AMD EPYC, scipy
+1.17.1) a factorization takes 0.61 of the default's time at 32 x 32 and
+0.76-0.80 of it at 64 x 64 to 256 x 128, with a third to a half fewer
+minor page faults.
+
 scipy is loaded on first use, not on import: the first
 :class:`EllipticOperator` imports ``scipy.sparse`` and
 ``scipy.sparse.linalg``, so the closed-form studies, which build no
@@ -62,6 +71,8 @@ __all__ = [
 RESIDUAL_RTOL = 1e-10
 
 _PERMC_SPEC = "MMD_AT_PLUS_A"
+#: SuperLU's supernode relaxation and panel width (see the module docstring)
+_SUPERNODES = {"relax": 1, "panel_size": 1}
 
 
 def _load_scipy() -> None:
@@ -265,7 +276,8 @@ class EllipticOperator:
         # sees this call
         if self._lu is None:
             try:
-                self._lu = spla.splu(self._matrix, permc_spec=_PERMC_SPEC)
+                self._lu = spla.splu(self._matrix, permc_spec=_PERMC_SPEC,
+                                     **_SUPERNODES)
             except RuntimeError as exc:
                 raise SolverError(f"sparse factorization failed: {exc}") from exc
         return self._lu

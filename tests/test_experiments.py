@@ -352,6 +352,26 @@ class TestConfigAndCli:
         err = capsys.readouterr().err
         assert "bad output directory" in err and "Traceback" not in err
 
+    def test_failed_table_write_exits_2_and_leaves_no_partial_run(
+            self, tmp_path, capsys):
+        # the summary cannot be written after both trace tables were: the
+        # run takes them back, and the old manifest, which would list
+        # files of another run, is gone too
+        path = tmp_path / "run.cfg"
+        path.write_text("[run]\nkind = validate\n\n[interface]\nmodes = 3\n\n"
+                        "[validate]\nsigma_star = 5.0\nbetas = -2, -1\n"
+                        "thicknesses = 10, 20, 30\n")
+        out = tmp_path / "d"
+        (out / "validate_summary.csv").mkdir(parents=True)
+        (out / "manifest.json").write_text('{"outputs": []}\n')
+        assert cli.main(["validate", "--config", str(path),
+                         "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bad output directory" in err and "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == [
+            "validate_summary.csv"]
+        assert (out / "validate_summary.csv").is_dir()
+
     def test_forward_domain_failure_exits_3(self, tmp_path, capsys):
         # the interface of the one sample reaches the top surface; the
         # error is a ValueError too, but a numerical failure, not a config

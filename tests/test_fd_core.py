@@ -218,8 +218,8 @@ class TestAssembleSolve:
         splu = fd_core.spla.splu
 
         def perturbed_splu(bad):
-            def factor(matrix, permc_spec):
-                lu, calls = splu(matrix, permc_spec=permc_spec), []
+            def factor(matrix, **options):
+                lu, calls = splu(matrix, **options), []
 
                 def solve(rhs):
                     calls.append(None)

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
+from exdil import fd_core
 from exdil.collocation import (MONTE_CARLO, SMOLYAK, TENSOR_GL,
                                CollocationError, build_rule, expect)
 from exdil.fd_core import Grid2D, SolverError, trapezoid_2d
@@ -297,6 +299,49 @@ class TestSymmetryFold:
         with pytest.raises(CollocationError, match="node") as err:
             expected_mapped_pl(dev, model, rule, grid)
         assert isinstance(err.value.__cause__, DomainValidityError)
+
+
+class TestSuperLUOptions:
+    """fd_core's supernode relaxation and panel width against SuperLU's
+    defaults: the same ordering, pivots and fill, solutions equal to
+    rounding."""
+
+    MODEL = InterfaceModel.with_power_spectrum(1.0, 4.0, 3, -1.0,
+                                               UniformDist(-1.0, 1.0))
+
+    @staticmethod
+    def rel(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+    @pytest.mark.parametrize("n", [32, 128])
+    @pytest.mark.parametrize("theta, d", [((0.5, -0.3, 0.2), 12.0),
+                                          ((1.0, 1.0, 1.0), 8.0)])
+    def test_node_matches_default_superlu(self, n, theta, d):
+        dev = DeviceConfig(5.0, d, 4.0, GenerationProfile.exponential(d / 2))
+        grid = Grid2D.unit(n)
+        sol = solve_mapped_2d(dev, self.MODEL, InterfaceSample(theta), grid)
+        tuned = sol.operator.factorize()
+        default = scipy.sparse.linalg.splu(sol.operator.matrix,
+                                           permc_spec=fd_core._PERMC_SPEC)
+        assert np.array_equal(tuned.perm_c, default.perm_c)
+        assert np.array_equal(tuned.perm_r, default.perm_r)
+        assert tuned.L.nnz + tuned.U.nnz == default.L.nnz + default.U.nnz
+        b = sol.operator.rhs(sol.source)
+        assert self.rel(tuned.solve(b), default.solve(b)) < 1e-12
+
+    @pytest.mark.parametrize("n", [32, 128])
+    def test_expected_triple_matches_default_superlu(self, n, monkeypatch):
+        dev = DeviceConfig(5.0, 12.0, 4.0, GenerationProfile.exponential(6.0))
+        rule = build_rule(TENSOR_GL, 3, 2, (-1.0, 1.0))
+        grid = Grid2D.unit(n)
+        tuned = expected_mapped_pl(dev, self.MODEL, rule, grid,
+                                   derivatives=True)
+        monkeypatch.setattr(fd_core, "_SUPERNODES", {})
+        default = expected_mapped_pl(dev, self.MODEL, rule, grid,
+                                     derivatives=True)
+        for a, b in zip(tuned, default):
+            assert self.rel(a, b) < 1e-12
 
 
 def iface_heights(model, thetas, grid):
