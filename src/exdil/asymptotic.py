@@ -269,10 +269,12 @@ class Film:
 
     @classmethod
     def of(cls, device: DeviceConfig, epsilon: float) -> "Film":
-        d, generation = device.d, device.generation
-        terms, total = _source_terms(generation, d)
-        return cls(d=d, terms=terms, total=total, top=generation(d),
-                   epsilon=epsilon)
+        d = device.d
+        terms, total = _source_terms(device.generation, d)
+        top = 0.0
+        for a, mu in terms:
+            top += a * math.exp(-mu * d)
+        return cls(d=d, terms=terms, total=total, top=top, epsilon=epsilon)
 
 
 @dataclass(frozen=True)

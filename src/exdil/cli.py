@@ -4,16 +4,18 @@ keys, output file names, CSV layout and manifest.
 Each subcommand reads a flat key=value config file (INI sections), runs one
 study of :mod:`exdil.experiments` and writes its tables into the ``[run]
 output`` directory (or ``--output``): ``forward.csv``, plus ``field.csv``
-with ``[run] dump_field = 1``; ``expect.csv``; ``convergence.csv`` and
+with ``[run] dump_field = 1``; ``expect.csv``, whose ``nodes`` are the
+rule's nodes left after the symmetry fold; ``convergence.csv`` and
 ``slopes.csv``; ``estimate_eps<eps>.csv`` per eps and
 ``estimate_summary.csv``; ``validate_beta<beta>.csv`` per beta and
 ``validate_summary.csv``; ``timing.csv``.  A CSV is the config hash in a
 comment line, the header and the rows, each line ending in a bare LF.
-``manifest.json`` records the hash, kind, seed, library versions and the
-files written, so a run can be replayed byte for byte (``timing.csv``'s
-wall times excepted).  ``[interface] modes`` defaults to 10 for
-``validate`` and to 5 elsewhere.  Exit codes: 0 success, 2 usage, config
-or output directory error, 3 numerical failure.
+``manifest.json`` records the hash, the subcommand as ``kind``, seed,
+library versions and the files written, so a run can be replayed byte for
+byte (``timing.csv``'s wall times excepted); ``[run] kind`` is not read.
+``[interface] modes`` defaults to 10 for ``validate`` and to 5 elsewhere.
+Exit codes: 0 success, 2 usage, config or output directory error, 3
+numerical failure.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from . import experiments as exp
 from .collocation import TENSOR_GL, CollocationError, build_rule
 from .fd_core import Grid2D, SolverError
 from .forward_mapped import (DomainValidityError, GenerationProfile,
-                             expected_mapped_pl, solve_mapped_2d)
+                             expected_mapped_pl, solve_mapped_2d,
+                             symmetry_folded_rule)
 from .interface import InterfaceModel, UniformDist
 from .interface import sample as draw_sample
 from .inverse import DeviceFamily, NewtonOptions
@@ -48,7 +51,6 @@ REQUIRED = object()
 class RunConfig:
     """Parsed run configuration and the hash of the text it came from."""
 
-    kind: str
     seed: int
     output: Path
     parser: configparser.ConfigParser
@@ -79,16 +81,16 @@ def load_config(path) -> RunConfig:
     parser.read_string(text)
     if not parser.has_section("run"):
         raise ValueError("config needs a [run] section")
-    kind = parser.get("run", "kind")
     seed = parser.getint("run", "seed", fallback=0)
     output = Path(parser.get("run", "output", fallback="out"))
-    return RunConfig(kind=kind, seed=seed, output=output, parser=parser,
+    return RunConfig(seed=seed, output=output, parser=parser,
                      sha=config_hash(text))
 
 
-def interface_from_config(cfg: RunConfig, L: float) -> InterfaceModel:
+def interface_from_config(cfg: RunConfig, L: float,
+                          default_K: int) -> InterfaceModel:
     sec = "interface"
-    K = cfg.value(sec, "modes", int, 5)
+    K = cfg.value(sec, "modes", int, default_K)
     hbar = cfg.value(sec, "hbar", float, 1.0)
     dist = UniformDist(cfg.value(sec, "a", float, 0.0),
                        cfg.value(sec, "b", float, 1.0))
@@ -130,14 +132,15 @@ def write_csv(path: Path, header: list[str], rows, conf_hash: str) -> None:
             fh.write(",".join(str(v) for v in row) + "\n")
 
 
-def write_manifest(outdir: Path, cfg: RunConfig, outputs: list[str]) -> None:
+def write_manifest(outdir: Path, cfg: RunConfig, command: str,
+                   outputs: list[str]) -> None:
     # scipy's version from its installed metadata: importing scipy for it
     # would load the package in runs that never use it
     from importlib.metadata import version
 
     manifest = {
         "config_hash": cfg.sha,
-        "kind": cfg.kind,
+        "kind": command,
         "seed": cfg.seed,
         "outputs": sorted(outputs),
         "versions": {
@@ -203,7 +206,7 @@ def main(argv=None) -> int:
             opened.append(outdir / name)
             write_csv(outdir / name, header, rows, cfg.sha)
         opened.append(outdir / "manifest.json")
-        write_manifest(outdir, cfg, list(tables))
+        write_manifest(outdir, cfg, args.command, list(tables))
     except OSError as exc:
         for path in opened:
             with contextlib.suppress(OSError):
@@ -244,7 +247,8 @@ def _dispatch(command: str, cfg: RunConfig) -> dict[str, tuple[list, list]]:
     """Run ``command``'s study and return its tables, (header, rows) by
     output file name; writes nothing."""
     family = family_from_config(cfg)
-    model = interface_from_config(cfg, family.period)
+    model = interface_from_config(cfg, family.period,
+                                  10 if command == "validate" else 5)
     sigma = cfg.value("device", "sigma", float, 5.0)
     d = cfg.value("device", "d", float, 10.0)
 
@@ -274,7 +278,7 @@ def _dispatch(command: str, cfg: RunConfig) -> dict[str, tuple[list, list]]:
         return {"expect.csv": (
             ["sigma", "d", "expected_pl", "nodes", "rule"],
             [[f"{sigma:.17g}", f"{d:.17g}", f"{value:.17g}",
-              rule.node_count, rule.descriptor]])}
+              symmetry_folded_rule(rule, grid).node_count, rule.descriptor]])}
 
     if command == "converge":
         device = family.device(sigma, d)
@@ -323,7 +327,7 @@ def _dispatch(command: str, cfg: RunConfig) -> dict[str, tuple[list, list]]:
         result = exp.validation_study(
             sigma_star=sigma_star, betas=betas,
             thicknesses=cfg.floats("validate", "thicknesses"),
-            family=family, K=cfg.value("interface", "modes", int, 10),
+            family=family, K=model.K,
             hbar=model.hbar, dist=model.dist, **_newton(cfg))
         tables = {name: _trace_table(trace)
                   for name, trace in zip(names, result.traces.values())}

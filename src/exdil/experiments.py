@@ -132,10 +132,9 @@ class ConvergenceResult:
 
 def convergence_study(*, device, model: InterfaceModel,
                       eps_values: Sequence[float] = EPS_SWEEP,
-                      orders: Sequence[int] = (0, 1, 2),
                       ref_cells: tuple[int, int] = (128, 128),
                       ref_points: int = 4) -> ConvergenceResult:
-    """Expected-PL error of each expansion order against a mapped reference.
+    """Expected-PL error of expansion orders 0-2 against a mapped reference.
 
     The expansion reads the model through its eps-independent
     :class:`~exdil.asymptotic.ExpansionModes`, taken once; the reference
@@ -151,18 +150,18 @@ def convergence_study(*, device, model: InterfaceModel,
     ref_grid = Grid2D.unit(*ref_cells)
     rule = build_rule(TENSOR_GL, model.K, ref_points, model.dist.support)
 
-    references, approx = [], {n: [] for n in orders}
+    references, approx = [], {n: [] for n in (0, 1, 2)}
     for eps in eps_values:
         model_eps = dataclasses.replace(model, hbar=eps * device.d)
         references.append(expected_mapped_pl(device, model_eps, rule,
                                              ref_grid))
-        for n in orders:
+        for n in approx:
             approx[n].append(
                 expected_pl_with_derivatives(device, modes, eps, n)[0])
 
     errors = {n: tuple(abs(a - r) for a, r in zip(approx[n], references))
-              for n in orders}
-    fits = {n: fit_slope(eps_values, errors[n]) for n in orders}
+              for n in approx}
+    fits = {n: fit_slope(eps_values, errors[n]) for n in approx}
     return ConvergenceResult(
         eps_values=tuple(eps_values), references=tuple(references),
         approximations={n: tuple(v) for n, v in approx.items()},
@@ -178,11 +177,10 @@ def estimation_study(*, sigma_star: float, eps_values: Sequence[float],
                      family: DeviceFamily,
                      data_cells: tuple[int, int] = (256, 128),
                      data_points: int = 3,
-                     order: int = 2,
                      sigma0: Optional[float] = None,
                      newton: NewtonOptions = NewtonOptions()
                      ) -> dict[float, EstimationTrace]:
-    """Newton estimation against mapped-model data, one run per eps.
+    """Newton fits of the order-2 expansion to mapped-model data, per eps.
 
     Each eps is fixed across the curve (the roughness amplitude scales with
     thickness), matching how the data was generated.  The default data
@@ -205,7 +203,7 @@ def estimation_study(*, sigma_star: float, eps_values: Sequence[float],
         curve = generate_synthetic_curve(
             MODEL_2D, sigma_star, thicknesses, family=family, model=model,
             rule_size=data_points, cells=data_cells, fixed_epsilon=eps)
-        provider = AsymptoticForward(family=family, model=model, order=order,
+        provider = AsymptoticForward(family=family, model=model,
                                      fixed_epsilon=eps)
         traces[eps] = newton_estimate(provider, curve, sigma0=sigma0,
                                       options=newton, sigma_exact=sigma_star)

@@ -93,10 +93,6 @@ def __getattr__(name):
 class SolverError(RuntimeError):
     """Linear solve failed or produced an unacceptable residual."""
 
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
-
 
 @dataclass(frozen=True)
 class Grid2D:
@@ -300,8 +296,7 @@ class EllipticOperator:
                 break
             x = x + lu.solve(r)
         if not np.all(np.isfinite(x)):
-            raise SolverError("solver produced non-finite values",
-                              residual=np.inf)
+            raise SolverError("solver produced non-finite values")
         check_residual(r, b)
         return x
 
@@ -321,8 +316,7 @@ def check_residual(residual: np.ndarray, b: np.ndarray) -> None:
     system with right-hand side ``b`` is within ``RESIDUAL_RTOL``."""
     norm = float(np.linalg.norm(residual))
     if norm > RESIDUAL_RTOL * (1.0 + float(np.linalg.norm(b))):
-        raise SolverError(f"residual {norm:.3e} exceeds tolerance",
-                          residual=norm)
+        raise SolverError(f"residual {norm:.3e} exceeds tolerance")
 
 
 def trapezoid_2d(field: Field2D, z_weight=None) -> float:

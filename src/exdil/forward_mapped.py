@@ -98,6 +98,7 @@ class GenerationProfile:
 
     Positive and non-increasing by construction.  ``terms`` holds
     (amplitude, decay length) pairs; a bare constant profile has no terms.
+    Called on an array it gives G at each point, and on a scalar a float.
     """
 
     terms: tuple[tuple[float, float], ...] = ()
@@ -124,12 +125,6 @@ class GenerationProfile:
         return cls(offset=value)
 
     def __call__(self, x):
-        if isinstance(x, float):
-            # the array path's arithmetic on one value, without the arrays
-            value = self.offset
-            for a, ell in self.terms:
-                value = value + a * np.exp(-x / ell)
-            return float(value)
         x = np.asarray(x, dtype=float)
         out = np.full_like(x, self.offset)
         for a, ell in self.terms:

@@ -392,8 +392,9 @@ def newton_estimate(provider, curve: PLCurve, sigma0: float | None = None,
     """Damped Newton minimization of the misfit.
 
     Starts from ``sigma0`` (default: a quarter of the largest thickness),
-    accepts steps under the Armijo rule, clamps nonpositive trial iterates
-    to half the current one, and stops when |sigma_n - sigma_{n-1}| < tol.
+    steps along -J'/|J''| (-J' where J'' = 0), accepts steps under the
+    Armijo rule, clamps nonpositive trial iterates to half the current one,
+    and stops when |sigma_n - sigma_{n-1}| < tol.
     A full Newton step already below tol that fails the Armijo test is not
     halved: the current iterate is recorded again (alpha 0) and the
     iteration stops there on ``step_tolerance``.  Returns the trace, with
@@ -410,13 +411,8 @@ def newton_estimate(provider, curve: PLCurve, sigma0: float | None = None,
     j_curr = None
     for _ in range(opts.max_iter):
         j_curr, j1, j2 = objective_with_derivatives(provider, curve, sigma)
-        if j2 > 0:
-            step = -j1 / j2
-            predicted = j1 * j1 / j2
-        else:
-            denom = abs(j2) if j2 != 0 else 1.0
-            step = -j1 / denom
-            predicted = abs(j1 * step)
+        step = -j1 / (abs(j2) or 1.0)
+        predicted = abs(j1 * step)
 
         alpha = 1.0
         accepted = False

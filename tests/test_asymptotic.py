@@ -18,8 +18,8 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from exdil import interface as iface
-from exdil.asymptotic import (ExpansionModes, expected_pl_with_derivatives,
-                              flat_pl)
+from exdil.asymptotic import (ExpansionModes, Film,
+                              expected_pl_with_derivatives, flat_pl)
 from exdil.fd_core import (EllipticOperator, Field2D, Grid2D, PdeCoefficients,
                            SolverError, trapezoid_2d)
 from exdil.forward_mapped import (DeviceConfig, GenerationProfile,
@@ -408,6 +408,18 @@ class TestPinnedBits:
         values = expected_pl_with_derivatives(
             dev, ExpansionModes.of(model, 4.0), eps, order)
         assert tuple(v.hex() for v in values) == PINNED_BITS[key]
+
+
+class TestFilm:
+    @pytest.mark.parametrize("generation", [
+        lambda d: GenerationProfile.constant(1.7),
+        *PINNED_GENERATIONS.values()], ids=["constant", *PINNED_GENERATIONS])
+    def test_top_is_the_generation_at_d(self, generation):
+        # G(d) from the terms (a, mu) rounds apart from exp(-d / ell)
+        for d in np.linspace(0.5, 60.0, 120):
+            dev = device(d=d, gen=generation(d))
+            assert Film.of(dev, 0.1).top == pytest.approx(
+                dev.generation(d), rel=1e-14, abs=0.0)
 
 
 class TestFlatPL:

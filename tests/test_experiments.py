@@ -7,7 +7,7 @@ import pytest
 
 from exdil import cli, experiments
 from exdil.asymptotic import flat_pl
-from exdil.collocation import SMOLYAK, build_rule
+from exdil.collocation import SMOLYAK, TENSOR_GL, build_rule
 from exdil.cli import config_hash, load_config
 from exdil.experiments import (MODEL_1D, MODEL_2D, convergence_study,
                                estimation_study, fit_slope,
@@ -161,7 +161,6 @@ class TestConfigAndCli:
         path = tmp_path / "run.cfg"
         path.write_text(CONFIG.format(out=tmp_path / "out"))
         cfg = load_config(path)
-        assert cfg.kind == "converge"
         assert cfg.seed == 7
         assert cfg.floats("converge", "eps") == [0.25, 0.125, 0.0625]
         assert cfg.sha == config_hash(path.read_text())
@@ -510,6 +509,40 @@ class TestConfigAndCli:
         assert "numpy" in manifest["versions"]
         assert sorted(manifest["outputs"]) == ["convergence.csv", "slopes.csv"]
 
+    @pytest.mark.parametrize("run_kind", ["kind = converge\n", ""],
+                             ids=["other_command", "no_key"])
+    def test_manifest_kind_is_the_command(self, tmp_path, run_kind):
+        # a [run] kind key naming another command, or none at all, leaves
+        # the manifest naming the subcommand that ran
+        path = tmp_path / "run.cfg"
+        out = tmp_path / "out"
+        path.write_text(CONFIG.format(out=out)
+                        .replace("kind = converge\n", run_kind)
+                        .replace("reference = 32", "reference = 16"))
+        assert cli.main(["forward", "--config", str(path)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["kind"] == "forward"
+        assert manifest["outputs"] == ["forward.csv"]
+
+    def test_expect_counts_the_folded_nodes(self, tmp_path):
+        # K 3, tensor GL-4 and U(-1, 1) at even nz: 64 rule nodes fold to
+        # the 16 that are solved; the descriptor still names the rule
+        path = tmp_path / "run.cfg"
+        out = tmp_path / "out"
+        path.write_text(CONFIG.format(out=out)
+                        .replace("modes = 1", "modes = 3")
+                        .replace("lambdas = 1.0", "lambdas = 1.0, 0.5, 0.25")
+                        .replace("a = 0.0", "a = -1.0")
+                        .replace("reference = 32", "reference = 16")
+                        .replace("size = 2", "size = 4"))
+        assert cli.main(["expect", "--config", str(path)]) == 0
+        row = (out / "expect.csv").read_text().splitlines()[2].split(",", 4)
+        rule = build_rule(TENSOR_GL, 3, 4, (-1.0, 1.0))
+        assert rule.node_count == 64
+        assert row[3] == "16" == str(symmetry_folded_rule(
+            rule, Grid2D.unit(16)).node_count)
+        assert row[4] == rule.descriptor
+
     def test_replay_byte_identical(self, tmp_path):
         # every command, run twice from one config, writes the same bytes;
         # the one exception is timing.csv's wall-time column
@@ -710,6 +743,25 @@ class TestValidationStudy:
         default = run("")
         assert run("a = -1\nb = 1\n") == default
         assert run("a = 0\nb = 3\n")[0] != default[0]
+
+    def test_cli_validate_defaults_to_ten_modes(self, tmp_path):
+        # validate reads [interface] modes once, with its own default of
+        # 10, so ten lambdas need no modes key; it never reads the lambdas
+        def run(modes):
+            path = tmp_path / "run.cfg"
+            out = tmp_path / f"out{len(modes)}"
+            path.write_text(f"[run]\noutput = {out}\n\n[interface]\n{modes}"
+                            f"lambdas = {', '.join(['1.0'] * 10)}\n\n"
+                            "[validate]\nsigma_star = 5.0\nbetas = -2, -1\n"
+                            "thicknesses = 10, 20, 30\n")
+            assert cli.main(["validate", "--config", str(path)]) == 0
+            # every line but the leading config hash
+            return {p.name: p.read_text().splitlines()[1:]
+                    for p in sorted(out.glob("*.csv"))}
+
+        default = run("")
+        assert len(default) == 3
+        assert run("modes = 10\n") == default
 
     def test_cli_error_grows_as_beta_rises(self, tmp_path):
         # the paper's trend: the flat data agree less with the rough model

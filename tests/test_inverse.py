@@ -643,6 +643,23 @@ class TestNewton:
         assert trace.sigmas[0] == pytest.approx(7.0)
         assert trace.iterations <= 2
 
+    def test_zero_curvature_takes_the_gradient_step(self):
+        class Flat:
+            # J(10) = 1, J'(10) = 2 and J''(10) = 2 (1 + 1 * -1) = 0; the
+            # data are met everywhere else
+            def pl(self, sigma, d):
+                return 8.0 if sigma == 10.0 else 7.0
+
+            def pl_with_derivatives(self, sigma, d):
+                if sigma == 10.0:
+                    return 8.0, 1.0, -1.0
+                return 7.0, 1.0, 0.0
+
+        trace = newton_estimate(Flat(), PLCurve((10.0,), (7.0,)),
+                                sigma0=10.0)
+        assert trace.sigmas[0] == 8.0 and trace.alphas[0] == 1.0
+        assert trace.reason == "step_tolerance"
+
     def test_clamp_warning(self):
         class Diverging:
             def pl(self, sigma, d):
