@@ -29,26 +29,27 @@ PL is a closed form in sigma, and it differentiates that closed form
 analytically (:func:`exdil.asymptotic.closed_form`).
 That is each provider's one derivative path.
 
-The expansion provider and the mapped collocation provider compute every
-forward value with its derivatives.  For the mapped provider the two
-sensitivity solves reuse the node's factorization.  So a line-search trial
-yields the derivatives of its own point, and once the trial is accepted the
-next iteration's J' and J'' need no new evaluation: a fit costs
-(iterations + 1) evaluations per thickness.  Each provider keeps its latest
-evaluation per thickness, which is all a Newton fit can reuse of its values.
-The expansion provider also keeps the factors of its closed form that an
-evaluation shares with others: those of each thickness (generation terms,
-G(d) and eps), computed once per fit, and the mode table of the latest
-sigma, computed once per Newton iterate.  Only the flux and the tanh and
-exp terms of the modes are computed per (sigma, d).
+The Newton fit computes every forward value with its derivatives (the
+mapped provider's sensitivity solves reuse the node's factorization), so a
+line-search trial yields the derivatives of its own point.  The fit keeps
+each thickness's latest evaluation, and once a trial is accepted the next
+iteration's J' and J'' need no new one: a fit costs (iterations + 1)
+evaluations per thickness.  The providers keep no results.  The expansion
+provider keeps the factors of its closed form that an evaluation shares
+with others: those of each thickness (generation terms, G(d) and eps),
+computed once per fit, and the mode table of the latest sigma, computed
+once per Newton iterate.  Only the flux and the tanh and exp terms of the
+modes are computed per (sigma, d).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from types import SimpleNamespace
+from typing import Optional
 
 import numpy as np
 
@@ -206,18 +207,6 @@ def sensitivities_1d(device: DeviceConfig, solution: Solution1D
 # Forward providers: sigma, d -> E[I] (with optional derivatives)
 # ---------------------------------------------------------------------------
 
-def _latest(cache: dict, sigma: float, d: float, evaluate: Callable):
-    """Cached forward values at (sigma, d).  ``cache`` holds one entry per
-    thickness, d -> (sigma, values), the latest evaluation: a Newton fit
-    never returns to an earlier sigma."""
-    hit = cache.get(d)
-    if hit is not None and hit[0] == sigma:
-        return hit[1]
-    values = evaluate()
-    cache[d] = (sigma, values)
-    return values
-
-
 @dataclass(frozen=True)
 class OneDimensionalForward:
     """Flat-interface forward model.
@@ -251,10 +240,8 @@ class MappedCollocationForward:
 
     One evaluation gives (E[I], E[I'], E[I'']), the sensitivities solved on
     each node's own factorization: ``pl`` returns its first component,
-    which is bit for bit E[I] computed alone, and a following
-    ``pl_with_derivatives`` at the same point (an accepted line-search
-    trial) reads it from the cache.  ``deriv`` names that derivative path
-    and must be :data:`SENSITIVITY_PDE`.
+    which is bit for bit E[I] computed alone.  ``deriv`` names that
+    derivative path and must be :data:`SENSITIVITY_PDE`.
     """
 
     family: DeviceFamily
@@ -262,25 +249,19 @@ class MappedCollocationForward:
     rule: QuadratureRule
     cells: tuple[int, int] = (64, 64)
     deriv: str = SENSITIVITY_PDE
-    _cache: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
     def __post_init__(self):
         if self.deriv != SENSITIVITY_PDE:
             raise ValueError(f"deriv must be {SENSITIVITY_PDE!r}, "
                              f"got {self.deriv!r}")
 
-    def _values(self, sigma: float, d: float):
-        """(E[I], E[I'], E[I'']) through the cache."""
-        return _latest(self._cache, sigma, d, lambda: expected_mapped_pl(
-            self.family.device(sigma, d), self.model, self.rule,
-            Grid2D.unit(*self.cells), derivatives=True))
-
     def pl(self, sigma: float, d: float) -> float:
-        return self._values(sigma, d)[0]
+        return self.pl_with_derivatives(sigma, d)[0]
 
     def pl_with_derivatives(self, sigma: float, d: float):
-        return self._values(sigma, d)
+        return expected_mapped_pl(self.family.device(sigma, d), self.model,
+                                  self.rule, Grid2D.unit(*self.cells),
+                                  derivatives=True)
 
 
 @dataclass(frozen=True)
@@ -301,10 +282,8 @@ class AsymptoticForward:
     :func:`exdil.asymptotic.expected_pl_with_derivatives`.
 
     Every evaluation gives (E[I], E[I'], E[I'']): ``pl`` returns its first
-    component, so a following ``pl_with_derivatives`` at the same point (an
-    accepted line-search trial) reads the whole triple from the cache.
-    ``fixed_epsilon``, when set, is the roughness size at every thickness
-    (hbar = eps * d); otherwise eps = hbar / d of the model.
+    component.  ``fixed_epsilon``, when set, is the roughness size at every
+    thickness (hbar = eps * d); otherwise eps = hbar / d of the model.
     """
 
     family: DeviceFamily
@@ -316,8 +295,6 @@ class AsymptoticForward:
                          compare=False)
     _tables: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
-    _cache: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_modes", ExpansionModes.of(
@@ -327,8 +304,8 @@ class AsymptoticForward:
         return self.pl_with_derivatives(sigma, d)[0]
 
     def pl_with_derivatives(self, sigma: float, d: float):
-        return _latest(self._cache, sigma, d, lambda: closed_form(
-            self._film(sigma, d), self._table(sigma), self.order))
+        return closed_form(self._film(sigma, d), self._table(sigma),
+                           self.order)
 
     def _film(self, sigma: float, d: float) -> Film:
         """The thickness's factors, built from its first device."""
@@ -386,6 +363,17 @@ def objective_with_derivatives(provider, curve: PLCurve, sigma: float
     return _mean_square(res), j1, j2
 
 
+def _fit_memo(provider, curve: PLCurve) -> SimpleNamespace:
+    """``provider`` as one fit sees it: ``pl`` too evaluates the
+    derivatives, and each thickness keeps its latest (I, I', I'').  Each
+    objective visits every thickness and a fit never returns to an earlier
+    sigma, so an LRU of one entry per thickness is exactly that."""
+    values = functools.lru_cache(maxsize=len(curve))(
+        provider.pl_with_derivatives)
+    return SimpleNamespace(pl=lambda sigma, d: values(sigma, d)[0],
+                           pl_with_derivatives=values)
+
+
 def newton_estimate(provider, curve: PLCurve, sigma0: float | None = None,
                     options: NewtonOptions | None = None,
                     sigma_exact: float | None = None) -> EstimationTrace:
@@ -394,12 +382,15 @@ def newton_estimate(provider, curve: PLCurve, sigma0: float | None = None,
     Starts from ``sigma0`` (default: a quarter of the largest thickness),
     steps along -J'/|J''| (-J' where J'' = 0), accepts steps under the
     Armijo rule, clamps nonpositive trial iterates to half the current one,
-    and stops when |sigma_n - sigma_{n-1}| < tol.
+    and stops when |sigma_n - sigma_{n-1}| < tol.  It calls only
+    ``provider.pl_with_derivatives``, once per thickness and point.
     A full Newton step already below tol that fails the Armijo test is not
     halved: the current iterate is recorded again (alpha 0) and the
-    iteration stops there on ``step_tolerance``.  Returns the trace, with
-    ``reason`` ``step_tolerance``, ``line_search_exhausted`` (no trial
-    decreased the misfit: the fit ends at the current point) or
+    iteration stops there on ``step_tolerance``.  If no trial meets the
+    Armijo test, the last one is taken if it lowers J at all.  Each recorded
+    alpha is the step's.  Returns the trace, with ``reason``
+    ``step_tolerance``, ``line_search_exhausted`` (not even the last trial
+    lowered the misfit: the fit ends at the current point) or
     ``max_iterations`` (``options.max_iter`` steps taken first).
     """
     opts = options or NewtonOptions()
@@ -407,37 +398,34 @@ def newton_estimate(provider, curve: PLCurve, sigma0: float | None = None,
                            if sigma0 is None else sigma0)
     trace = EstimationTrace(sigma0=sigma,
                             rel_errors=None if sigma_exact is None else [])
+    memo = _fit_memo(provider, curve)
 
-    j_curr = None
     for _ in range(opts.max_iter):
-        j_curr, j1, j2 = objective_with_derivatives(provider, curve, sigma)
+        j_curr, j1, j2 = objective_with_derivatives(memo, curve, sigma)
         step = -j1 / (abs(j2) or 1.0)
         predicted = abs(j1 * step)
 
-        alpha = 1.0
-        accepted = False
-        candidate, j_cand = sigma, j_curr
-        for _ in range(MAX_HALVINGS):
+        for halvings in range(MAX_HALVINGS):
+            alpha = 0.5 ** halvings
             candidate = sigma + alpha * step
             if candidate <= 0:
                 warnings.warn(
                     f"Newton trial sigma {candidate:.4g} clamped to "
                     f"{0.5 * sigma:.4g}", stacklevel=2)
                 candidate = 0.5 * sigma
-            j_cand = objective(provider, curve, candidate)
+            j_cand = objective(memo, curve, candidate)
             if j_cand <= j_curr - ARMIJO_C * alpha * predicted:
-                accepted = True
                 break
             if alpha == 1.0 and abs(candidate - sigma) < opts.tol:
                 # A full step below tol that J rejects lies within J's
                 # rounding floor: halving it cannot make progress.  Stay at
                 # the current iterate, recorded again with alpha 0.
-                candidate, j_cand, alpha, accepted = sigma, j_curr, 0.0, True
+                candidate, j_cand, alpha = sigma, j_curr, 0.0
                 break
-            alpha *= 0.5
-        if not accepted and not j_cand < j_curr:
-            trace.reason = "line_search_exhausted"
-            return trace
+        else:
+            if not j_cand < j_curr:
+                trace.reason = "line_search_exhausted"
+                return trace
 
         delta = abs(candidate - sigma)
         sigma = candidate

@@ -498,8 +498,8 @@ class TestMappedNewtonReuse:
 
 
 class TestProviderCopies:
-    """A dataclasses.replace copy gets its own cache, so it never returns
-    the values of the provider it was copied from."""
+    """A dataclasses.replace copy computes from its own fields: it never
+    returns the values of the provider it was copied from."""
 
     def test_mapped_copy_with_other_cells_or_deriv(self):
         model = InterfaceModel(0.3, 4.0, 2, (1.0, 0.5), UniformDist(-1, 1))
@@ -521,21 +521,15 @@ class TestProviderCopies:
         assert zeroth.pl(6.0, 30.0) == AsymptoticForward(
             FAMILY, model, order=0).pl(6.0, 30.0) != second
 
-    def test_cache_keeps_latest_sigma_per_thickness(self, closed_form_calls):
-        calls = closed_form_calls
+    def test_provider_keeps_no_results(self, closed_form_calls):
+        # reusing an accepted trial is the fit's business (see
+        # test_one_evaluation_per_newton_point): every call evaluates
         model = InterfaceModel(0.5, 4.0, 2, (1.0, 0.5), UniformDist(0, 1))
         prov = AsymptoticForward(FAMILY, model)
-        for s in (5.0, 6.0):
-            for d in (20.0, 30.0):
-                prov.pl(s, d)
-        assert len(calls) == 4
-        fresh = AsymptoticForward(FAMILY, model)
-        for d in (20.0, 30.0):
-            assert prov.pl_with_derivatives(6.0, d) == \
-                fresh.pl_with_derivatives(6.0, d)
-        assert len(calls) == 6          # prov's two reads were cache hits
-        prov.pl(5.0, 20.0)              # an earlier sigma is not kept
-        assert len(calls) == 7
+        first = prov.pl_with_derivatives(6.0, 20.0)
+        assert prov.pl_with_derivatives(6.0, 20.0) == first
+        assert prov.pl(6.0, 20.0) == first[0]
+        assert len(closed_form_calls) == 3
 
 
 class TestNewtonOptions:
@@ -558,26 +552,51 @@ class FakeQuadraticProvider:
         return sigma, 1.0, 0.0
 
 
-class RoundingFloorProvider:
-    """pl(sigma) = sigma + 0.01 (sigma - 7)**2 for each device.  The
-    derivative call returns it exactly; the objective's own pl call carries
-    a rounding floor that keeps J at or above 1e-13 for data 7.0, as when J
-    is recomputed on another code path.  Records the order of its calls."""
+class Scripted:
+    """A fake provider given by its ``pl_with_derivatives``; ``sigmas``
+    records the points it is asked for."""
 
     def __init__(self):
-        self.calls = []
-
-    def _exact(self, sigma):
-        return sigma + 0.01 * (sigma - 7.0) ** 2
+        self.sigmas = []
 
     def pl(self, sigma, d):
-        self.calls.append("pl")
-        r = self._exact(sigma) - 7.0
-        return 7.0 + np.copysign(np.sqrt(r * r + 1e-13), r)
+        return self.pl_with_derivatives(sigma, d)[0]
 
     def pl_with_derivatives(self, sigma, d):
-        self.calls.append("deriv")
-        return self._exact(sigma), 1.0 + 0.02 * (sigma - 7.0), 0.02
+        self.sigmas.append(sigma)
+        return self.values(sigma)
+
+
+class RoundingFloorProvider(Scripted):
+    """pl(sigma) = sigma + 0.01 (sigma - 7)**2 for each device, with exact
+    derivatives but the value rounded to an odd multiple of Q / 2.  7.0 is
+    a multiple of Q, so for data 7.0 no sigma brings J below (Q / 2)**2:
+    J's rounding floor."""
+
+    Q = 2.0 ** -20
+
+    def values(self, sigma):
+        exact = sigma + 0.01 * (sigma - 7.0) ** 2
+        return (self.Q * (math.floor(exact / self.Q) + 0.5),
+                1.0 + 0.02 * (sigma - 7.0), 0.02)
+
+
+class ShallowDescent(Scripted):
+    """At sigma = 10, for data 7.0: J = 1, J' = 2 and J'' = 4, a step of
+    -0.5 predicted to lower J by 1.  Everywhere else the misfit is
+    1 - 1e-12 and flat: every trial lowers J, each by less than the Armijo
+    test asks."""
+
+    def values(self, sigma):
+        return (8.0, 1.0, 1.0) if sigma == 10.0 else (8.0 - 1e-12, 0.0, 0.0)
+
+
+class WrongSignSlope(Scripted):
+    """pl(sigma) = sigma, with dpl/dsigma reported as -1: the Newton step
+    climbs J, so no trial lowers it."""
+
+    def values(self, sigma):
+        return sigma, -1.0, 0.0
 
 
 class TestNewton:
@@ -591,14 +610,35 @@ class TestNewton:
                                 options=NewtonOptions(tol=1e-6))
         assert trace.reason == "step_tolerance"
         assert abs(trace.final_sigma - 7.0) < 1e-6
-        last_deriv = len(provider.calls) - 1 - provider.calls[::-1].index(
-            "deriv")
-        assert provider.calls[last_deriv + 1:] == ["pl"]
+        # one trial evaluation after the last iterate's, and one per
+        # iterate before it: no step was halved
+        assert provider.sigmas[-2] == trace.final_sigma != provider.sigmas[-1]
+        assert len(provider.sigmas) == trace.iterations + 1
         # the stop is recorded as a zero step, so the stopping rule holds
         assert trace.alphas[-1] == 0.0 and set(trace.alphas[:-1]) == {1.0}
         assert trace.sigmas[-1] == trace.sigmas[-2]
         assert len(trace.rel_errors) == trace.iterations
 
+    def test_last_trial_lowering_j_is_taken(self):
+        # no trial meets the Armijo test; the last lowers J, so it is the
+        # step taken, and the recorded alpha is the one it was taken with
+        provider = ShallowDescent()
+        trace = newton_estimate(provider, PLCurve((10.0,), (7.0,)),
+                                sigma0=10.0)
+        assert len(provider.sigmas) == 1 + inverse.MAX_HALVINGS
+        assert trace.alphas[0] == 0.5 ** (inverse.MAX_HALVINGS - 1)
+        assert trace.alphas[0] * 0.5 == 10.0 - trace.sigmas[0]
+        assert trace.objectives[0] < 1.0
+        assert trace.reason == "step_tolerance"
+
+    def test_line_search_exhausted_stays_at_start(self):
+        provider = WrongSignSlope()
+        trace = newton_estimate(provider, PLCurve((10.0,), (7.0,)),
+                                sigma0=10.0)
+        assert trace.reason == "line_search_exhausted"
+        assert trace.sigmas == [] and trace.final_sigma == 10.0
+        assert len(provider.sigmas) == 1 + inverse.MAX_HALVINGS
+        assert min(provider.sigmas[1:]) > 10.0
 
     @pytest.mark.parametrize("sigma0", [float("nan"), float("inf"), -1.0])
     def test_rejects_bad_start(self, sigma0):
