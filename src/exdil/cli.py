@@ -46,6 +46,9 @@ from .inverse import DeviceFamily, NewtonOptions
 #: key optional.
 REQUIRED = object()
 
+#: Default ``[converge] eps`` sweep: 2**-i, i = 2..7.
+EPS_SWEEP = tuple(2.0 ** -i for i in range(2, 8))
+
 
 @dataclass
 class RunConfig:
@@ -116,9 +119,8 @@ def family_from_config(cfg: RunConfig) -> DeviceFamily:
             cfg.value("generation", "decay", float),
             cfg.value("generation", "amplitude", float, 1.0))
         return DeviceFamily(period=period, generation=gen)
-    return DeviceFamily(period=period,
-                        decay_factor=cfg.value("generation", "decay_factor",
-                                               float, 0.5))
+    return DeviceFamily(period=period, decay_factor=cfg.value(
+        "generation", "decay_factor", float, DeviceFamily.decay_factor))
 
 
 def write_csv(path: Path, header: list[str], rows, conf_hash: str) -> None:
@@ -220,8 +222,9 @@ def _newton(cfg: RunConfig) -> dict:
     """The ``[newton]`` section as the fits' ``sigma0`` and ``newton``."""
     return dict(sigma0=cfg.value("newton", "sigma0", float, None),
                 newton=NewtonOptions(
-                    tol=cfg.value("newton", "tol", float, 1e-4),
-                    max_iter=cfg.value("newton", "max_iter", int, 50)))
+                    tol=cfg.value("newton", "tol", float, NewtonOptions.tol),
+                    max_iter=cfg.value("newton", "max_iter", int,
+                                       NewtonOptions.max_iter)))
 
 
 def _trace_names(key: str, stem: str, values) -> list[str]:
@@ -284,7 +287,7 @@ def _dispatch(command: str, cfg: RunConfig) -> dict[str, tuple[list, list]]:
         device = family.device(sigma, d)
         result = exp.convergence_study(
             device=device, model=model,
-            eps_values=cfg.floats("converge", "eps", exp.EPS_SWEEP),
+            eps_values=cfg.floats("converge", "eps", EPS_SWEEP),
             ref_cells=(cfg.value("grid", "reference", int, 128),) * 2,
             ref_points=cfg.value("rule", "size", int, 4))
         header = ["eps", "reference"]

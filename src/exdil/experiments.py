@@ -3,7 +3,9 @@
 Studies are plain functions with explicit keyword arguments that return
 values, so they are usable as a library.  They read no config file and
 write no file: :mod:`exdil.cli` maps a run's config onto them and writes
-their results.
+their results.  A setting that a command reads from its config has its
+default there, in :mod:`exdil.cli`, only: the studies take it as a required
+keyword.
 """
 
 from __future__ import annotations
@@ -42,9 +44,6 @@ __all__ = [
 
 MODEL_2D = "model_2d"
 MODEL_1D = "model_1d"
-
-#: Default epsilon sweep of the convergence study: 2**-i, i = 2..7.
-EPS_SWEEP = tuple(2.0 ** -i for i in range(2, 8))
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +130,9 @@ class ConvergenceResult:
 
 
 def convergence_study(*, device, model: InterfaceModel,
-                      eps_values: Sequence[float] = EPS_SWEEP,
-                      ref_cells: tuple[int, int] = (128, 128),
-                      ref_points: int = 4) -> ConvergenceResult:
+                      eps_values: Sequence[float],
+                      ref_cells: tuple[int, int],
+                      ref_points: int) -> ConvergenceResult:
     """Expected-PL error of expansion orders 0-2 against a mapped reference.
 
     The expansion reads the model through its eps-independent
@@ -175,20 +174,19 @@ def convergence_study(*, device, model: InterfaceModel,
 def estimation_study(*, sigma_star: float, eps_values: Sequence[float],
                      thicknesses: Sequence[float], model: InterfaceModel,
                      family: DeviceFamily,
-                     data_cells: tuple[int, int] = (256, 128),
-                     data_points: int = 3,
+                     data_cells: tuple[int, int], data_points: int,
                      sigma0: Optional[float] = None,
                      newton: NewtonOptions = NewtonOptions()
                      ) -> dict[float, EstimationTrace]:
     """Newton fits of the order-2 expansion to mapped-model data, per eps.
 
     Each eps is fixed across the curve (the roughness amplitude scales with
-    thickness), matching how the data was generated.  The default data
-    grid resolves the interface-mode boundary layers (width set by the
-    period) across the whole thickness range.  At least one eps, each
-    finite, nonnegative and distinct, strictly increasing thicknesses and a
-    finite positive ``sigma0`` (or None) are required: other values raise
-    ValueError before any solve.
+    thickness), matching how the data was generated.  The data grid,
+    ``data_cells``, should resolve the interface-mode boundary layers (width
+    set by the period) across the whole thickness range.  At least one eps,
+    each finite, nonnegative and distinct, strictly increasing thicknesses
+    and a finite positive ``sigma0`` (or None) are required: other values
+    raise ValueError before any solve.
     """
     if not eps_values or not all(0 <= eps < np.inf for eps in eps_values) \
             or len(set(eps_values)) < len(eps_values):
@@ -217,8 +215,7 @@ class ValidationResult:
 
 def validation_study(*, sigma_star: float, betas: Sequence[float],
                      thicknesses: Sequence[float], family: DeviceFamily,
-                     K: int = 10, hbar: float = 1.0,
-                     dist: UniformDist = UniformDist(-1.0, 1.0),
+                     K: int, hbar: float, dist: UniformDist,
                      est_cells: tuple[int, int] = (64, 64),
                      x_cells_per_length: float = 5.0,
                      order: int = 2,
@@ -272,9 +269,9 @@ class TimingResult:
     speedup: float
 
 
-def timing_study(*, device, model: InterfaceModel, epsilon: float = 0.0625,
-                 sc_cells: tuple[int, int] = (128, 128),
-                 ref_points: int = 3, max_level: int = 6) -> TimingResult:
+def timing_study(*, device, model: InterfaceModel, epsilon: float,
+                 sc_cells: tuple[int, int], ref_points: int = 3,
+                 max_level: int = 6) -> TimingResult:
     """Wall-time comparison of the expansion against plain collocation.
 
     A tensor-rule reference fixes the target value; the collocation

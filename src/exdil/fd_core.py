@@ -22,6 +22,10 @@ the first) so the assembled system has full rank; the duplicate column is
 reconstructed on output.  Unknowns are therefore the ny*nz node values with
 row index i = 1..ny and column index j = 0..nz-1.
 
+:class:`EllipticOperator` discretizes
+cyy u_yy + czz u_zz + cyz u_yz + cy u_y + c0 u, and takes the five node
+coefficients as the keywords ``cyy``, ``czz``, ``cyz``, ``cy`` and ``c0``.
+
 The assembled matrix has at most nine entries per row and is factorized by
 a sparse direct LU (SuperLU with minimum-degree ordering on A^T + A, which
 is markedly faster than the default ordering on this nearly symmetric
@@ -59,7 +63,6 @@ import numpy as np
 __all__ = [
     "Grid2D",
     "Field2D",
-    "PdeCoefficients",
     "EllipticOperator",
     "SolverError",
     "check_residual",
@@ -144,22 +147,6 @@ class Field2D:
                 f"shape {self.grid.shape}")
 
 
-@dataclass(frozen=True)
-class PdeCoefficients:
-    """Node coefficients of  cyy u_yy + czz u_zz + cyz u_yz + cy u_y + c0 u.
-
-    Each entry may be a scalar or an array broadcastable to the node shape
-    (ny+1, nz+1); z-only profiles are passed as shape (nz+1,), y-only ones
-    as (ny+1, 1).
-    """
-
-    cyy: object
-    czz: object
-    cyz: object = 0.0
-    cy: object = 0.0
-    c0: object = 0.0
-
-
 def _broadcast(value, shape) -> np.ndarray:
     return np.broadcast_to(np.asarray(value, dtype=float), shape)
 
@@ -207,8 +194,13 @@ def _stencil_pattern(ny: int, nz: int) -> _StencilPattern:
 
 
 class EllipticOperator:
-    """Stencil matrix for fixed coefficients, reusable across right-hand
-    sides; the solution is 0 on the first row.
+    """Stencil matrix of  L u = cyy u_yy + czz u_zz + cyz u_yz + cy u_y + c0 u
+    for fixed coefficients, reusable across right-hand sides; the solution
+    is 0 on the first row.
+
+    The five coefficients are required keywords at the nodes.  Each may be
+    a scalar or an array broadcastable to the node shape (ny+1, nz+1);
+    z-only profiles are passed as shape (nz+1,), y-only ones as (ny+1, 1).
 
     The matrix depends only on the coefficients, so it is assembled and
     factorized once; :meth:`solve_field` then costs two triangular solves.
@@ -220,17 +212,12 @@ class EllipticOperator:
     coefficient magnitudes across many orders.
     """
 
-    def __init__(self, grid: Grid2D, coeffs: PdeCoefficients):
+    def __init__(self, grid: Grid2D, *, cyy, czz, cyz, cy, c0):
         _load_scipy()
         self.grid = grid
         ny, nz = grid.ny, grid.nz
-        shape = grid.shape
-
-        cyy = _broadcast(coeffs.cyy, shape)[1:, :nz]
-        czz = _broadcast(coeffs.czz, shape)[1:, :nz]
-        cyz = _broadcast(coeffs.cyz, shape)[1:, :nz]
-        cy = _broadcast(coeffs.cy, shape)[1:, :nz]
-        c0 = _broadcast(coeffs.c0, shape)[1:, :nz]
+        cyy, czz, cyz, cy, c0 = (_broadcast(c, grid.shape)[1:, :nz]
+                                 for c in (cyy, czz, cyz, cy, c0))
 
         A = cyy / grid.hy ** 2
         B = czz / grid.hz ** 2
@@ -253,14 +240,10 @@ class EllipticOperator:
                                 + [v[1:].ravel() for v in south])
         pattern = _stencil_pattern(ny, nz)
         n = ny * nz
-        self._matrix = sp.csc_matrix(
+        self.matrix = sp.csc_matrix(
             (values[pattern.order], pattern.indices, pattern.indptr),
             shape=(n, n))
         self._lu = None
-
-    @property
-    def matrix(self) -> sp.csc_matrix:
-        return self._matrix
 
     def rhs(self, source) -> np.ndarray:
         """Right-hand side of  L u + source = 0."""
@@ -272,7 +255,7 @@ class EllipticOperator:
         # sees this call
         if self._lu is None:
             try:
-                self._lu = spla.splu(self._matrix, permc_spec=_PERMC_SPEC,
+                self._lu = spla.splu(self.matrix, permc_spec=_PERMC_SPEC,
                                      **_SUPERNODES)
             except RuntimeError as exc:
                 raise SolverError(f"sparse factorization failed: {exc}") from exc
@@ -291,7 +274,7 @@ class EllipticOperator:
         tol = RESIDUAL_RTOL * (1.0 + float(np.linalg.norm(b)))
         for sweep in range(3):
             # r is always the residual of the returned x
-            r = b - self._matrix @ x
+            r = b - self.matrix @ x
             if sweep == 2 or float(np.linalg.norm(r)) <= tol:
                 break
             x = x + lu.solve(r)

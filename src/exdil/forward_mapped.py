@@ -64,8 +64,8 @@ import numpy as np
 
 from . import interface as iface
 from .collocation import QuadratureRule, expect, fold
-from .fd_core import (EllipticOperator, Field2D, Grid2D, PdeCoefficients,
-                      SolverError, check_residual, trapezoid_2d)
+from .fd_core import (EllipticOperator, Field2D, Grid2D, SolverError,
+                      check_residual, trapezoid_2d)
 
 __all__ = [
     "GenerationProfile",
@@ -205,7 +205,8 @@ def solve_mapped_profile(device: DeviceConfig, grid: Grid2D, h, hp, hpp
     hpp_r = hpp[None, :]
     dmh_r = dmh[None, :]
 
-    coeffs = PdeCoefficients(
+    op = EllipticOperator(
+        grid,
         cyy=sig2 * ((one_my * hp_r) ** 2 + 1.0) / dmh_r ** 2,
         czz=sig2 / device.L ** 2,
         cyz=-2.0 * sig2 * one_my * hp_r / (device.L * dmh_r),
@@ -213,8 +214,6 @@ def solve_mapped_profile(device: DeviceConfig, grid: Grid2D, h, hp, hpp
         c0=-1.0,
     )
     source = device.generation(one_my * dmh_r)
-
-    op = EllipticOperator(grid, coeffs)
     field = op.solve_field(source)
     pl = trapezoid_2d(field, z_weight=dmh)
     return MappedSolution(field=field, pl=pl, device=device, source=source,

@@ -108,9 +108,6 @@ class InterfaceSample:
     def __post_init__(self):
         object.__setattr__(self, "thetas", tuple(float(t) for t in self.thetas))
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.thetas, dtype=float)
-
 
 def profile(model: InterfaceModel, sample: InterfaceSample, z):
     """Interface height h(z), slope h'(z) (dimensionless) and curvature
@@ -119,7 +116,7 @@ def profile(model: InterfaceModel, sample: InterfaceSample, z):
     ``z`` may be a scalar or an ndarray; each returned value matches its
     shape.
     """
-    thetas = sample.as_array()
+    thetas = np.asarray(sample.thetas)
     if thetas.shape != (model.K,):
         raise ValueError(
             f"sample has {thetas.size} coefficients, model has {model.K} modes")

@@ -20,8 +20,8 @@ from scipy.linalg import solve_banded
 from exdil import interface as iface
 from exdil.asymptotic import (ExpansionModes, Film,
                               expected_pl_with_derivatives, flat_pl)
-from exdil.fd_core import (EllipticOperator, Field2D, Grid2D, PdeCoefficients,
-                           SolverError, trapezoid_2d)
+from exdil.fd_core import (EllipticOperator, Field2D, Grid2D, SolverError,
+                           trapezoid_2d)
 from exdil.forward_mapped import (DeviceConfig, GenerationProfile,
                                   solve_1d_rhs, solve_mapped_1d,
                                   solve_mapped_2d)
@@ -168,7 +168,8 @@ class DiscreteBasis:
 def strip_operator(dev, grid):
     """The 2D screened operator sigma**2 Lap - 1 on the strip."""
     sig2 = dev.sigma ** 2
-    return EllipticOperator(grid, PdeCoefficients(cyy=sig2, czz=sig2, c0=-1.0))
+    return EllipticOperator(grid, cyy=sig2, czz=sig2, cyz=0.0, cy=0.0,
+                            c0=-1.0)
 
 
 def solve_w0_2d(dev, grid, op):

@@ -272,7 +272,8 @@ class TestConfigAndCli:
         with pytest.raises(ValueError, match="distinct"):
             estimation_study(sigma_star=5.0, eps_values=(0.1, 0.05, 0.1),
                              thicknesses=(10.0, 20.0), model=model,
-                             family=FAMILY)
+                             family=FAMILY, data_cells=(256, 128),
+                             data_points=3)
         assert calls == []
 
     @pytest.mark.parametrize("sigma0", ["-1", "inf", "0"])
@@ -333,7 +334,8 @@ class TestConfigAndCli:
                             lambda *args, **kwargs: calls.append(None))
         with pytest.raises(ValueError, match="distinct"):
             validation_study(sigma_star=5.0, betas=(-2.0, -1.0, -2.0),
-                             thicknesses=(10.0, 20.0), family=FAMILY)
+                             thicknesses=(10.0, 20.0), family=FAMILY, K=10,
+                             hbar=1.0, dist=UniformDist(-1.0, 1.0))
         assert calls == []
 
     def test_output_path_that_is_a_file_exits_2(self, tmp_path, capsys,
@@ -670,6 +672,7 @@ class TestValidationStudy:
         monkeypatch.setattr(experiments, "newton_estimate", exhausted_newton)
         res = validation_study(sigma_star=5.0, betas=(-2.0,),
                                thicknesses=(10.0, 20.0), family=FAMILY, K=3,
+                               hbar=1.0, dist=UniformDist(-1.0, 1.0),
                                sigma0=7.5)
         assert res.traces[-2.0].iterations == 0
         assert res.traces[-2.0].final_rel_error(5.0) == 0.5
@@ -717,7 +720,7 @@ class TestValidationStudy:
         thicknesses = (10.0, 17.5, 25.0, 32.5, 40.0)
         validation_study(sigma_star=4.9, betas=(-2.0, -1.0),
                          thicknesses=thicknesses, family=FAMILY, K=3,
-                         sigma0=7.5)
+                         hbar=1.0, dist=UniformDist(-1.0, 1.0), sigma0=7.5)
         assert len(seen) == 2
         for curve in seen:
             assert curve.thicknesses == thicknesses

@@ -8,8 +8,8 @@ import scipy.sparse as sp
 
 from exdil import fd_core
 from exdil.cli import write_csv
-from exdil.fd_core import (EllipticOperator, Field2D, Grid2D, PdeCoefficients,
-                           SolverError, trapezoid_2d)
+from exdil.fd_core import (EllipticOperator, Field2D, Grid2D, SolverError,
+                           trapezoid_2d)
 
 
 def one_sided_dx_at_boundary(values, h):
@@ -123,7 +123,7 @@ class TestOneSided:
 
 
 def screened_coeffs(sig2=1.0, cyz=0.0, cy=0.0):
-    return PdeCoefficients(cyy=sig2, czz=sig2, cyz=cyz, cy=cy, c0=-1.0)
+    return dict(cyy=sig2, czz=sig2, cyz=cyz, cy=cy, c0=-1.0)
 
 
 def manufactured(grid, sig2=0.8, cyz=0.25, cy=0.4):
@@ -148,11 +148,11 @@ def coo_matrix_oracle(grid, coeffs):
         return np.broadcast_to(np.asarray(c, dtype=float),
                                grid.shape)[1:, :nz]
 
-    A = node(coeffs.cyy) / grid.hy ** 2
-    B = node(coeffs.czz) / grid.hz ** 2
-    C = node(coeffs.cyz) / (4.0 * grid.hy * grid.hz)
-    E = node(coeffs.cy) / (2.0 * grid.hy)
-    c0 = node(coeffs.c0)
+    A = node(coeffs["cyy"]) / grid.hy ** 2
+    B = node(coeffs["czz"]) / grid.hz ** 2
+    C = node(coeffs["cyz"]) / (4.0 * grid.hy * grid.hz)
+    E = node(coeffs["cy"]) / (2.0 * grid.hy)
+    c0 = node(coeffs["c0"])
     I, J = np.meshgrid(np.arange(1, ny + 1), np.arange(nz), indexing="ij")
     jp, jm = (J + 1) % nz, (J - 1) % nz
     base = (I - 1) * nz + J
@@ -183,9 +183,9 @@ def random_coeffs(grid, seed):
     rng = np.random.default_rng(seed)
     cyz = rng.uniform(-0.5, 0.5, grid.shape)
     cyz[rng.uniform(size=grid.shape) < 0.3] = 0.0
-    return PdeCoefficients(cyy=rng.uniform(0.5, 2.0, grid.shape),
-                           czz=rng.uniform(0.5, 2.0, grid.shape), cyz=cyz,
-                           cy=rng.uniform(-1.0, 1.0, grid.shape), c0=-1.0)
+    return dict(cyy=rng.uniform(0.5, 2.0, grid.shape),
+                czz=rng.uniform(0.5, 2.0, grid.shape), cyz=cyz,
+                cy=rng.uniform(-1.0, 1.0, grid.shape), c0=-1.0)
 
 
 def same_bits(a, b):
@@ -203,7 +203,7 @@ class TestAssembleSolve:
         g = Grid2D.unit(ny, nz)
         for seed in (0, 1):
             coeffs = random_coeffs(g, seed)
-            assert same_bits(EllipticOperator(g, coeffs).matrix,
+            assert same_bits(EllipticOperator(g, **coeffs).matrix,
                              coo_matrix_oracle(g, coeffs))
 
     def test_checks_the_residual_of_the_returned_solution(self, monkeypatch):
@@ -212,7 +212,7 @@ class TestAssembleSolve:
         # not, and the residual check must see the difference
         g = Grid2D.unit(16, 16)
         _, source = manufactured(g)
-        exact = EllipticOperator(g, screened_coeffs(0.8, 0.25, 0.4))
+        exact = EllipticOperator(g, **screened_coeffs(0.8, 0.25, 0.4))
         b = exact.rhs(source)
         expected = exact.solve_vector(b)
         splu = fd_core.spla.splu
@@ -231,17 +231,17 @@ class TestAssembleSolve:
             return types.SimpleNamespace(splu=factor)
 
         monkeypatch.setattr(fd_core, "spla", perturbed_splu(2))
-        op = EllipticOperator(g, screened_coeffs(0.8, 0.25, 0.4))
+        op = EllipticOperator(g, **screened_coeffs(0.8, 0.25, 0.4))
         assert op.solve_vector(b) == pytest.approx(expected, abs=1e-12)
         monkeypatch.setattr(fd_core, "spla", perturbed_splu(3))
-        op = EllipticOperator(g, screened_coeffs(0.8, 0.25, 0.4))
+        op = EllipticOperator(g, **screened_coeffs(0.8, 0.25, 0.4))
         with pytest.raises(SolverError, match="residual"):
             op.solve_vector(b)
 
 
     def test_zero_source_zero_solution(self):
         g = Grid2D.unit(8, 8)
-        op = EllipticOperator(g, screened_coeffs())
+        op = EllipticOperator(g, **screened_coeffs())
         x = op.solve_vector(op.rhs(0.0))
         assert np.abs(x).max() < 1e-14
 
@@ -250,7 +250,7 @@ class TestAssembleSolve:
         for n in (16, 32, 64):
             g = Grid2D.unit(n, n)
             u, source = manufactured(g)
-            op = EllipticOperator(g, screened_coeffs(0.8, 0.25, 0.4))
+            op = EllipticOperator(g, **screened_coeffs(0.8, 0.25, 0.4))
             got = op.solve_field(source)
             errs.append(np.abs(got.values - u).max())
             hs.append(g.hy)
@@ -260,7 +260,7 @@ class TestAssembleSolve:
     def test_matches_dense_lu_oracle(self):
         g = Grid2D.unit(8, 8)
         _, source = manufactured(g)
-        op = EllipticOperator(g, screened_coeffs(0.8, 0.25, 0.4))
+        op = EllipticOperator(g, **screened_coeffs(0.8, 0.25, 0.4))
         b = op.rhs(source)
         dense = np.linalg.solve(op.matrix.toarray(), b)
         assert op.solve_vector(b) == pytest.approx(dense, abs=1e-10)
@@ -270,7 +270,7 @@ class TestAssembleSolve:
         # stencil formula built from the difference quotients
         g = Grid2D.unit(12, 10)
         coeffs = screened_coeffs(0.8, 0.25, 0.4)
-        matrix = EllipticOperator(g, coeffs).matrix.tocsr()
+        matrix = EllipticOperator(g, **coeffs).matrix.tocsr()
         # Rows are normalized by the magnitude of their diagonal weight.
         row_scale = 2 * 0.8 / g.hy ** 2 + 2 * 0.8 / g.hz ** 2 + 1.0
         rng = np.random.default_rng(0)
@@ -293,12 +293,12 @@ class TestAssembleSolve:
         src_profile = rng.uniform(0.5, 1.5, g.nz)
         src_profile = np.concatenate([src_profile, src_profile[:1]])
         source = np.broadcast_to(src_profile, g.shape)
-        op = EllipticOperator(g, screened_coeffs())
+        op = EllipticOperator(g, **screened_coeffs())
         base = op.solve_field(source).values
 
         rolled = np.concatenate([np.roll(src_profile[:-1], 3),
                                  [np.roll(src_profile[:-1], 3)[0]]])
-        got = EllipticOperator(g, screened_coeffs()).solve_field(
+        got = EllipticOperator(g, **screened_coeffs()).solve_field(
             np.broadcast_to(rolled, g.shape)).values
         assert got[:, :g.nz] == pytest.approx(np.roll(base[:, :g.nz], 3, axis=1),
                                               abs=1e-12)
@@ -306,8 +306,8 @@ class TestAssembleSolve:
     def test_deterministic(self):
         g = Grid2D.unit(16, 16)
         _, source = manufactured(g)
-        op1 = EllipticOperator(g, screened_coeffs(0.8, 0.25, 0.4))
-        op2 = EllipticOperator(g, screened_coeffs(0.8, 0.25, 0.4))
+        op1 = EllipticOperator(g, **screened_coeffs(0.8, 0.25, 0.4))
+        op2 = EllipticOperator(g, **screened_coeffs(0.8, 0.25, 0.4))
         a = op1.solve_field(source).values
         b = op2.solve_field(source).values
         assert np.array_equal(a, b)
@@ -315,15 +315,23 @@ class TestAssembleSolve:
     def test_nonnegative_source_nonnegative_solution(self):
         g = Grid2D.unit(16, 16)
         Y, Z = np.meshgrid(g.y, g.z, indexing="ij")
-        op = EllipticOperator(g, screened_coeffs())
+        op = EllipticOperator(g, **screened_coeffs())
         got = op.solve_field(1.0 + 0.5 * np.sin(2 * np.pi * Z))
         assert got.values.min() >= -1e-10
 
     def test_singular_detected(self):
         g = Grid2D.unit(4, 4)
-        op = EllipticOperator(g, PdeCoefficients(cyy=0.0, czz=0.0))
+        op = EllipticOperator(g, cyy=0.0, czz=0.0, cyz=0.0, cy=0.0,
+                              c0=0.0)
         with pytest.raises(SolverError):
             op.solve_field(1.0)
+
+    @pytest.mark.parametrize("missing", ["cyy", "czz", "cyz", "cy", "c0"])
+    def test_every_coefficient_is_a_required_keyword(self, missing):
+        coeffs = screened_coeffs()
+        del coeffs[missing]
+        with pytest.raises(TypeError, match=missing):
+            EllipticOperator(Grid2D.unit(4, 4), **coeffs)
 
 
 class TestGridAndField:
@@ -363,7 +371,7 @@ class TestGridAndField:
     def test_solution_field_roundtrip(self):
         g = Grid2D.unit(8, 8)
         _, source = manufactured(g)
-        f = EllipticOperator(g, screened_coeffs(0.8, 0.25, 0.4)).solve_field(
+        f = EllipticOperator(g, **screened_coeffs(0.8, 0.25, 0.4)).solve_field(
             source)
         assert np.array_equal(f.values[0, :], np.zeros(g.nz + 1))
         assert f.values[:, -1] == pytest.approx(f.values[:, 0])
