@@ -35,7 +35,8 @@ from . import __version__
 from . import experiments as exp
 from .collocation import TENSOR_GL, CollocationError, build_rule
 from .fd_core import Grid2D, SolverError
-from .forward_mapped import (DomainValidityError, GenerationProfile,
+from .forward_mapped import (DeviceConfig, DomainValidityError,
+                             GenerationProfile,
                              expected_mapped_pl, solve_mapped_2d,
                              symmetry_folded_rule)
 from .interface import InterfaceModel, UniformDist
@@ -246,23 +247,29 @@ def _trace_table(trace):
             trace.sigmas, trace.objectives, trace.alphas, trace.rel_errors), 1)]
 
 
+def _device(cfg: RunConfig, family: DeviceFamily) -> DeviceConfig:
+    """The device of ``[device] sigma`` and ``d``, which only the commands
+    that solve one device read."""
+    return family.device(cfg.value("device", "sigma", float, 5.0),
+                         cfg.value("device", "d", float, 10.0))
+
+
 def _dispatch(command: str, cfg: RunConfig) -> dict[str, tuple[list, list]]:
     """Run ``command``'s study and return its tables, (header, rows) by
     output file name; writes nothing."""
     family = family_from_config(cfg)
     model = interface_from_config(cfg, family.period,
                                   10 if command == "validate" else 5)
-    sigma = cfg.value("device", "sigma", float, 5.0)
-    d = cfg.value("device", "d", float, 10.0)
 
     if command == "forward":
-        device = family.device(sigma, d)
+        device = _device(cfg, family)
         grid = Grid2D.unit(cfg.value("grid", "reference", int, 128))
         theta = draw_sample(model, cfg.seed)
         sol = solve_mapped_2d(device, model, theta, grid)
         tables = {"forward.csv": (
             ["sigma", "d", "pl", "seed"],
-            [[f"{sigma:.17g}", f"{d:.17g}", f"{sol.pl:.17g}", cfg.seed]])}
+            [[f"{device.sigma:.17g}", f"{device.d:.17g}", f"{sol.pl:.17g}",
+              cfg.seed]])}
         if cfg.value("run", "dump_field", int, 0):
             tables["field.csv"] = (
                 ["y", "z", "value"],
@@ -272,7 +279,7 @@ def _dispatch(command: str, cfg: RunConfig) -> dict[str, tuple[list, list]]:
         return tables
 
     if command == "expect":
-        device = family.device(sigma, d)
+        device = _device(cfg, family)
         grid = Grid2D.unit(cfg.value("grid", "reference", int, 128))
         rule = build_rule(cfg.value("rule", "kind", str, TENSOR_GL), model.K,
                           cfg.value("rule", "size", int, 4),
@@ -280,11 +287,11 @@ def _dispatch(command: str, cfg: RunConfig) -> dict[str, tuple[list, list]]:
         value = expected_mapped_pl(device, model, rule, grid)
         return {"expect.csv": (
             ["sigma", "d", "expected_pl", "nodes", "rule"],
-            [[f"{sigma:.17g}", f"{d:.17g}", f"{value:.17g}",
+            [[f"{device.sigma:.17g}", f"{device.d:.17g}", f"{value:.17g}",
               symmetry_folded_rule(rule, grid).node_count, rule.descriptor]])}
 
     if command == "converge":
-        device = family.device(sigma, d)
+        device = _device(cfg, family)
         result = exp.convergence_study(
             device=device, model=model,
             eps_values=cfg.floats("converge", "eps", EPS_SWEEP),
@@ -345,7 +352,7 @@ def _dispatch(command: str, cfg: RunConfig) -> dict[str, tuple[list, list]]:
         return tables
 
     if command == "timing":
-        device = family.device(sigma, d)
+        device = _device(cfg, family)
         result = exp.timing_study(
             device=device, model=model,
             epsilon=cfg.value("timing", "eps", float, 0.1),

@@ -22,9 +22,24 @@ the first) so the assembled system has full rank; the duplicate column is
 reconstructed on output.  Unknowns are therefore the ny*nz node values with
 row index i = 1..ny and column index j = 0..nz-1.
 
+A solution known to be symmetric in z needs only part of the period.  A
+column map sends each z column to the representative of its orbit under
+the symmetry, the smallest column of the orbit.  The unknowns are then the
+node values on the representative columns, the equations are theirs, and
+each neighbour is replaced by its representative.  Assembly is one slot
+summation for this and for the ghost fold: every stencil weight names the
+matrix slot of its neighbour, and the weights of a slot are added.  The
+top row's mixed weights are emitted as the zeros they cancel to, so a slot
+adds at most two other weights, and each sum is a single rounding, the
+same in either order.  The reduced matrix is therefore, bit for bit, the
+full matrix with each row's entries summed over every orbit, restricted to
+the representative rows; the identity map, the default, gives the full
+matrix itself.
+
 :class:`EllipticOperator` discretizes
 cyy u_yy + czz u_zz + cyz u_yz + cy u_y + c0 u, and takes the five node
-coefficients as the keywords ``cyy``, ``czz``, ``cyz``, ``cy`` and ``c0``.
+coefficients as the keywords ``cyy``, ``czz``, ``cyz``, ``cy`` and ``c0``,
+and an optional column map as ``columns``.
 
 The assembled matrix has at most nine entries per row and is factorized by
 a sparse direct LU (SuperLU with minimum-degree ordering on A^T + A, which
@@ -153,41 +168,66 @@ def _broadcast(value, shape) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _StencilPattern:
-    """CSC structure of the stencil matrix of one grid shape.
+    """CSC structure of the stencil matrix of one grid shape and column map.
 
-    The nine stencil emits of :class:`EllipticOperator`, concatenated,
-    give one value per matrix slot, and ``data = values[order]`` fills the
-    matrix: the ghost fold has already added the top row's northern weights
-    to its southern ones, so no two emits share a slot.  The top row's
+    ``reps`` are the representative z columns, the ones that carry
+    unknowns, and ``target[j]`` is the reduced column of z column j (the
+    position of its representative in ``reps``).  The nine stencil emits of
+    :class:`EllipticOperator` at the representative columns, concatenated,
+    give one weight per emit.  ``values[take]`` fills each matrix slot with
+    its first emit, so a slot of one emit keeps its bits, and
+    ``np.add.at(data, fold_into, values[fold_take])`` adds the others, slot
+    by slot in emit order.  Those are the top row's northern emits, which
+    land in its southern slots (the ghost fold), and the emits whose
+    neighbour column lands in its representative's slot.  The top row's
     mixed-derivative slots hold the fold's +0.0 and stay in the pattern:
     dropping them would change SuperLU's ordering.
     """
 
+    reps: np.ndarray
+    target: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
-    order: np.ndarray
+    take: np.ndarray
+    fold_into: np.ndarray
+    fold_take: np.ndarray
 
 
-@functools.lru_cache(maxsize=8)
-def _stencil_pattern(ny: int, nz: int) -> _StencilPattern:
-    I, J = np.meshgrid(np.arange(ny), np.arange(nz), indexing="ij")
-    base = I * nz + J
-    # A node and its z neighbours; its y neighbours lie a row (nz) away.
-    # The top row has no northern emits (the ghost fold moved them onto its
-    # southern ones), and row 1 has no southern ones: they lie on the first
-    # row, where u = 0.
-    level = (base, I * nz + (J + 1) % nz, I * nz + (J - 1) % nz)
-    cols = (level + tuple(c[:-1] + nz for c in level)
-            + tuple(c[1:] - nz for c in level))
-    row = np.concatenate([base.ravel()] * 3 + [base[:-1].ravel()] * 3
-                         + [base[1:].ravel()] * 3)
-    col = np.concatenate([c.ravel() for c in cols])
-    n = ny * nz
-    order = np.argsort(col * n + row)
+# 8 grid shapes, with at most 4 column maps each (see forward_mapped)
+@functools.lru_cache(maxsize=32)
+def _stencil_pattern(ny: int, nz: int, columns: tuple[int, ...]
+                     ) -> _StencilPattern:
+    columns = np.array(columns)
+    is_rep = columns == np.arange(nz)
+    reps = np.flatnonzero(is_rep)
+    target = (np.cumsum(is_rep) - 1)[columns]
+    nr = reps.size
+    n = ny * nr
+    rows = np.arange(ny)[:, None]
+    here = rows * nr + np.arange(nr)
+    # Each emit's slot, (matrix column) * n + (matrix row), for a node and
+    # its z neighbours on its own row, the row above and the row below.
+    # The top row's northern emits land on the row below it (the ghost
+    # fold), and row 1 has no southern ones: they lie on the first row,
+    # where u = 0.
+    column = [target[(reps + step) % nz] for step in (0, 1, -1)]
+    north = np.where(rows < ny - 1, rows + 1, ny - 2)
+    slot = np.concatenate(
+        [(r * nr + c) * n + here for r in (rows, north) for c in column]
+        + [(rows[:-1] * nr + c) * n + here[1:] for c in column]).ravel()
+    order = np.argsort(slot, kind="stable")
+    slot = slot[order]
+    first = np.diff(slot, prepend=-1) != 0
     indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(col, minlength=n), out=indptr[1:])
-    pattern = _StencilPattern(indptr=indptr,
-                              indices=row[order].astype(np.int32), order=order)
+    np.cumsum(np.bincount(slot[first] // n, minlength=n), out=indptr[1:])
+    # take keeps numpy's index type: a gather through int32 indices took
+    # twice as long, as they are converted on every call
+    pattern = _StencilPattern(
+        reps=reps, target=target, indptr=indptr,
+        indices=(slot[first] % n).astype(np.int32),
+        take=order[first],
+        fold_into=(np.cumsum(first) - 1)[~first].astype(np.int32),
+        fold_take=order[~first].astype(np.int32))
     for array in vars(pattern).values():
         array.flags.writeable = False
     return pattern
@@ -202,52 +242,65 @@ class EllipticOperator:
     a scalar or an array broadcastable to the node shape (ny+1, nz+1);
     z-only profiles are passed as shape (nz+1,), y-only ones as (ny+1, 1).
 
+    ``columns`` is a column map (see the module docstring): the
+    representative of each of the nz z columns, with representatives
+    mapped to themselves.  The coefficients and sources are read at the
+    representative columns only, so they must have the map's symmetry;
+    the default maps every column to itself.
+
     The matrix depends only on the coefficients, so it is assembled and
     factorized once; :meth:`solve_field` then costs two triangular solves.
-    Its sparsity pattern depends only on the grid shape and is built once
-    per shape (a small cache keeps the latest few).
-    Its rows follow the unknown layout idx = (i-1)*nz + j, and each equation
+    Its sparsity pattern depends only on the grid shape and the column map
+    and is built once per pair (a small cache keeps the latest few).
+    Its rows follow the unknown layout idx = (i-1)*nr + r, with r the
+    position of column j among the nr representatives, and each equation
     is divided by the magnitude of its diagonal stencil weight, which keeps
     the residual tolerance meaningful when the mapped geometry stretches
     coefficient magnitudes across many orders.
     """
 
-    def __init__(self, grid: Grid2D, *, cyy, czz, cyz, cy, c0):
+    def __init__(self, grid: Grid2D, *, cyy, czz, cyz, cy, c0,
+                 columns: tuple[int, ...] | None = None):
         _load_scipy()
         self.grid = grid
         ny, nz = grid.ny, grid.nz
-        cyy, czz, cyz, cy, c0 = (_broadcast(c, grid.shape)[1:, :nz]
-                                 for c in (cyy, czz, cyz, cy, c0))
+        self._pattern = pattern = _stencil_pattern(
+            ny, nz, tuple(range(nz)) if columns is None else tuple(columns))
+        cyy, czz, cyz, cy, c0 = (
+            _broadcast(c, grid.shape)[1:].take(pattern.reps, axis=1)
+            for c in (cyy, czz, cyz, cy, c0))
 
         A = cyy / grid.hy ** 2
         B = czz / grid.hz ** 2
         C = cyz / (4.0 * grid.hy * grid.hz)
+        # The ghost fold cancels the top row's mixed weights, north against
+        # south, to +0.0 (see the module docstring); they are emitted as
+        # the zeros they sum to.
+        C[-1] = 0.0
         E = cy / (2.0 * grid.hy)
 
         diag = -2.0 * A - 2.0 * B + c0
         magnitude = np.abs(diag).ravel()
         self._row_scale = np.where(magnitude > 0, magnitude, 1.0)
-        scale = (1.0 / self._row_scale).reshape(ny, nz)
-        # The emits in the order of _stencil_pattern, each equation scaled
-        # before the ghost fold adds the top row's northern weights to its
+        scale = 1.0 / self._row_scale.reshape(diag.shape)
+        # The emits in the order of _stencil_pattern, each equation scaled;
+        # the pattern's slot sums add the top row's northern weights to its
         # southern ones.
-        north = [v * scale for v in (A + E, C, -C)]
-        south = [v * scale for v in (A - E, -C, C)]
-        for n_w, s_w in zip(north, south):
-            s_w[-1] += n_w[-1]
-        values = np.concatenate([(v * scale).ravel() for v in (diag, B, B)]
-                                + [v[:-1].ravel() for v in north]
-                                + [v[1:].ravel() for v in south])
-        pattern = _stencil_pattern(ny, nz)
-        n = ny * nz
-        self.matrix = sp.csc_matrix(
-            (values[pattern.order], pattern.indices, pattern.indptr),
-            shape=(n, n))
+        values = np.concatenate([(v * scale).ravel() for v in
+                                 (diag, B, B, A + E, C, -C)]
+                                + [(v * scale)[1:].ravel()
+                                   for v in (A - E, -C, C)])
+        data = values[pattern.take]
+        np.add.at(data, pattern.fold_into, values[pattern.fold_take])
+        n = self._row_scale.size
+        self.matrix = sp.csc_matrix((data, pattern.indices, pattern.indptr),
+                                    shape=(n, n))
         self._lu = None
 
     def rhs(self, source) -> np.ndarray:
         """Right-hand side of  L u + source = 0."""
-        src = _broadcast(source, self.grid.shape)[1:, :self.grid.nz]
+        src = _broadcast(source, self.grid.shape)[1:].take(
+            self._pattern.reps, axis=1)
         return -src.ravel() / self._row_scale
 
     def factorize(self):
@@ -284,12 +337,13 @@ class EllipticOperator:
         return x
 
     def solve_field(self, source) -> Field2D:
-        """Solve  L u + source = 0  and reattach the zero first row and the
-        aliased periodic column."""
+        """Solve  L u + source = 0  and reattach the zero first row, the
+        columns the column map leaves out and the aliased periodic
+        column."""
         ny, nz = self.grid.ny, self.grid.nz
         x = self.solve_vector(self.rhs(source))
         values = np.zeros(self.grid.shape)
-        values[1:, :nz] = x.reshape(ny, nz)
+        values[1:, :nz] = x.reshape(ny, -1).take(self._pattern.target, axis=1)
         values[:, nz] = values[:, 0]
         return Field2D(self.grid, values)
 

@@ -46,6 +46,31 @@ symmetric about zero -- and the fold is valid for any coefficient law:
 two matched nodes are two descriptions of one mirrored device.  The folded
 values equal the unfolded ones to rounding (1e-14 relative).
 
+By the orbit-stabilizer rule the nodes with small orbits are the ones some
+group element fixes, and such a node's interface is itself symmetric, so
+part of the period determines its solution.  :func:`solve_mapped_2d` finds
+the elements that fix theta bit for bit, matched as the fold matches, and
+solves on the columns they leave (:mod:`exdil.fd_core`'s column map: each
+column represented by the smallest of its orbit):
+
+* the half-period shift fixes theta when every odd theta_k is 0; its
+  column map is j -> j + nz/2 (even nz), and half the columns remain;
+* the shift times the reflection fixes theta when every even theta_k is 0;
+  its column map is j -> nz/2 - j (even nz), a mirror about z = L/4, and
+  about half the columns remain;
+* the reflection fixes theta only at theta = 0; its column map is j -> -j
+  (any nz).  With the other two it leaves about a quarter of the columns,
+  alone (odd nz) about half.
+
+A single mode is its own mirror image about z = L/4 at every theta.  With
+more modes only nodes with an exact zero coordinate have such a map:
+Clenshaw-Curtis rules (Smolyak) and odd-point Gauss-Legendre rules on a
+support symmetric about zero, and Smolyak rules on a support that ends at
+zero.  Every other node, of even-point Gauss-Legendre, of other supports or
+of Monte Carlo draws, keeps the identity map and the full-period matrix,
+bit for bit.
+The reduced solve agrees with the full-period one to rounding.
+
 For a flat interface h = xi the problem drops to one dimension; the solver
 for that case shares the conventions, and each of its solves, the
 sensitivity solves of :mod:`exdil.inverse` included, builds and factors
@@ -179,7 +204,8 @@ class Solution1D:
     xi: float
 
 
-def solve_mapped_profile(device: DeviceConfig, grid: Grid2D, h, hp, hpp
+def solve_mapped_profile(device: DeviceConfig, grid: Grid2D, h, hp, hpp, *,
+                         columns: tuple[int, ...] | None = None
                          ) -> MappedSolution:
     """Solve for an explicit interface profile.
 
@@ -187,6 +213,11 @@ def solve_mapped_profile(device: DeviceConfig, grid: Grid2D, h, hp, hpp
     physical-z derivatives per grid column (scalars broadcast).  This is the
     workhorse behind :func:`solve_mapped_2d` and lets tests and callers use
     profiles outside the sine model (e.g. a constant offset).
+
+    ``columns`` is the z column map of :class:`exdil.fd_core.EllipticOperator`,
+    which the profile must be symmetric under; :func:`solve_mapped_2d`
+    derives it from theta.  Without it every column carries unknowns, since
+    an explicit profile proves no symmetry.
     """
     nz = grid.nz
     h = np.broadcast_to(np.asarray(h, dtype=float), (nz + 1,))
@@ -212,6 +243,7 @@ def solve_mapped_profile(device: DeviceConfig, grid: Grid2D, h, hp, hpp
         cyz=-2.0 * sig2 * one_my * hp_r / (device.L * dmh_r),
         cy=-sig2 * one_my * (2.0 * hp_r ** 2 / dmh_r ** 2 + hpp_r / dmh_r),
         c0=-1.0,
+        columns=columns,
     )
     source = device.generation(one_my * dmh_r)
     field = op.solve_field(source)
@@ -236,7 +268,36 @@ def solve_mapped_2d(device: DeviceConfig, model: iface.InterfaceModel,
     iface.check_period(model, device.L)
     _check_z_resolution(model, grid)
     h, hp, hpp = iface.profile(model, sample, device.L * grid.z)
-    return solve_mapped_profile(device, grid, h, hp, hpp)
+    return solve_mapped_profile(
+        device, grid, h, hp, hpp,
+        columns=_representative_columns(sample.thetas, grid.nz))
+
+
+def _symmetries(dim: int, nz: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The elements other than the identity of the interface's symmetry
+    group on ``nz`` z columns, as (sign vector on theta, image of each
+    column): the reflection, j -> -j, on any grid, and when nz is even the
+    half-period shift, j -> j + nz/2, and the mirror about a quarter
+    period, j -> nz/2 - j, their product."""
+    j = np.arange(nz)
+    elements = [(-np.ones(dim), -j % nz)]
+    if nz % 2 == 0:
+        shift = (-1.0) ** np.arange(1, dim + 1)
+        elements += [(shift, (j + nz // 2) % nz),
+                     (-shift, (nz // 2 - j) % nz)]
+    return elements
+
+
+def _representative_columns(thetas, nz: int) -> tuple[int, ...]:
+    """The smallest z column of each column's orbit under the elements of
+    :func:`_symmetries` that fix ``thetas`` bit for bit (matched as in
+    :func:`exdil.collocation.fold`)."""
+    theta = tuple(float(t) for t in thetas)
+    columns = np.arange(nz)
+    for signs, image in _symmetries(len(theta), nz):
+        if tuple(t * s for t, s in zip(theta, signs.tolist())) == theta:
+            columns = np.minimum(columns, image)
+    return tuple(columns.tolist())
 
 
 def sensitivities_mapped(solution: MappedSolution) -> tuple[Field2D, Field2D]:
@@ -257,15 +318,12 @@ def symmetry_folded_rule(rule: QuadratureRule, grid: Grid2D
     """``rule`` folded by the sine interface's symmetries on ``grid``: the
     nodes :func:`expected_mapped_pl` solves.
 
-    The sign vectors are the reflection's, theta -> -theta, on any grid
-    and, when ``grid.nz`` is even, the half-period shift's,
-    theta_k -> (-1)**k theta_k; :func:`exdil.collocation.fold` adds their
-    product, -1 on even k.
+    The sign vectors are those of :func:`_symmetries`: the reflection's,
+    theta -> -theta, on any grid and, when ``grid.nz`` is even, the
+    half-period shift's, theta_k -> (-1)**k theta_k, and their product's,
+    -1 on even k.
     """
-    flips = [-np.ones(rule.dim)]
-    if grid.nz % 2 == 0:
-        flips.append((-1.0) ** np.arange(1, rule.dim + 1))
-    return fold(rule, flips)
+    return fold(rule, [signs for signs, _ in _symmetries(rule.dim, grid.nz)])
 
 
 def expected_mapped_pl(device: DeviceConfig, model: iface.InterfaceModel,

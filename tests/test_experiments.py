@@ -766,6 +766,27 @@ class TestValidationStudy:
         assert len(default) == 3
         assert run("modes = 10\n") == default
 
+    def test_cli_reads_device_only_where_it_builds_one(self, tmp_path):
+        # validate solves no single device, so a malformed [device] d
+        # changes nothing; forward reads it and exits 2
+        def run(command, device):
+            path = tmp_path / "run.cfg"
+            out = tmp_path / f"out{len(device)}"
+            path.write_text(f"[run]\noutput = {out}\n\n[device]\n{device}"
+                            "\n[interface]\nmodes = 3\n\n[grid]\n"
+                            "reference = 16\n\n[validate]\n"
+                            "sigma_star = 5.0\nbetas = -2, -1\n"
+                            "thicknesses = 10, 20, 30\n")
+            code = cli.main([command, "--config", str(path)])
+            # every line but the leading config hash
+            return code, {p.name: p.read_text().splitlines()[1:]
+                          for p in sorted(out.glob("*.csv"))}
+
+        code, default = run("validate", "")
+        assert code == 0 and len(default) == 3
+        assert run("validate", "d = x\n") == (0, default)
+        assert run("forward", "d = x\n")[0] == 2
+
     def test_cli_error_grows_as_beta_rises(self, tmp_path):
         # the paper's trend: the flat data agree less with the rough model
         # as the spectrum decays more slowly

@@ -188,6 +188,41 @@ def random_coeffs(grid, seed):
                 cy=rng.uniform(-1.0, 1.0, grid.shape), c0=-1.0)
 
 
+def column_map(nz, *images):
+    """The smallest column of each z column's orbit under ``images``, the
+    column maps j -> f(j) of a group's elements other than the identity."""
+    j = np.arange(nz)
+    return tuple(np.minimum.reduce([j] + [f(j) % nz for f in images])
+                 .tolist())
+
+
+def quotient_oracle(full, columns):
+    """``full``, an ny*nz stencil matrix, times the expansion that copies
+    each representative column onto its orbit, restricted to the
+    representative rows: each reduced entry sums the full row's entries
+    over an orbit, in column order, starting from the first, so a lone
+    -0.0 keeps its sign."""
+    nz = len(columns)
+    columns = np.asarray(columns)
+    position = np.cumsum(columns == np.arange(nz)) - 1
+    nr = position[-1] + 1
+    sums = {}
+    coo = full.tocoo()
+    for row, col, value in zip(coo.row, coo.col, coo.data):
+        i, j = divmod(int(row), nz)
+        if columns[j] == j:
+            k, l = divmod(int(col), nz)
+            key = (k * nr + position[columns[l]], i * nr + position[j])
+            sums[key] = sums[key] + value if key in sums else value
+    keys = sorted(sums)
+    n = full.shape[0] // nz * nr
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount([c for c, _ in keys], minlength=n), out=indptr[1:])
+    return sp.csc_matrix((np.array([sums[k] for k in keys]),
+                          np.array([r for _, r in keys], dtype=np.int32),
+                          indptr), shape=(n, n))
+
+
 def same_bits(a, b):
     return all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
                for x, y in ((a.indptr, b.indptr), (a.indices, b.indices),
@@ -205,6 +240,48 @@ class TestAssembleSolve:
             coeffs = random_coeffs(g, seed)
             assert same_bits(EllipticOperator(g, **coeffs).matrix,
                              coo_matrix_oracle(g, coeffs))
+
+    @pytest.mark.parametrize("ny, nz", [(4, 4), (5, 5), (5, 6), (6, 24),
+                                        (6, 25), (5, 26), (7, 32)])
+    def test_reduced_matrix_sums_the_full_one_over_orbits(self, ny, nz):
+        # bit for bit, for every column map of the sine interface's group:
+        # the reflection on any grid, and on even grids the half-period
+        # shift, the mirror about a quarter period, and all three; the
+        # coefficients need not be symmetric, since the reduced rows read
+        # the representative columns only
+        g = Grid2D.unit(ny, nz)
+        half = nz // 2
+        maps = [column_map(nz, lambda j: -j)]
+        if nz % 2 == 0:
+            maps += [column_map(nz, lambda j: j + half),
+                     column_map(nz, lambda j: half - j),
+                     column_map(nz, lambda j: -j, lambda j: j + half,
+                                lambda j: half - j)]
+        for columns in maps:
+            for seed in (0, 1):
+                coeffs = random_coeffs(g, seed)
+                reduced = EllipticOperator(g, columns=columns,
+                                           **coeffs).matrix
+                assert reduced.shape[0] == ny * len(set(columns))
+                assert same_bits(reduced, quotient_oracle(
+                    coo_matrix_oracle(g, coeffs), columns))
+
+    def test_reduced_solve_expands_to_the_full_solution(self):
+        # coefficients and source with the mirror symmetry j -> nz/2 - j,
+        # under which the mixed-derivative coefficient changes sign
+        g = Grid2D.unit(12, 16)
+        z = g.z
+        even = 1.0 + 0.3 * np.sin(2 * np.pi * z)
+        odd = 0.2 * np.cos(2 * np.pi * z)
+        coeffs = dict(cyy=even, czz=0.8, cyz=odd, cy=0.1 * even, c0=-1.0)
+        source = 1.0 + 0.5 * np.sin(2 * np.pi * z)[None, :] * g.y[:, None]
+        full = EllipticOperator(g, **coeffs).solve_field(source).values
+        columns = column_map(g.nz, lambda j: g.nz // 2 - j)
+        op = EllipticOperator(g, columns=columns, **coeffs)
+        reduced = op.solve_field(source).values
+        assert op.matrix.shape == (12 * 9, 12 * 9)
+        assert np.abs(reduced - full).max() <= 1e-12 * np.abs(full).max()
+        assert np.array_equal(reduced[:, columns], reduced[:, :g.nz])
 
     def test_checks_the_residual_of_the_returned_solution(self, monkeypatch):
         # an LU whose first `bad` solves are off by 1e-3 in one entry: two

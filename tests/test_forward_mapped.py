@@ -301,6 +301,85 @@ class TestSymmetryFold:
         assert isinstance(err.value.__cause__, DomainValidityError)
 
 
+class TestQuotientSolve:
+    """solve_mapped_2d solves a node that a symmetry of the interface fixes
+    on the columns that symmetry leaves; the full-period solve of the same
+    profile, solve_mapped_profile without a column map, is the oracle."""
+
+    MODEL = InterfaceModel.with_power_spectrum(1.0, 4.0, 3, -1.0,
+                                               UniformDist(-1.0, 1.0))
+    DEVICE = DeviceConfig(5.0, 8.0, 4.0, GenerationProfile.exponential(4.0))
+
+    def solve_both(self, theta, grid):
+        sample = InterfaceSample(theta)
+        h, hp, hpp = profile(self.MODEL, sample, self.DEVICE.L * grid.z)
+        return (solve_mapped_2d(self.DEVICE, self.MODEL, sample, grid),
+                solve_mapped_profile(self.DEVICE, grid, h, hp, hpp))
+
+    @staticmethod
+    def integrals(sol):
+        u1, u2 = sensitivities_mapped(sol)
+        return [sol.pl, trapezoid_2d(u1, z_weight=sol.weight),
+                trapezoid_2d(u2, z_weight=sol.weight)]
+
+    @pytest.mark.parametrize("nz", [24, 25, 26, 32])
+    @pytest.mark.parametrize("theta, kept", [
+        ((0.0, 0.0, 0.0), {24: 7, 25: 13, 26: 7, 32: 9}),
+        ((0.0, 0.8, 0.0), {24: 12, 26: 13, 32: 16}),       # half period
+        ((0.7, 0.0, -0.4), {24: 13, 26: 13, 32: 17}),      # mirror
+        ((0.0, 0.0, 1.0), {24: 13, 26: 13, 32: 17}),       # mirror
+    ])
+    def test_symmetric_node_matches_full_period_solve(self, theta, kept, nz):
+        grid = Grid2D.unit(nz)
+        reduced, full = self.solve_both(theta, grid)
+        # at odd nz only the reflection is a symmetry of the grid
+        assert reduced.operator.matrix.shape[0] == nz * kept.get(nz, nz)
+        assert full.operator.matrix.shape[0] == nz * nz
+        assert self.integrals(reduced) == pytest.approx(
+            self.integrals(full), rel=1e-12, abs=0.0)
+        for a, b in [(reduced.field, full.field),
+                     *zip(sensitivities_mapped(reduced),
+                          sensitivities_mapped(full))]:
+            assert np.abs(a.values - b.values).max() <= \
+                1e-12 * np.abs(b.values).max()
+
+    @pytest.mark.parametrize("theta", [(0.5, -0.3, 0.2), (-1.0, 1.0, 0.25)])
+    def test_node_without_a_zero_coordinate_solves_the_full_period(self,
+                                                                    theta):
+        reduced, full = self.solve_both(theta, Grid2D.unit(24))
+        a, b = reduced.operator.matrix, full.operator.matrix
+        for x, y in ((a.indptr, b.indptr), (a.indices, b.indices),
+                     (a.data, b.data)):
+            assert x.tobytes() == y.tobytes()
+        assert [v.hex() for v in self.integrals(reduced)] == \
+            [v.hex() for v in self.integrals(full)]
+
+    @pytest.mark.parametrize("theta, unknowns", [
+        ((0.0, 0.8, 0.0), 8192), ((0.5, 0.0, 0.2), 8320),
+        ((0.0, 0.0, 0.0), 4224), ((0.5, -0.3, 0.2), 16384)])
+    def test_unknowns_at_128(self, theta, unknowns):
+        sol = solve_mapped_2d(self.DEVICE, self.MODEL, InterfaceSample(theta),
+                              Grid2D.unit(128))
+        assert sol.operator.matrix.shape == (unknowns, unknowns)
+        assert sol.field.values.shape == (129, 129)
+
+    def test_workers_building_patterns_give_the_serial_bits(self):
+        # Smolyak level 3 solves 25 nodes of four column maps; two workers
+        # build the patterns at the same time from an empty cache
+        rule = build_rule(SMOLYAK, 3, 3, (-1.0, 1.0))
+        grid = Grid2D.unit(32)
+
+        def node(thetas):
+            return solve_mapped_2d(self.DEVICE, self.MODEL,
+                                   InterfaceSample(tuple(thetas)), grid).pl
+
+        values = []
+        for jobs in (1, 2, 2):
+            fd_core._stencil_pattern.cache_clear()
+            values.append(expect(rule, node, jobs=jobs).value.hex())
+        assert values[0] == values[1] == values[2]
+
+
 class TestSuperLUOptions:
     """fd_core's supernode relaxation and panel width against SuperLU's
     defaults: the same ordering, pivots and fill, solutions equal to
