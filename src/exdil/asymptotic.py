@@ -94,6 +94,9 @@ With dm_k/dnu = nu / m_k and d2m_k/dnu2 = kappa_k**2 / m_k**3,
     h'(m) = tanh(m d) + m d sech(m d)**2,
     h''(m) = 2 d sech(m d)**2 (1 - m d tanh(m d)).
 
+h(nu) is the same function at kappa = 0, where dm/dnu = 1, so one pass over
+the modes and nu gives T, h(nu) and their slopes.
+
 The two parts of a term of F are int_0^d exp(-nu (d -+ s) - mu s) ds, so
 each nu-derivative brings down a factor -(d -+ s).  Their derivatives
 therefore need the moments M_j(p) = int_0^d s**j exp(-p s) ds, j = 0, 1, 2, at
@@ -101,6 +104,11 @@ p = |mu - nu| and p = mu + nu.  The recurrence
 M_j = (j M_{j-1} - d**j exp(-p d)) / p cancels as p d -> 0, which is the
 resonance again.  Below p d = 1/2 the moments come from the series
 M_j = d**(j+1) sum_n (-p d)**n / (n! (n + j + 1)), exact through p = 0.
+
+Each caller computes only the factors it reads.  :func:`flat_pl` reads
+i0 = int G - F, so F, which :func:`_flux` takes from M_0 = E alone.
+:func:`closed_form` reads F, F' and F'': :func:`_flux_slopes` adds F' and
+F'' from M_1 and M_2.
 """
 
 from __future__ import annotations
@@ -166,18 +174,34 @@ def _source_terms(generation, d: float
     return terms, total
 
 
-def _flux(terms, total: float, d: float, nu: float
-          ) -> tuple[float, float, float, float]:
-    """(i0, F, dF/dnu, d2F/dnu2) with F = sigma**2 w0'(0), i0 = int G - F
-    and nu = 1 / sigma, term by term in G (see the module docstring), from
-    the :func:`_source_terms` ``terms`` and ``total`` = int G."""
+def _flux(terms, total: float, d: float, nu: float) -> tuple[float, float]:
+    """(i0, F) with F = sigma**2 w0'(0), i0 = int G - F and nu = 1 / sigma,
+    term by term in G (see the module docstring), from the
+    :func:`_source_terms` ``terms`` and ``total`` = int G: all that
+    :func:`flat_pl` reads.  :func:`closed_form` adds F's slopes with
+    :func:`_flux_slopes`."""
     decay = math.exp(-nu * d)
-    f0 = f1 = f2 = 0.0
+    f0 = 0.0
+    for a, mu in terms:
+        near = math.exp(-min(mu, nu) * d)
+        f0 += a * (near * _decay_integral(abs(mu - nu), d)
+                   + decay * _decay_integral(mu + nu, d))
+    # F = f0 / D with D = 1 + exp(-2 nu d)
+    f0 /= 1.0 + decay * decay
+    return total - f0, f0
+
+
+def _flux_slopes(terms, d: float, nu: float, f0: float
+                 ) -> tuple[float, float]:
+    """(dF/dnu, d2F/dnu2) from the :func:`_source_terms` ``terms`` and
+    F = ``f0`` of :func:`_flux`: the decay moments M_1 and M_2 that only
+    :func:`closed_form` reads."""
+    decay = math.exp(-nu * d)
+    f1 = f2 = 0.0
     for a, mu in terms:
         near = math.exp(-min(mu, nu) * d)
         m0, m1, m2 = _decay_moments(abs(mu - nu), d)
         p0, p1, p2 = _decay_moments(mu + nu, d)
-        f0 += a * (near * m0 + decay * p0)
         if mu >= nu:
             f1 += a * (near * (m1 - d * m0) - decay * (d * p0 + p1))
             f2 += a * (near * (d * d * m0 - 2.0 * d * m1 + m2)
@@ -185,20 +209,11 @@ def _flux(terms, total: float, d: float, nu: float
         else:
             f1 += a * (-near * m1 - decay * (d * p0 + p1))
             f2 += a * (near * m2 + decay * (d * d * p0 + 2.0 * d * p1 + p2))
-    # F = f0 / D with D = 1 + exp(-2 nu d)
+    # the nu-derivatives of f0 / D, D = 1 + exp(-2 nu d)
     r = decay * decay
-    f0 /= 1.0 + r
     f1 = (f1 + 2.0 * d * r * f0) / (1.0 + r)
     f2 = (f2 + 4.0 * d * r * f1 - 4.0 * d * d * r * f0) / (1.0 + r)
-    return total - f0, f0, f1, f2
-
-
-def _mode_slope(m: float, d: float) -> tuple[float, float, float]:
-    """h(m) = m tanh(m d), with dh/dm and d2h/dm2."""
-    t = math.tanh(m * d)
-    e = math.exp(-2.0 * m * d)
-    sech2 = 4.0 * e / ((1.0 + e) * (1.0 + e))
-    return m * t, t + m * d * sech2, 2.0 * d * sech2 * (1.0 - m * d * t)
+    return f1, f2
 
 
 def _check_finite(values, sigma: float, d: float) -> None:
@@ -280,7 +295,10 @@ class Film:
 @dataclass(frozen=True)
 class ModeTable:
     """The factors of the closed form that vary with sigma alone: nu and,
-    per mode, (lam_k**2, m_k, dm_k/dnu = nu / m_k, kappa_k, m_k**3)."""
+    per mode, (lam_k**2, m_k, dm_k/dnu = nu / m_k, kappa_k, m_k**3).  The
+    last row, (0, nu, 1, 0, 1), is kappa = 0, which gives h(nu) = nu**2
+    int q and its slopes.  Its zero weight keeps it out of T; its m**3 is
+    1, as kappa**2 / m**3 = 0 for any m and nu**3 may underflow to 0."""
 
     sigma: float
     nu: float
@@ -297,6 +315,7 @@ class ModeTable:
         for kappa, weight in zip(modes.kappas, modes.weights):
             m = math.hypot(nu, kappa)
             rows.append((weight, m, nu / m, kappa, m * m * m))
+        rows.append((0.0, nu, 1.0, 0.0, 1.0))
         return cls(sigma=sigma, nu=nu, modes=modes, rows=tuple(rows))
 
 
@@ -304,22 +323,33 @@ def closed_form(film: Film, table: ModeTable, order: int
                 ) -> tuple[float, float, float]:
     """(E[I], dE[I]/dsigma, d2E[I]/dsigma2) at the given expansion order
     from the thickness's and sigma's factors: what remains per (sigma, d)
-    is the flux and the tanh and exp of each mode.  Raises
+    is the flux with its slopes and the tanh and exp of each mode.  Raises
     :class:`~exdil.fd_core.SolverError` on a non-finite value."""
     _check_order(order)
     d, nu = film.d, table.nu
-    i0, f0, f1, f2 = _flux(film.terms, film.total, d, nu)
+    i0, f0 = _flux(film.terms, film.total, d, nu)
+    f1, f2 = _flux_slopes(film.terms, d, nu, f0)
     # derivatives in nu until the last line
     e0, e1, e2 = i0, -f1, -f2
     if order == 2:
         modes = table.modes
         t0 = t1 = t2 = 0.0
+        # h(m) = m tanh(m d) and its nu-derivatives through m(nu) in one
+        # pass; the last row, nu's, leaves q = h(nu) and its slopes
+        d2 = 2.0 * d
         for weight, m, dm, kappa, m3 in table.rows:
-            h0, h1, h2 = _mode_slope(m, d)
-            t0 += weight * h0
-            t1 += weight * h1 * dm
-            t2 += weight * (h2 * dm * dm + h1 * kappa * kappa / m3)
-        q0, q1, q2 = _mode_slope(nu, d)           # nu**2 int q
+            md = m * d
+            t = math.tanh(md)
+            e = math.exp(-2.0 * md)
+            c = 1.0 + e
+            sech2 = 4.0 * e / (c * c)
+            # h, dh/dm and d2h/dnu2 = h'' (dm/dnu)**2 + h' d2m/dnu2
+            q0, q1 = m * t, t + md * sech2
+            q2 = (d2 * sech2 * (1.0 - md * t) * dm * dm
+                  + q1 * kappa * kappa / m3)
+            t0 += weight * q0
+            t1 += weight * q1 * dm
+            t2 += weight * q2
         lam = 0.25 * modes.weight_sum
         w0 = lam * film.top - 0.5 * f0 * t0
         w1 = -0.5 * (f1 * t0 + f0 * t1)

@@ -36,7 +36,6 @@ caller's knowledge, so :func:`expect` never folds on its own.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 from typing import Callable
@@ -217,6 +216,9 @@ def expect(rule: QuadratureRule, functional: Callable[[np.ndarray], float],
         results = [_eval_node(functional, rule, qi)
                    for qi in range(rule.node_count)]
     else:
+        # imported here: concurrent.futures (with logging and queue) would
+        # otherwise load on every `import exdil`, and no CLI study passes jobs
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             futs = [pool.submit(_eval_node, functional, rule, qi)
                     for qi in range(rule.node_count)]

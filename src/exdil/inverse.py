@@ -331,8 +331,12 @@ class AsymptoticForward:
 # ---------------------------------------------------------------------------
 
 def _mean_square(res: list[float]) -> float:
-    """J from the residuals: the one reduction of both objectives."""
-    return float(np.mean(np.square(res)))
+    """J from the residuals: the one reduction of both objectives, summed
+    in thickness order and divided by their count."""
+    total = 0.0
+    for r in res:
+        total += r * r
+    return total / len(res)
 
 
 def objective(provider, curve: PLCurve, sigma: float) -> float:

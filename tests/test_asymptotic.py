@@ -399,6 +399,17 @@ PINNED_GENERATIONS = {
 }
 
 
+# flat_pl as float hex, recorded while it still took i0 from the flux with
+# its slopes: (generation, sigma, d) -> i0.  Sigma = 5, d = 10 is on the
+# resonance of both generations, sigma = 2, d = 17.6 off it.
+FLAT_PL_BITS = {
+    ("exponential", 5.0, 10.0): "0x1.5585c72074cd9p+1",
+    ("exponential", 2.0, 17.6): "0x1.d0920df1cdb72p+2",
+    ("offset_two_terms", 5.0, 10.0): "0x1.3a3e3e455b081p+2",
+    ("offset_two_terms", 2.0, 17.6): "0x1.4dd389fb4c4fcp+3",
+}
+
+
 class TestPinnedBits:
     @pytest.mark.parametrize("key", list(PINNED_BITS))
     def test_closed_form_keeps_its_bits(self, key):
@@ -409,6 +420,12 @@ class TestPinnedBits:
         values = expected_pl_with_derivatives(
             dev, ExpansionModes.of(model, 4.0), eps, order)
         assert tuple(v.hex() for v in values) == PINNED_BITS[key]
+
+    @pytest.mark.parametrize("key", list(FLAT_PL_BITS))
+    def test_flat_pl_keeps_its_bits(self, key):
+        generation, sigma, d = key
+        dev = DeviceConfig(sigma, d, 4.0, PINNED_GENERATIONS[generation](d))
+        assert flat_pl(dev).hex() == FLAT_PL_BITS[key]
 
 
 class TestFilm:

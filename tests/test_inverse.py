@@ -103,6 +103,19 @@ class TestObjective:
             assert objective_with_derivatives(prov, curve_1d, sigma)[0] == \
                 objective(prov, curve_1d, sigma)
 
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_mean_square_is_numpys_mean(self, n):
+        # J sums the squares in thickness order; numpy's mean sums pairwise
+        # from 8 terms on, so there the two may round a few ulp apart
+        rng = np.random.default_rng(n)
+        res = (rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 1, n)).tolist()
+        oracle = float(np.mean(np.square(res)))
+        if n < 8:
+            assert inverse._mean_square(res) == oracle
+        else:
+            assert abs(inverse._mean_square(res) - oracle) \
+                <= 8 * math.ulp(oracle)
+
     def test_nonpositive_sigma(self, curve_1d):
         prov = OneDimensionalForward(FAMILY)
         with pytest.raises(ValueError):

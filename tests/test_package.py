@@ -31,14 +31,17 @@ def test_all_names_resolve(name):
 
 def test_import_binds_only_the_modules():
     # a fresh interpreter: this one has imported exdil.cli through other
-    # tests, which binds it on the package
-    public, loaded = run_fresh("""
+    # tests, which binds it on the package.  The worker pool's
+    # concurrent.futures loads only when a caller asks for jobs > 1.
+    public, loaded, pool = run_fresh("""
         import json, sys
         import exdil
         print(json.dumps([
             sorted(n for n in vars(exdil) if not n.startswith("_")),
             sorted(m for m in sys.modules
-                   if m == "exdil" or m.startswith("exdil."))]))
+                   if m == "exdil" or m.startswith("exdil.")),
+            "concurrent.futures" in sys.modules]))
         """)
     assert public == list(LOADED)
     assert loaded == ["exdil"] + [f"exdil.{name}" for name in LOADED]
+    assert pool is False
