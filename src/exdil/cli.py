@@ -274,7 +274,7 @@ def _dispatch(command: str, cfg: RunConfig) -> dict[str, tuple[list, list]]:
             tables["field.csv"] = (
                 ["y", "z", "value"],
                 [[f"{y:.17g}", f"{z:.17g}", f"{v:.17g}"]
-                 for y, row in zip(grid.y, sol.field.values)
+                 for y, row in zip(grid.y, sol.field)
                  for z, v in zip(grid.z, row)])
         return tables
 

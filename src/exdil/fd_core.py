@@ -20,7 +20,8 @@ fill-reducing ordering, and with it every bit of the factors.  The periodic
 direction keeps a single copy of the seam column (the last column aliases
 the first) so the assembled system has full rank; the duplicate column is
 reconstructed on output.  Unknowns are therefore the ny*nz node values with
-row index i = 1..ny and column index j = 0..nz-1.
+row index i = 1..ny and column index j = 0..nz-1.  A solution is returned,
+like every per-node quantity, as a plain (ny+1, nz+1) node array.
 
 A solution known to be symmetric in z needs only part of the period.  A
 column map sends each z column to the representative of its orbit under
@@ -77,7 +78,6 @@ import numpy as np
 
 __all__ = [
     "Grid2D",
-    "Field2D",
     "EllipticOperator",
     "SolverError",
     "check_residual",
@@ -143,23 +143,6 @@ class Grid2D:
     @property
     def z(self) -> np.ndarray:
         return np.arange(self.nz + 1) * self.hz
-
-
-@dataclass
-class Field2D:
-    """Node values on a :class:`Grid2D`; column nz aliases column 0 when the
-    field is periodic in z (all solver output satisfies this by
-    construction)."""
-
-    grid: Grid2D
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.grid.shape:
-            raise ValueError(
-                f"values shape {self.values.shape} does not match grid "
-                f"shape {self.grid.shape}")
 
 
 def _broadcast(value, shape) -> np.ndarray:
@@ -336,16 +319,16 @@ class EllipticOperator:
         check_residual(r, b)
         return x
 
-    def solve_field(self, source) -> Field2D:
-        """Solve  L u + source = 0  and reattach the zero first row, the
-        columns the column map leaves out and the aliased periodic
-        column."""
+    def solve_field(self, source) -> np.ndarray:
+        """Solve  L u + source = 0  and return the node array: the zero
+        first row, the columns the column map leaves out and column nz,
+        which aliases column 0, reattached."""
         ny, nz = self.grid.ny, self.grid.nz
         x = self.solve_vector(self.rhs(source))
         values = np.zeros(self.grid.shape)
         values[1:, :nz] = x.reshape(ny, -1).take(self._pattern.target, axis=1)
         values[:, nz] = values[:, 0]
-        return Field2D(self.grid, values)
+        return values
 
 
 def check_residual(residual: np.ndarray, b: np.ndarray) -> None:
@@ -356,15 +339,18 @@ def check_residual(residual: np.ndarray, b: np.ndarray) -> None:
         raise SolverError(f"residual {norm:.3e} exceeds tolerance")
 
 
-def trapezoid_2d(field: Field2D, z_weight=None) -> float:
-    """Composite trapezoid of the field over its rectangle.
+def trapezoid_2d(values, grid: Grid2D, z_weight=None) -> float:
+    """Composite trapezoid over the rectangle of ``grid`` of its node array
+    ``values``, which must have the grid's shape.
 
     ``z_weight`` is an optional per-column factor (an array of nz+1 values);
     it multiplies the integrand before the z integration.
     """
-    v = field.values
+    if np.shape(values) != grid.shape:
+        raise ValueError(f"values shape {np.shape(values)} does not match "
+                         f"grid shape {grid.shape}")
     if z_weight is not None:
-        v = v * np.asarray(z_weight, dtype=float)[None, :]
-    inner = np.trapezoid(v, dx=field.grid.hz, axis=1)
-    return float(np.trapezoid(inner, dx=field.grid.hy))
+        values = values * np.asarray(z_weight, dtype=float)[None, :]
+    inner = np.trapezoid(values, dx=grid.hz, axis=1)
+    return float(np.trapezoid(inner, dx=grid.hy))
 

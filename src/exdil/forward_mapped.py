@@ -89,8 +89,8 @@ import numpy as np
 
 from . import interface as iface
 from .collocation import QuadratureRule, expect, fold
-from .fd_core import (EllipticOperator, Field2D, Grid2D, SolverError,
-                      check_residual, trapezoid_2d)
+from .fd_core import (EllipticOperator, Grid2D, SolverError, check_residual,
+                      trapezoid_2d)
 
 __all__ = [
     "GenerationProfile",
@@ -177,10 +177,10 @@ class DeviceConfig:
 
 @dataclass
 class MappedSolution:
-    """Unit-square solution of one interface realization plus its PL value,
-    with what its sensitivity solves reuse."""
+    """Unit-square solution of one interface realization, a node array,
+    plus its PL value and what its sensitivity solves reuse."""
 
-    field: Field2D
+    field: np.ndarray
     pl: float
     device: DeviceConfig
     source: np.ndarray           # generation G on the grid nodes
@@ -247,7 +247,7 @@ def solve_mapped_profile(device: DeviceConfig, grid: Grid2D, h, hp, hpp, *,
     )
     source = device.generation(one_my * dmh_r)
     field = op.solve_field(source)
-    pl = trapezoid_2d(field, z_weight=dmh)
+    pl = trapezoid_2d(field, grid, z_weight=dmh)
     return MappedSolution(field=field, pl=pl, device=device, source=source,
                           weight=dmh, operator=op)
 
@@ -300,16 +300,16 @@ def _representative_columns(thetas, nz: int) -> tuple[int, ...]:
     return tuple(columns.tolist())
 
 
-def sensitivities_mapped(solution: MappedSolution) -> tuple[Field2D, Field2D]:
+def sensitivities_mapped(solution: MappedSolution):
     """Solve the sigma-sensitivity problems of a mapped solution (see
-    :mod:`exdil.inverse`) on its own factorization; returns u1 and u2, whose
-    thickness-weighted integrals are dI/dsigma and d2I/dsigma2."""
+    :mod:`exdil.inverse`) on its own factorization; returns node arrays u1
+    and u2, whose thickness-weighted integrals are dI/dsigma and d2I/dsigma2.
+    """
     op = solution.operator
     sigma = solution.device.sigma
-    resid = solution.field.values - solution.source
+    resid = solution.field - solution.source
     u1 = op.solve_field((2.0 / sigma) * resid)
-    u2 = op.solve_field(-(6.0 / sigma ** 2) * resid
-                        + (4.0 / sigma) * u1.values)
+    u2 = op.solve_field(-(6.0 / sigma ** 2) * resid + (4.0 / sigma) * u1)
     return u1, u2
 
 
@@ -348,8 +348,8 @@ def expected_mapped_pl(device: DeviceConfig, model: iface.InterfaceModel,
         if not derivatives:
             return sol.pl
         u1, u2 = sensitivities_mapped(sol)
-        return (sol.pl, trapezoid_2d(u1, z_weight=sol.weight),
-                trapezoid_2d(u2, z_weight=sol.weight))
+        return (sol.pl, trapezoid_2d(u1, grid, z_weight=sol.weight),
+                trapezoid_2d(u2, grid, z_weight=sol.weight))
 
     value = expect(symmetry_folded_rule(rule, grid), node).value
     return tuple(float(v) for v in value) if derivatives else value

@@ -59,7 +59,7 @@ from .collocation import QuadratureRule
 from .fd_core import Grid2D
 from .forward_mapped import (CELLS_1D, DeviceConfig, GenerationProfile,
                              Solution1D, expected_mapped_pl, solve_1d_rhs,
-                             solve_mapped_1d)
+                             solve_mapped_1d, symmetry_folded_rule)
 
 __all__ = [
     "SENSITIVITY_PDE",
@@ -241,7 +241,9 @@ class MappedCollocationForward:
     One evaluation gives (E[I], E[I'], E[I'']), the sensitivities solved on
     each node's own factorization: ``pl`` returns its first component,
     which is bit for bit E[I] computed alone.  ``deriv`` names that
-    derivative path and must be :data:`SENSITIVITY_PDE`.
+    derivative path and must be :data:`SENSITIVITY_PDE`.  The rule is folded
+    once per provider (:func:`~exdil.forward_mapped.symmetry_folded_rule`);
+    folding it again merges nothing, so the values are those over ``rule``.
     """
 
     family: DeviceFamily
@@ -249,18 +251,21 @@ class MappedCollocationForward:
     rule: QuadratureRule
     cells: tuple[int, int] = (64, 64)
     deriv: str = SENSITIVITY_PDE
+    _folded: QuadratureRule = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.deriv != SENSITIVITY_PDE:
             raise ValueError(f"deriv must be {SENSITIVITY_PDE!r}, "
                              f"got {self.deriv!r}")
+        object.__setattr__(self, "_folded", symmetry_folded_rule(
+            self.rule, Grid2D.unit(*self.cells)))
 
     def pl(self, sigma: float, d: float) -> float:
         return self.pl_with_derivatives(sigma, d)[0]
 
     def pl_with_derivatives(self, sigma: float, d: float):
         return expected_mapped_pl(self.family.device(sigma, d), self.model,
-                                  self.rule, Grid2D.unit(*self.cells),
+                                  self._folded, Grid2D.unit(*self.cells),
                                   derivatives=True)
 
 

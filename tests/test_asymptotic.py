@@ -20,8 +20,7 @@ from scipy.linalg import solve_banded
 from exdil import interface as iface
 from exdil.asymptotic import (ExpansionModes, Film,
                               expected_pl_with_derivatives, flat_pl)
-from exdil.fd_core import (EllipticOperator, Field2D, Grid2D, SolverError,
-                           trapezoid_2d)
+from exdil.fd_core import EllipticOperator, Grid2D, SolverError, trapezoid_2d
 from exdil.forward_mapped import (DeviceConfig, GenerationProfile,
                                   solve_1d_rhs, solve_mapped_1d,
                                   solve_mapped_2d)
@@ -136,12 +135,11 @@ class DiscreteBasis:
 
     @property
     def w0(self):
-        return Field2D(self.grid, np.outer(self.w0_profile,
-                                           np.ones(self.grid.nz + 1)))
+        return np.outer(self.w0_profile, np.ones(self.grid.nz + 1))
 
     @property
     def w1(self):
-        return [Field2D(self.grid, np.outer(f, self._phi(k)))
+        return [np.outer(f, self._phi(k))
                 for k, f in enumerate(self.modes, start=1)]
 
     @property
@@ -188,8 +186,8 @@ def solve_datum(dev, op, datum):
     source = np.zeros(grid.shape)
     source[1] = dev.sigma ** 2 / grid.hy ** 2 * datum
     field = op.solve_field(source)
-    field.values[0, :grid.nz] = datum[:grid.nz]
-    field.values[0, grid.nz] = datum[0]
+    field[0, :grid.nz] = datum[:grid.nz]
+    field[0, grid.nz] = datum[0]
     return field
 
 
@@ -207,11 +205,11 @@ def basis_2d(dev, K, nx, nz):
     op = strip_operator(dev, grid)
     L = dev.L
     w0 = solve_w0_2d(dev, grid, op)
-    dx_w0 = one_sided_dx(w0.values, w0.grid.hy)
+    dx_w0 = one_sided_dx(w0, grid.hy)
     phis = [mode_shape(k, L, grid.z) for k in range(1, K + 1)]
     w1 = [solve_datum(dev, op, -dev.d * phi * dx_w0) for phi in phis]
-    dx_w1 = [one_sided_dx(f.values, f.grid.hy) for f in w1]
-    i1 = np.array([trapezoid_2d(f) / L for f in w1])
+    dx_w1 = [one_sided_dx(f, grid.hy) for f in w1]
+    i1 = np.array([trapezoid_2d(f, grid) / L for f in w1])
     i2b = np.empty((K, K))
     for j in range(K):
         for k in range(j, K):
@@ -219,8 +217,8 @@ def basis_2d(dev, K, nx, nz):
                                                dx_w1[j], dx_w1[k]))
             b = dev.d ** 2 / (2.0 * L) * np.trapezoid(
                 phis[j] * phis[k] * dx_w0, dx=grid.hz)
-            i2b[j, k] = i2b[k, j] = trapezoid_2d(w2) / L + b
-    return trapezoid_2d(w0) / L, i1, i2b
+            i2b[j, k] = i2b[k, j] = trapezoid_2d(w2, grid) / L + b
+    return trapezoid_2d(w0, grid) / L, i1, i2b
 
 
 class TestLeadingOrder:
@@ -232,7 +230,7 @@ class TestLeadingOrder:
             x = basis.grid.y
             exact = 1 - np.cosh((dev.d - x) / dev.sigma) \
                 / math.cosh(dev.d / dev.sigma)
-            errs[nx] = np.abs(basis.w0.values - exact[:, None]).max()
+            errs[nx] = np.abs(basis.w0 - exact[:, None]).max()
         assert errs[256] < 2e-5
         assert errs[128] / errs[256] == pytest.approx(4.0, rel=0.1)
 
@@ -241,10 +239,10 @@ class TestLeadingOrder:
         dev = device(gen=GenerationProfile.exponential(5.0))
         grid = strip_grid(dev, 32, 32)
         w0 = solve_w0_2d(dev, grid, strip_operator(dev, grid))
-        spread = np.abs(w0.values - w0.values[:, :1]).max()
+        spread = np.abs(w0 - w0[:, :1]).max()
         assert spread < 1e-11
         basis = DiscreteBasis(dev, model_of(dev, K=1), 32, 32)
-        assert basis.w0.values == pytest.approx(w0.values, abs=1e-12)
+        assert basis.w0 == pytest.approx(w0, abs=1e-12)
 
     def test_strip_integral_closed_form(self):
         # constant generation: w0 = 1 - cosh((d - x)/sigma) / cosh(d/sigma),
@@ -303,7 +301,7 @@ class TestLeadingOrder:
         dev = device()
         grid = strip_grid(dev, 16, 16)
         op = strip_operator(dev, grid)
-        assert np.abs(op.solve_field(0.0).values).max() == 0.0
+        assert np.abs(op.solve_field(0.0)).max() == 0.0
         assert np.abs(solve_1d_rhs(dev, 0.0, 16, 0.0)).max() == 0.0
 
 
@@ -476,14 +474,13 @@ class TestFirstOrder:
     def test_zero_boundary_slope_gives_zero_mode(self):
         dev = device()
         grid = strip_grid(dev, 16, 16)
-        flat = Field2D(grid, np.ones(grid.shape))  # one-sided slope is zero
+        flat = np.ones(grid.shape)  # one-sided slope is zero
         datum = -dev.d * mode_shape(1, dev.L, grid.z) \
-            * one_sided_dx(flat.values, grid.hy)
+            * one_sided_dx(flat, grid.hy)
         w1 = solve_datum(dev, strip_operator(dev, grid), datum)
-        assert np.abs(w1.values).max() < 1e-14
+        assert np.abs(w1).max() < 1e-14
         f1 = solve_depth(dev, 16, 0.0, shift=-5.0,
-                         dirichlet=-dev.d * one_sided_dx(flat.values,
-                                                         grid.hy)[0])
+                         dirichlet=-dev.d * one_sided_dx(flat, grid.hy)[0])
         assert np.abs(f1).max() < 1e-14
 
     def test_linearity_in_datum(self):
@@ -492,8 +489,7 @@ class TestFirstOrder:
         dev3 = device(gen=GenerationProfile.constant(3.0))
         three = DiscreteBasis(dev3, model_of(dev3, K=3), 24, 24)
         assert three.modes == pytest.approx(3.0 * one.modes, abs=1e-12)
-        assert three.w1[1].values == pytest.approx(3.0 * one.w1[1].values,
-                                                   abs=1e-12)
+        assert three.w1[1] == pytest.approx(3.0 * one.w1[1], abs=1e-12)
         # the closed form, with its sigma-derivatives, is linear in G too
         closed = [expected_pl_with_derivatives(
             dev, ExpansionModes.of(model_of(dev, K=3), dev.L), 0.5, 2)
@@ -510,15 +506,15 @@ class TestFirstOrder:
         basis = DiscreteBasis(dev, model, 32, 32)
         grid = basis.grid
         lam_th = np.array(model.lambdas) * np.array(theta.thetas)
-        combo = sum(c * w.values for c, w in zip(lam_th, basis.w1))
+        combo = sum(c * w for c, w in zip(lam_th, basis.w1))
 
         op = strip_operator(dev, grid)
         w0 = solve_w0_2d(dev, grid, op)
         htilde = sum(lam_th[k] * mode_shape(k + 1, dev.L, grid.z)
                      for k in range(3))
         direct = solve_datum(
-            dev, op, -dev.d * htilde * one_sided_dx(w0.values, grid.hy))
-        assert direct.values == pytest.approx(combo, abs=1e-11)
+            dev, op, -dev.d * htilde * one_sided_dx(w0, grid.hy))
+        assert direct == pytest.approx(combo, abs=1e-11)
 
 
 class TestSecondOrder:
@@ -535,17 +531,17 @@ class TestSecondOrder:
         grid = strip_grid(dev, 32, 32)
         op = strip_operator(dev, grid)
         w0 = solve_w0_2d(dev, grid, op)
-        dx_w0 = one_sided_dx(w0.values, w0.grid.hy)
+        dx_w0 = one_sided_dx(w0, grid.hy)
         lam_th = np.array(model.lambdas) * np.array(theta.thetas)
         htilde = sum(lam_th[k] * mode_shape(k + 1, dev.L, grid.z)
                      for k in range(3))
         w1 = solve_datum(dev, op, -dev.d * htilde * dx_w0)
-        dx_w1 = one_sided_dx(w1.values, w1.grid.hy)
+        dx_w1 = one_sided_dx(w1, grid.hy)
         datum = (-dev.d * htilde * dx_w1
                  + (dev.d * htilde) ** 2 / (2 * dev.sigma ** 2)
                  * dev.generation(dev.d))
         direct = solve_datum(dev, op, datum)
-        want = trapezoid_2d(direct) / dev.L + dev.d ** 2 / (2 * dev.L) \
+        want = trapezoid_2d(direct, grid) / dev.L + dev.d ** 2 / (2 * dev.L) \
             * np.trapezoid(htilde ** 2 * dx_w0, dx=grid.hz)
         assert second == pytest.approx(want, rel=1e-11)
 
@@ -555,15 +551,14 @@ class TestSecondOrder:
         op = strip_operator(dev, grid)
         w0 = solve_w0_2d(dev, grid, op)
         phi = mode_shape(1, dev.L, grid.z)
-        w1 = solve_datum(
-            dev, op, -dev.d * phi * one_sided_dx(w0.values, grid.hy))
-        dx_w1 = one_sided_dx(w1.values, w1.grid.hy)
+        w1 = solve_datum(dev, op, -dev.d * phi * one_sided_dx(w0, grid.hy))
+        dx_w1 = one_sided_dx(w1, grid.hy)
         w2 = solve_datum(dev, op, w2_datum(dev, phi, phi, dx_w1, dx_w1))
         # phi_1 vanishes at z = 0 and z = L/2, hence so does the datum
-        assert w2.values[0, 0] == pytest.approx(0.0, abs=1e-13)
-        assert w2.values[0, grid.nz // 2] == pytest.approx(0.0, abs=1e-12)
+        assert w2[0, 0] == pytest.approx(0.0, abs=1e-13)
+        assert w2[0, grid.nz // 2] == pytest.approx(0.0, abs=1e-12)
         appr = DiscreteBasis(dev, model_of(dev, K=1), 16, 16).approximant()
-        assert appr.i2[0] == pytest.approx(trapezoid_2d(w2) / dev.L,
+        assert appr.i2[0] == pytest.approx(trapezoid_2d(w2, grid) / dev.L,
                                            rel=1e-11)
 
 
@@ -685,12 +680,11 @@ class TestOrders:
             m = dataclasses.replace(model, hbar=eps * dev.d)
             sol = solve_mapped_2d(dev, m, th, gridf)
             h = iface.profile(m, th, L * gridf.z)[0]
-            v1 = (basis.w0.values
-                  + eps * model.lambdas[0] * th.thetas[0] * basis.w1[0].values)
+            v1 = basis.w0 + eps * model.lambdas[0] * th.thetas[0] * basis.w1[0]
             worst = 0.0
             for j in range(gridf.nz + 1):
                 xm = h[j] + gridf.y * (dev.d - h[j])
-                spline = CubicSpline(xm, sol.field.values[:, j])
+                spline = CubicSpline(xm, sol.field[:, j])
                 mask = basis.grid.y >= max(h[j], 0.0)
                 worst = max(worst, np.abs(
                     spline(basis.grid.y[mask]) - v1[mask, j]).max())

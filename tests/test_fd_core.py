@@ -8,8 +8,7 @@ import scipy.sparse as sp
 
 from exdil import fd_core
 from exdil.cli import write_csv
-from exdil.fd_core import (EllipticOperator, Field2D, Grid2D, SolverError,
-                           trapezoid_2d)
+from exdil.fd_core import EllipticOperator, Grid2D, SolverError, trapezoid_2d
 
 
 def one_sided_dx_at_boundary(values, h):
@@ -20,18 +19,19 @@ def one_sided_dx_at_boundary(values, h):
 
 
 def sample_field(grid, fn):
+    """The node array of fn(y, z) on ``grid``."""
     Y, Z = np.meshgrid(grid.y, grid.z, indexing="ij")
-    return Field2D(grid, fn(Y, Z))
+    return fn(Y, Z)
 
 
-def stencil_values(field, i, j):
-    """The centred difference quotients of the module docstring at interior
-    node (i, j): the oracle the assembled rows are checked against."""
-    ny, nz = field.grid.ny, field.grid.nz
+def stencil_values(v, grid, i, j):
+    """The centred difference quotients of the module docstring of the node
+    array ``v`` at interior node (i, j) of ``grid``: the oracle the
+    assembled rows are checked against."""
+    ny, nz = grid.ny, grid.nz
     if not (1 <= i <= ny - 1 and 1 <= j <= nz - 1):
         raise ValueError(f"node ({i}, {j}) is not interior for centred forms")
-    v = field.values
-    hy, hz = field.grid.hy, field.grid.hz
+    hy, hz = grid.hy, grid.hz
     return {
         "d0y": (v[i + 1, j] - v[i - 1, j]) / (2 * hy),
         "dpdmy": (v[i + 1, j] - 2 * v[i, j] + v[i - 1, j]) / hy ** 2,
@@ -45,49 +45,50 @@ class TestStencils:
     def test_linear_exact(self):
         g = Grid2D.unit(8, 8)
         f = sample_field(g, lambda y, z: y)
-        assert stencil_values(f, 3, 4)["d0y"] == pytest.approx(1.0, rel=1e-13)
+        assert stencil_values(f, g, 3, 4)["d0y"] == pytest.approx(1.0,
+                                                                  rel=1e-13)
 
     def test_quadratic_second_difference(self):
         g = Grid2D.unit(8, 8)
         f = sample_field(g, lambda y, z: y ** 2)
-        assert stencil_values(f, 2, 5)["dpdmy"] == pytest.approx(2.0,
+        assert stencil_values(f, g, 2, 5)["dpdmy"] == pytest.approx(2.0,
                                                                  rel=1e-12)
 
     def test_bilinear_cross(self):
         g = Grid2D.unit(8, 8)
         f = sample_field(g, lambda y, z: y * z)
-        assert stencil_values(f, 4, 4)["d0yd0z"] == pytest.approx(1.0,
+        assert stencil_values(f, g, 4, 4)["d0yd0z"] == pytest.approx(1.0,
                                                                   rel=1e-12)
 
     def test_out_of_range(self):
         g = Grid2D.unit(8, 8)
         f = sample_field(g, lambda y, z: y)
         with pytest.raises(ValueError):
-            stencil_values(f, 0, 4)
+            stencil_values(f, g, 0, 4)
         with pytest.raises(ValueError):
-            stencil_values(f, 8, 4)
+            stencil_values(f, g, 8, 4)
 
 
 class TestTrapezoid:
     def test_constant(self):
         g = Grid2D.unit(8, 8)
-        assert trapezoid_2d(sample_field(g, lambda y, z: 1 + 0 * y)) == \
+        assert trapezoid_2d(sample_field(g, lambda y, z: 1 + 0 * y), g) == \
             pytest.approx(1.0, rel=1e-14)
 
     def test_linear_exact(self):
         g = Grid2D.unit(16, 8)
-        assert trapezoid_2d(sample_field(g, lambda y, z: y)) == \
+        assert trapezoid_2d(sample_field(g, lambda y, z: y), g) == \
             pytest.approx(0.5, rel=1e-14)
 
     def test_periodic_sine_vanishes(self):
         g = Grid2D.unit(8, 10)
         f = sample_field(g, lambda y, z: np.sin(2 * np.pi * z))
-        assert trapezoid_2d(f) == pytest.approx(0.0, abs=1e-15)
+        assert trapezoid_2d(f, g) == pytest.approx(0.0, abs=1e-15)
 
     def test_z_weight(self):
         g = Grid2D.unit(8, 8)
         f = sample_field(g, lambda y, z: 1 + 0 * y)
-        assert trapezoid_2d(f, z_weight=np.full(9, 3.0)) == \
+        assert trapezoid_2d(f, g, z_weight=np.full(9, 3.0)) == \
             pytest.approx(3.0, rel=1e-14)
 
     def test_1d(self):
@@ -102,13 +103,13 @@ class TestOneSided:
     def test_linear(self):
         g = Grid2D.unit(8, 8)
         f = sample_field(g, lambda y, z: y)
-        dx = one_sided_dx_at_boundary(f.values, g.hy)
+        dx = one_sided_dx_at_boundary(f, g.hy)
         assert dx == pytest.approx(np.ones(9))
 
     def test_quadratic_exact(self):
         g = Grid2D.unit(8, 8)
         f = sample_field(g, lambda y, z: y ** 2)
-        dx = one_sided_dx_at_boundary(f.values, g.hy)
+        dx = one_sided_dx_at_boundary(f, g.hy)
         assert dx == pytest.approx(np.zeros(9), abs=1e-13)
 
     def test_convergence_order(self):
@@ -116,7 +117,7 @@ class TestOneSided:
         for n in (16, 32, 64, 128):
             g = Grid2D.unit(n, 4)
             f = sample_field(g, lambda y, z: np.sin(y) + 0 * z)
-            errs.append(abs(one_sided_dx_at_boundary(f.values, g.hy)[0] - 1.0))
+            errs.append(abs(one_sided_dx_at_boundary(f, g.hy)[0] - 1.0))
             hs.append(g.hy)
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert 1.9 < slope < 2.1
@@ -275,10 +276,10 @@ class TestAssembleSolve:
         odd = 0.2 * np.cos(2 * np.pi * z)
         coeffs = dict(cyy=even, czz=0.8, cyz=odd, cy=0.1 * even, c0=-1.0)
         source = 1.0 + 0.5 * np.sin(2 * np.pi * z)[None, :] * g.y[:, None]
-        full = EllipticOperator(g, **coeffs).solve_field(source).values
+        full = EllipticOperator(g, **coeffs).solve_field(source)
         columns = column_map(g.nz, lambda j: g.nz // 2 - j)
         op = EllipticOperator(g, columns=columns, **coeffs)
-        reduced = op.solve_field(source).values
+        reduced = op.solve_field(source)
         assert op.matrix.shape == (12 * 9, 12 * 9)
         assert np.abs(reduced - full).max() <= 1e-12 * np.abs(full).max()
         assert np.array_equal(reduced[:, columns], reduced[:, :g.nz])
@@ -329,7 +330,7 @@ class TestAssembleSolve:
             u, source = manufactured(g)
             op = EllipticOperator(g, **screened_coeffs(0.8, 0.25, 0.4))
             got = op.solve_field(source)
-            errs.append(np.abs(got.values - u).max())
+            errs.append(np.abs(got - u).max())
             hs.append(g.hy)
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert 1.9 < slope < 2.1
@@ -353,12 +354,11 @@ class TestAssembleSolve:
         rng = np.random.default_rng(0)
         vals = rng.standard_normal(g.shape)
         vals[:, -1] = vals[:, 0]
-        f = Field2D(g, vals)
         u_flat = vals[1:, :g.nz].ravel()
         for (i, j) in [(2, 3), (5, 7), (g.ny - 1, 1)]:
             idx = (i - 1) * g.nz + j
             row_action = matrix[idx] @ u_flat * row_scale
-            q = stencil_values(f, i, j)
+            q = stencil_values(vals, g, i, j)
             expected = (0.8 * q["dpdmy"] + 0.8 * q["dpdmz"]
                         + 0.25 * q["d0yd0z"] + 0.4 * q["d0y"] - vals[i, j])
             assert row_action == pytest.approx(float(expected), rel=1e-12)
@@ -371,12 +371,12 @@ class TestAssembleSolve:
         src_profile = np.concatenate([src_profile, src_profile[:1]])
         source = np.broadcast_to(src_profile, g.shape)
         op = EllipticOperator(g, **screened_coeffs())
-        base = op.solve_field(source).values
+        base = op.solve_field(source)
 
         rolled = np.concatenate([np.roll(src_profile[:-1], 3),
                                  [np.roll(src_profile[:-1], 3)[0]]])
         got = EllipticOperator(g, **screened_coeffs()).solve_field(
-            np.broadcast_to(rolled, g.shape)).values
+            np.broadcast_to(rolled, g.shape))
         assert got[:, :g.nz] == pytest.approx(np.roll(base[:, :g.nz], 3, axis=1),
                                               abs=1e-12)
 
@@ -385,8 +385,8 @@ class TestAssembleSolve:
         _, source = manufactured(g)
         op1 = EllipticOperator(g, **screened_coeffs(0.8, 0.25, 0.4))
         op2 = EllipticOperator(g, **screened_coeffs(0.8, 0.25, 0.4))
-        a = op1.solve_field(source).values
-        b = op2.solve_field(source).values
+        a = op1.solve_field(source)
+        b = op2.solve_field(source)
         assert np.array_equal(a, b)
 
     def test_nonnegative_source_nonnegative_solution(self):
@@ -394,7 +394,7 @@ class TestAssembleSolve:
         Y, Z = np.meshgrid(g.y, g.z, indexing="ij")
         op = EllipticOperator(g, **screened_coeffs())
         got = op.solve_field(1.0 + 0.5 * np.sin(2 * np.pi * Z))
-        assert got.values.min() >= -1e-10
+        assert got.min() >= -1e-10
 
     def test_singular_detected(self):
         g = Grid2D.unit(4, 4)
@@ -425,10 +425,11 @@ class TestGridAndField:
         assert g.y[-1] == pytest.approx(5.0)
         assert g.z[-1] == pytest.approx(8.0)
 
-    def test_field_shape_checked(self):
+    @pytest.mark.parametrize("shape", [(3, 3), (9, 8), (8, 9), (9,)])
+    def test_trapezoid_checks_the_shape(self, shape):
         g = Grid2D.unit(8, 8)
-        with pytest.raises(ValueError):
-            Field2D(g, np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="does not match grid shape"):
+            trapezoid_2d(np.zeros(shape), g)
 
     def test_field_csv(self, tmp_path):
         g = Grid2D.unit(4, 4)
@@ -436,7 +437,7 @@ class TestGridAndField:
         path = tmp_path / "field.csv"
         write_csv(path, ["y", "z", "value"],
                   [[f"{y:.17g}", f"{z:.17g}", f"{v:.17g}"]
-                   for y, row in zip(g.y, f.values) for z, v in zip(g.z, row)],
+                   for y, row in zip(g.y, f) for z, v in zip(g.z, row)],
                   "deadbeef")
         text = path.read_bytes().decode()
         lines = text.split("\n")
@@ -445,10 +446,12 @@ class TestGridAndField:
         assert lines[-1] == "" and "\r" not in text
         assert len(lines) == 2 + 25 + 1
 
-    def test_solution_field_roundtrip(self):
-        g = Grid2D.unit(8, 8)
+    def test_solution_is_a_periodic_node_array(self):
+        g = Grid2D.unit(8, 10)
         _, source = manufactured(g)
         f = EllipticOperator(g, **screened_coeffs(0.8, 0.25, 0.4)).solve_field(
             source)
-        assert np.array_equal(f.values[0, :], np.zeros(g.nz + 1))
-        assert f.values[:, -1] == pytest.approx(f.values[:, 0])
+        assert isinstance(f, np.ndarray) and f.dtype == np.float64
+        assert f.shape == g.shape
+        assert np.array_equal(f[0], np.zeros(g.nz + 1))
+        assert np.array_equal(f[:, g.nz], f[:, 0])

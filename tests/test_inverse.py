@@ -222,8 +222,8 @@ class TestSensitivities2D:
         sol = solve_mapped_2d(self.dev, self.model, self.theta, self.grid)
         u1, u2 = sensitivities_mapped(sol)
         for f in (u1, u2):
-            assert np.abs(f.values[0]).max() == 0.0          # Dirichlet
-            assert f.values[:, -1] == pytest.approx(f.values[:, 0])
+            assert np.abs(f[0]).max() == 0.0  # Dirichlet
+            assert f[:, -1] == pytest.approx(f[:, 0])
 
 
 class TestCollocationProvider:
@@ -253,6 +253,39 @@ class TestCollocationProvider:
                     for _ in range(2))
                 assert plain.pl(sigma, d) == \
                     deriv.pl_with_derivatives(sigma, d)[0]
+
+    def test_fit_folds_its_rule_once(self, monkeypatch):
+        # the 8-node rule is folded when the provider is built, and each
+        # evaluation refolds only the 2-node folded rule, which gives the
+        # values over the unfolded rule bit for bit
+        from exdil import forward_mapped
+        model = InterfaceModel.with_power_spectrum(1.0, 4.0, 3, -1.0,
+                                                   UniformDist(-1.0, 1.0))
+        rule = build_rule(TENSOR_GL, 3, 2, (-1.0, 1.0))
+        cells = (16, 16)
+        curve = generate_synthetic_curve(
+            MODEL_2D, 5.0, (8.0, 12.0, 16.0), family=FAMILY, model=model,
+            rule_kind=TENSOR_GL, rule_size=2, cells=cells)
+        folded = []
+        fold = forward_mapped.fold
+
+        def counting_fold(r, flips):
+            folded.append(r.node_count)
+            return fold(r, flips)
+
+        monkeypatch.setattr(forward_mapped, "fold", counting_fold)
+        prov = MappedCollocationForward(FAMILY, model, rule, cells=cells)
+        trace = newton_estimate(prov, curve, sigma0=7.5,
+                                options=NewtonOptions(tol=2.5e-5))
+        evaluations = 3 * (len(trace.sigmas) + 1)
+        assert folded == [8] + [2] * evaluations
+        for sigma in trace.sigmas[:3]:
+            for d in curve.thicknesses:
+                got = prov.pl_with_derivatives(sigma, d)
+                want = expected_mapped_pl(FAMILY.device(sigma, d), model,
+                                          rule, Grid2D.unit(*cells),
+                                          derivatives=True)
+                assert [v.hex() for v in got] == [v.hex() for v in want]
 
     @pytest.mark.parametrize("deriv", ["central_fd", "", None])
     def test_deriv_other_than_sensitivity_pde_raises(self, deriv):
