@@ -71,13 +71,12 @@ of Monte Carlo draws, keeps the identity map and the full-period matrix,
 bit for bit.
 The reduced solve agrees with the full-period one to rounding.
 
-For a flat interface h = xi the problem drops to one dimension; the solver
-for that case shares the conventions, and each of its solves, the
-sensitivity solves of :mod:`exdil.inverse` included, builds and factors
-the tridiagonal matrix afresh.  :func:`solve_1d_rhs` imports its banded
-solver, ``scipy.linalg.solve_banded``, when it is called, as
-:mod:`exdil.fd_core` imports its sparse modules at the first operator, so
-importing the package loads no scipy.
+For a flat interface h = xi the problem drops to one dimension, with the
+same conventions.  Its operator has constant coefficients, so
+:func:`solve_1d_rhs` solves each problem, the sensitivity solves of
+:mod:`exdil.inverse` included, in the operator's sine eigenbasis: two numpy
+FFTs and no factorization.  It loads no scipy; scipy loads only when
+:mod:`exdil.fd_core` builds its first sparse operator.
 """
 
 from __future__ import annotations
@@ -355,22 +354,32 @@ def expected_mapped_pl(device: DeviceConfig, model: iface.InterfaceModel,
     return tuple(float(v) for v in value) if derivatives else value
 
 
-def _banded_1d(device: DeviceConfig, xi: float, cells: int):
-    """Tridiagonal operator of the flat-interface problem in banded form.
+def _sine_solve(c: float, b: np.ndarray) -> np.ndarray:
+    """Solve  c (x[i-1] - 2 x[i] + x[i+1]) - x[i] = b[i],  i = 1..n, with
+    x[0] = 0 and the ghost node x[n+1] = x[n-1], in the operator's
+    eigenbasis.
 
-    Rows follow the 2D conventions: Dirichlet node eliminated at y = 0,
-    ghost-closed Neumann at y = 1, unknowns i = 1..cells.
+    The eigenvectors are the quarter-wave sines v_k[i] = sin((2k-1) pi i /
+    (2n)), k = 1..n, with eigenvalues c mu_k - 1, mu_k = -4 sin((2k-1) pi /
+    (4n))**2.  Under the node weights w_i = 1, except w_n = 1/2, they are
+    orthogonal, each of squared norm n/2.  So x is the sum over k of
+    v_k (sum_i w_i b[i] v_k[i]) / ((n/2) (c mu_k - 1)), and with the
+    half-sample twiddle exp(i pi i / (2n)) each of the two transforms is one
+    length-2n FFT.
     """
-    width = device.d - xi
-    hy = 1.0 / cells
-    c = device.sigma ** 2 / (width * hy) ** 2
-    n = cells
-    ab = np.zeros((3, n))
-    ab[0, 1:] = c                      # superdiagonal
-    ab[1, :] = -2.0 * c - 1.0          # diagonal
-    ab[2, :-1] = c                     # subdiagonal
-    ab[2, n - 2] = 2.0 * c             # Neumann fold on the last row
-    return ab
+    n = b.size
+    i = np.arange(1, n + 1)
+    twiddle = np.exp((0.5j * np.pi / n) * i)
+    p = np.zeros(2 * n, dtype=complex)
+    p[1:n + 1] = b * twiddle
+    p[n] *= 0.5                        # the last node's weight
+    # Im of the DFT of p at k = 1..n is -sum_i w_i b[i] v_k[i]
+    coef = -np.fft.fft(p)[1:n + 1].imag
+    coef /= c * (-4.0 * np.sin((0.25 * np.pi / n) * (2 * i - 1)) ** 2) - 1.0
+    q = np.zeros(2 * n)
+    q[1:n + 1] = coef
+    # Im of twiddle[i] times the DFT of q at i is -sum_k coef_k v_k[i]
+    return (-2.0 / n) * (twiddle * np.fft.rfft(q)[1:]).imag
 
 
 def solve_1d_rhs(device: DeviceConfig, xi: float, cells: int,
@@ -380,22 +389,24 @@ def solve_1d_rhs(device: DeviceConfig, xi: float, cells: int,
     (cells+1 entries, or a scalar).  Returns all node values including the
     boundary.
 
-    The residual is checked as in :mod:`exdil.fd_core`: rows normalized by
-    the diagonal, relative tolerance ``RESIDUAL_RTOL``.
+    The rows follow the 2D conventions (Dirichlet node eliminated at y = 0,
+    ghost-closed Neumann row at y = 1, unknowns i = 1..cells), and the
+    solve is :func:`_sine_solve` in the operator's eigenbasis: two FFTs, no
+    factorization and no scipy.  The residual is checked as in
+    :mod:`exdil.fd_core`: the operator applied by differences, rows
+    normalized by the diagonal, relative tolerance ``RESIDUAL_RTOL``.
     """
-    from scipy.linalg import solve_banded
-
-    ab = _banded_1d(device, xi, cells)
+    hy = 1.0 / cells
+    c = device.sigma ** 2 / ((device.d - xi) * hy) ** 2
     b = -np.broadcast_to(np.asarray(source, dtype=float), (cells + 1,))[1:]
-    x = solve_banded((1, 1), ab, b)
+    x = _sine_solve(c, b)
     if not np.all(np.isfinite(x)):
         raise SolverError("1d solve produced non-finite values")
-    r = ab[1] * x - b
-    r[:-1] += ab[0, 1:] * x[1:]
-    r[1:] += ab[2, :-1] * x[:-1]
-    scale = abs(ab[1, 0])              # the diagonal is constant
+    u = np.concatenate(([0.0], x))
+    r = c * np.diff(np.append(u, u[-2]), 2) - x - b
+    scale = 2.0 * c + 1.0              # |diagonal|, the same on every row
     check_residual(r / scale, b / scale)
-    return np.concatenate(([0.0], x))
+    return u
 
 
 def solve_mapped_1d(device: DeviceConfig, offset: float = 0.0,

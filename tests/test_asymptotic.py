@@ -302,7 +302,8 @@ class TestLeadingOrder:
         grid = strip_grid(dev, 16, 16)
         op = strip_operator(dev, grid)
         assert np.abs(op.solve_field(0.0)).max() == 0.0
-        assert np.abs(solve_1d_rhs(dev, 0.0, 16, 0.0)).max() == 0.0
+        for cells in (1, 4, 5, 16, 2048):
+            assert np.abs(solve_1d_rhs(dev, 0.0, cells, 0.0)).max() == 0.0
 
 
 class TestClosedForm:

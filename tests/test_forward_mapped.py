@@ -4,18 +4,18 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse.linalg
+from test_asymptotic import solve_depth
 
-from exdil import fd_core
+from exdil import fd_core, forward_mapped
 from exdil.collocation import (MONTE_CARLO, SMOLYAK, TENSOR_GL,
                                CollocationError, build_rule, expect)
 from exdil.fd_core import Grid2D, SolverError, trapezoid_2d
 from exdil.forward_mapped import (DeviceConfig, DomainValidityError,
                                   GenerationProfile, expected_mapped_pl,
-                                  sensitivities_mapped, solve_mapped_1d,
-                                  solve_mapped_2d, solve_mapped_profile,
-                                  symmetry_folded_rule)
+                                  sensitivities_mapped, solve_1d_rhs,
+                                  solve_mapped_1d, solve_mapped_2d,
+                                  solve_mapped_profile, symmetry_folded_rule)
 from exdil.interface import InterfaceModel, InterfaceSample, UniformDist, \
     profile, sample
 
@@ -107,16 +107,63 @@ class TestSolve1D:
     def test_residual_check_rejects_bad_solution(self, monkeypatch):
         # one entry off by 1e-6 fails the relative-residual check the 2D
         # path applies as well
-        exact = scipy.linalg.solve_banded
+        exact = forward_mapped._sine_solve
 
-        def perturbed(l_and_u, ab, b):
-            x = exact(l_and_u, ab, b)
+        def perturbed(c, b):
+            x = exact(c, b)
             x[x.size // 2] += 1e-6
             return x
 
-        monkeypatch.setattr(scipy.linalg, "solve_banded", perturbed)
+        monkeypatch.setattr(forward_mapped, "_sine_solve", perturbed)
         with pytest.raises(SolverError, match="residual"):
             solve_mapped_1d(flat_device(), 0.0, 512)
+
+    @pytest.mark.parametrize("cells", [4, 5, 16, 511, 2048])
+    @pytest.mark.parametrize("sigma", [0.5, 5.0, 1e4])
+    @pytest.mark.parametrize("half", [False, True])
+    @pytest.mark.parametrize("generation", [
+        GenerationProfile.exponential(5.0), GenerationProfile.constant(1.0)])
+    def test_sine_solve_matches_banded_lu(self, cells, sigma, half,
+                                          generation):
+        # the oracle solves on (0, d - xi) by a banded LU; the 1e-11 covers
+        # the LU's own rounding, up to 2.7e-12 at 2048 cells
+        d = 10.0
+        xi = d / 2 if half else 0.0
+        dev = DeviceConfig(sigma, d, 4.0, generation)
+        width = DeviceConfig(sigma, d - xi, 4.0, generation)
+        source = generation((1.0 - np.arange(cells + 1) / cells) * (d - xi))
+        got = solve_1d_rhs(dev, xi, cells, source)
+        want = solve_depth(width, cells, source)
+        assert got[0] == 0.0
+        assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is double on this platform")
+    @pytest.mark.parametrize("sigma", [0.5, 2.0, 5.0, 1e4])
+    @pytest.mark.parametrize("generation", [
+        GenerationProfile.exponential(5.0), GenerationProfile.constant(1.0)])
+    def test_pl_matches_extended_precision_thomas(self, sigma, generation):
+        # the same discrete problem eliminated in long double; the banded
+        # LU in double is off by up to 1.7e-12 here
+        cells = 2048
+        dev = DeviceConfig(sigma, 10.0, 4.0, generation)
+        sol = solve_mapped_1d(dev, 0.0, cells)
+        c = np.longdouble(sigma ** 2 / (dev.d * (1.0 / cells)) ** 2)
+        b = -sol.source[1:].astype(np.longdouble)
+        diag = -2 * c - 1
+        upper = np.zeros(cells, dtype=np.longdouble)
+        rhs = np.zeros(cells, dtype=np.longdouble)
+        upper[0], rhs[0] = c / diag, b[0] / diag
+        for i in range(1, cells):
+            lower = 2 * c if i == cells - 1 else c
+            pivot = diag - lower * upper[i - 1]
+            upper[i] = c / pivot
+            rhs[i] = (b[i] - lower * rhs[i - 1]) / pivot
+        x = rhs.copy()
+        for i in range(cells - 2, -1, -1):
+            x[i] -= upper[i] * x[i + 1]
+        exact = dev.d * (x.sum() - x[-1] / 2) / cells
+        assert abs(sol.pl - float(exact)) <= 1e-14 * float(exact)
 
 
 class TestSolve2D:

@@ -1,4 +1,5 @@
-"""scipy loads at the first sparse or banded solve, not at ``import exdil``.
+"""scipy loads at the first sparse solve only: not at ``import exdil``, and
+not for the flat-interface model, whose solve needs numpy alone.
 
 Each check runs in a fresh interpreter: this one has loaded scipy long
 before, through the other tests.
@@ -78,6 +79,24 @@ def test_validate_runs_without_scipy(tmp_path):
     assert (code, loaded) == (0, [])
     assert (out / "validate_summary.csv").is_file()
     assert (out / "manifest.json").is_file()
+
+
+def test_flat_model_runs_without_scipy():
+    # the set-up of the fit-expansion benchmark, then one flat-model
+    # evaluation with its sensitivity solves
+    values, derivatives, loaded = run_fresh(f"""
+        import json, sys
+        from exdil import experiments, inverse
+
+        family = inverse.DeviceFamily(period=4.0)
+        curve = experiments.generate_synthetic_curve(
+            experiments.MODEL_1D, 5.0, (10.0, 17.5, 25.0), family=family)
+        derivatives = inverse.OneDimensionalForward(
+            family).pl_with_derivatives(5.0, 10.0)
+        print(json.dumps([curve.values, derivatives, {SCIPY_MODULES}]))
+        """)
+    assert loaded == []
+    assert derivatives[0] == values[0] > 0
 
 
 def test_stand_in_set_before_the_first_operator_sees_every_splu():
